@@ -3,14 +3,21 @@ concatenation/interleaving construction, equivalence orbits, and exhaustive
 enumeration of all quaternary pairs up to length 12.
 
 Enumeration canonicalizes by global phase (first element of each sequence
-forced to +1) and by lexicographic pair order, then buckets sequences by
-their exact integer autocorrelation vectors; complementary mates are found
-by matching a bucket with its negated counterpart.
+forced to +1) and by lexicographic pair order.  Golay's identity
+|A(w)|^2 + |B(w)|^2 = 2N, with A(w) = sum_n a_n exp(-jwn), bounds every
+member of a pair by |A(w)|^2 <= 2N at every frequency (the filter of
+Fiedler, Jedwab and Parker, JCTA 2008).  The 4**(N-1) canonical sequences
+are filtered on three grids (8, 16, then 64 points) with a slack of 1e-6;
+the rounding error of a 12-term sum is about 1e-13, so no member is ever
+dropped.  The few thousand survivors are then matched by their exact
+integer autocorrelation vectors against the negated vectors: that match,
+not the filter, is the complementarity proof.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -32,6 +39,10 @@ from .seqcore import (
 )
 
 MAX_ENUMERATION_LENGTH = 12  # 4**12 raw sequences; documented capacity limit
+
+_PSD_SLACK = 1e-6  # far above the ~1e-13 rounding error of a 12-term spectral sum
+_PSD_GRIDS = ((8, 0.1), (16, 0.05), (64, 0.0))  # (points, offset in grid steps)
+_PSD_BLOCK = 1 << 20  # head-tail sums tested at once per point of the first grid
 
 FLOAT_GCP_TOL = 1e-9
 
@@ -198,103 +209,83 @@ def _check_capacity(length: int) -> int:
     return length
 
 
-def _decode_canonical(indices: np.ndarray, length: int) -> np.ndarray:
-    """Canonical sequence values for base-4 ranks (first element fixed to +1)."""
-    count = indices.size
-    codes = np.zeros((count, length), dtype=np.int8)
-    rem = indices.astype(np.int64)
-    for pos in range(length - 1, 0, -1):
-        codes[:, pos] = rem % 4
-        rem //= 4
-    return QUATERNARY_VALUES[codes]
+def _decode(ranks: np.ndarray, length: int) -> np.ndarray:
+    """Sequence values for base-4 ranks, first symbol most significant; a
+    canonical rank (below 4**(length - 1)) decodes with first element +1."""
+    return QUATERNARY_VALUES[(ranks[:, None] // 4 ** np.arange(length - 1, -1, -1)) % 4]
 
 
-def _apac_keys(length: int, chunk: int = 1 << 19) -> np.ndarray:
-    """Integer autocorrelation keys (re/im interleaved, lags 1..N-1) for all
-    canonical sequences of the given length, in lexicographic order."""
-    total = 4 ** (length - 1)
-    keys = np.empty((total, 2 * (length - 1)), dtype=np.int8)
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        arr = _decode_canonical(np.arange(start, stop), length)
-        for k in range(1, length):
-            acf = np.sum(np.conj(arr[:, : length - k]) * arr[:, k:], axis=1)
-            keys[start:stop, 2 * (k - 1)] = acf.real.astype(np.int8)
-            keys[start:stop, 2 * (k - 1) + 1] = acf.imag.astype(np.int8)
-    return keys
+def _autocorrelations(seqs: np.ndarray) -> np.ndarray:
+    """Aperiodic autocorrelations at lags 1..N-1 of each row; exact for
+    quaternary rows, whose products and sums are small Gaussian integers."""
+    length = seqs.shape[1]
+    out = np.empty((seqs.shape[0], length - 1), dtype=complex)
+    for k in range(1, length):
+        out[:, k - 1] = np.sum(np.conj(seqs[:, : length - k]) * seqs[:, k:], axis=1)
+    return out
 
 
-def _pack_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pack signed key rows into (hi, lo) uint64 words preserving lex order."""
-    shifted = keys.astype(np.int64) + 16  # |component| <= 12, so 5 bits suffice
-    ncols = shifted.shape[1]
-    hi = np.zeros(shifted.shape[0], dtype=np.uint64)
-    lo = np.zeros(shifted.shape[0], dtype=np.uint64)
-    for col in range(min(ncols, 12)):
-        hi = (hi << np.uint64(5)) | shifted[:, col].astype(np.uint64)
-    for col in range(12, ncols):
-        lo = (lo << np.uint64(5)) | shifted[:, col].astype(np.uint64)
-    return hi, lo
+def _psd_survivors(length: int) -> np.ndarray:
+    """Ascending canonical ranks with |A(w)|^2 <= 2N + slack at every point
+    w = 2*pi*(m + offset)/points of ``_PSD_GRIDS``.
 
-
-def _mate_index_pairs(length: int) -> tuple[np.ndarray, np.ndarray]:
-    """All (i, j) canonical-rank pairs whose autocorrelations cancel.
-
-    Matches every key vector against its exact negation, so membership in
-    the result is itself the complementarity proof (integer arithmetic,
-    no tolerance involved).
+    Rank r splits into a head of ``split`` symbols (first one +1) and a
+    tail, so A(w) = heads[r // n_tails] + tails[r % n_tails].  The first
+    grid tests outer sums, a block of head rows at a time; each later point
+    tests only the survivors.
     """
-    keys = _apac_keys(length)
-    pos_hi, pos_lo = _pack_keys(keys)
-    neg_hi, neg_lo = _pack_keys(-keys)
-    total = pos_hi.size
+    split = (length + 1) // 2
+    n_tails = 4 ** (length - split)
+    w = 2 * np.pi * np.concatenate([(np.arange(p) + offset) / p for p, offset in _PSD_GRIDS])
+    phasors = np.exp(-1j * np.outer(w, np.arange(length)))  # (points, positions)
+    heads = phasors[:, :split] @ _decode(np.arange(4 ** (split - 1)), split).T
+    tails = phasors[:, split:] @ _decode(np.arange(n_tails), length - split).T
 
-    all_hi = np.concatenate([pos_hi, neg_hi])
-    all_lo = np.concatenate([pos_lo, neg_lo])
-    order = np.lexsort((all_lo, all_hi))
-    sh = all_hi[order]
-    sl = all_lo[order]
-    new_group = np.empty(order.size, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = (sh[1:] != sh[:-1]) | (sl[1:] != sl[:-1])
-    gid = np.cumsum(new_group) - 1
-    from_pos = order < total
+    def within(spectra):
+        return spectra.real ** 2 + spectra.imag ** 2 <= 2 * length + _PSD_SLACK
 
-    n_pos = np.bincount(gid, weights=from_pos).astype(np.int64)
-    n_neg = np.bincount(gid, weights=~from_pos).astype(np.int64)
-    starts = np.flatnonzero(new_group)
-    ends = np.r_[starts[1:], order.size]
-
-    first_idx: list[np.ndarray] = []
-    second_idx: list[np.ndarray] = []
-    for g in np.flatnonzero((n_pos > 0) & (n_neg > 0)):
-        members = order[starts[g] : ends[g]]
-        seqs_v = members[members < total]
-        seqs_neg_v = members[members >= total] - total
-        # Each unordered pair lives in two groups (key v and key -v);
-        # emit only from the lexicographically smaller key.
-        j0 = seqs_neg_v[0]
-        if (sh[starts[g]], sl[starts[g]]) >= (pos_hi[j0], pos_lo[j0]):
-            continue
-        first_idx.append(np.repeat(seqs_v, seqs_neg_v.size))
-        second_idx.append(np.tile(seqs_neg_v, seqs_v.size))
-
-    if not first_idx:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    fa = np.concatenate(first_idx)
-    fb = np.concatenate(second_idx)
-    swap = fa > fb
-    fa[swap], fb[swap] = fb[swap], fa[swap].copy()
-    order = np.lexsort((fb, fa))
-    return fa[order], fb[order]
+    rows = max(1, _PSD_BLOCK // n_tails)
+    found = []
+    for r in range(0, heads.shape[1], rows):
+        keep = within(heads[0, r : r + rows, None] + tails[0])
+        for m in range(1, _PSD_GRIDS[0][0]):
+            keep &= within(heads[m, r : r + rows, None] + tails[m])
+        found.append(np.flatnonzero(keep) + r * n_tails)
+    ranks = np.concatenate(found)
+    for m in range(_PSD_GRIDS[0][0], w.size):
+        ranks = ranks[within(heads[m, ranks // n_tails] + tails[m, ranks % n_tails])]
+    return ranks
 
 
-def _pair_from_ranks(rank_a: int, rank_b: int, length: int) -> GolayPair:
-    values = _decode_canonical(np.array([rank_a, rank_b]), length)
-    pair = GolayPair(values[0], values[1], certified=True)
-    pair.a.setflags(write=False)
-    pair.b.setflags(write=False)
-    return pair
+@lru_cache(maxsize=None)
+def _library_ranks(length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only canonical ranks ``(first, second)`` of every pair, in
+    lexicographic order, and the sorted ranks of all their members.
+
+    Survivors i and j pair iff their exact integer autocorrelation keys
+    satisfy key(i) = -key(j); that match is the complementarity proof.
+    """
+    survivors = _psd_survivors(length)
+    keys = _autocorrelations(_decode(survivors, length)).view(float).astype(np.int8)
+    ranks = survivors.tolist()
+    by_key: dict[bytes, list[int]] = {}
+    for rank, key in zip(ranks, keys):
+        by_key.setdefault(key.tobytes(), []).append(rank)
+    pairs = [(i, j) for i, key in zip(ranks, keys)
+             for j in by_key.get((-key).tobytes(), ()) if i < j]
+    first, second = np.array(pairs, dtype=np.int64).reshape(-1, 2).T.copy()
+    members = np.union1d(first, second)
+    for arr in (first, second, members):
+        arr.setflags(write=False)
+    return first, second, members
+
+
+def _proven_pairs(a: np.ndarray, b: np.ndarray) -> list[GolayPair]:
+    """Pairs over the rows of ``a`` and ``b``, whose complementarity the
+    caller has proved exactly (key match or re-certification on load)."""
+    a.setflags(write=False)
+    b.setflags(write=False)
+    return [GolayPair(x, y, certified=True) for x, y in zip(a, b)]
 
 
 def enumerate_gcps(length: int) -> list[GolayPair]:
@@ -303,15 +294,15 @@ def enumerate_gcps(length: int) -> list[GolayPair]:
     Canonical form: each sequence is phase-rotated so its first element is
     +1, the pair is ordered lexicographically, and duplicates are removed.
     Pairs come out certified; the exact integer key matching inside
-    :func:`_mate_index_pairs` is the complementarity proof.
+    :func:`_library_ranks` is the complementarity proof.
 
     Lengths above 12 raise (4**length sequences; capacity limit).
     """
     length = _check_capacity(length)
     if length == 1:
         return [GolayPair.certify([1.0], [1.0])]
-    idx_a, idx_b = _mate_index_pairs(length)
-    return [_pair_from_ranks(int(i), int(j), length) for i, j in zip(idx_a, idx_b)]
+    first, second, _ = _library_ranks(length)
+    return _proven_pairs(_decode(first, length), _decode(second, length))
 
 
 def canonical_pair(a, b) -> tuple[str, str]:
@@ -334,18 +325,13 @@ def canonical_pair(a, b) -> tuple[str, str]:
     return (norm_a, norm_b) if rank(norm_a) <= rank(norm_b) else (norm_b, norm_a)
 
 
-@lru_cache(maxsize=None)
-def _sorted_canonical_keys(length: int) -> tuple[np.ndarray, np.ndarray]:
-    hi, lo = _pack_keys(_apac_keys(length))
-    order = np.lexsort((lo, hi))
-    return hi[order], lo[order]
-
-
 def is_complementary_sequence(a) -> bool:
     """True iff some quaternary mate exists making ``a`` one half of a pair.
 
-    Searches the negated-autocorrelation bucket of the exhaustive canonical
-    enumeration; restricted to lengths up to 12 like the enumeration.
+    Looks the query, rotated so its first element is +1, up among the
+    member ranks of the exhaustive enumeration, built on the first call at
+    each length: the spectral filter keeps every member, and the exact key
+    match among its survivors proves each pair.  Lengths up to 12.
     """
     arr = as_sequence(a)
     _check_capacity(arr.size)
@@ -353,46 +339,60 @@ def is_complementary_sequence(a) -> bool:
         raise ValueError("complementarity search is defined for quaternary sequences")
     if arr.size == 1:
         return True
-    vec = np.empty(2 * (arr.size - 1), dtype=np.int8)
-    for k in range(1, arr.size):
-        acf = np.sum(np.conj(arr[: arr.size - k]) * arr[k:])
-        vec[2 * (k - 1)] = int(round(acf.real))
-        vec[2 * (k - 1) + 1] = int(round(acf.imag))
-    want_hi, want_lo = _pack_keys(-vec[np.newaxis, :])
-    hi, lo = _sorted_canonical_keys(arr.size)
-    left = np.searchsorted(hi, want_hi[0], side="left")
-    right = np.searchsorted(hi, want_hi[0], side="right")
-    if left == right:
-        return False
-    sub = lo[left:right]
-    pos = np.searchsorted(sub, want_lo[0], side="left")
-    return bool(pos < sub.size and sub[pos] == want_lo[0])
+    codes = np.argmax(arr[1:, None] * np.conj(arr[0]) == QUATERNARY_VALUES, axis=1)
+    rank = int(codes @ 4 ** np.arange(arr.size - 2, -1, -1))
+    members = _library_ranks(arr.size)[2]
+    pos = np.searchsorted(members, rank)
+    return bool(pos < members.size and members[pos] == rank)
 
 
 # ---------------------------------------------------------------------------
 # Disk cache (JSON of symbol strings, keyed by length)
 # ---------------------------------------------------------------------------
 
+def _load_cache(cache_file: Path, length: int) -> list[GolayPair]:
+    """The pairs of a cache file, all re-certified in one exact pass."""
+    try:
+        payload = json.loads(cache_file.read_text())
+        strings = payload["pairs"]
+        if payload["length"] != length or np.shape(strings) != (payload["count"], 2):
+            raise ValueError(f"header (length {payload['length']}, count {payload['count']}) "
+                             f"does not match {len(strings)} pairs of length {length}")
+        a, b = (np.stack([parse_quaternary(text) for text in col]) for col in zip(*strings))
+        if a.shape[1] != length or b.shape != a.shape:
+            raise ValueError(f"sequences are not all of length {length}")
+        bad = np.flatnonzero(np.any(_autocorrelations(a) + _autocorrelations(b), axis=1))
+        if bad.size:
+            raise ValueError(f"pair {bad[0]} {strings[bad[0]]} is not complementary")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"invalid pair cache {cache_file}: {exc}") from exc
+    return _proven_pairs(a, b)
+
+
 def cached_enumerate_gcps(length: int, cache_dir: str | Path) -> list[GolayPair]:
-    """Enumerate with a JSON disk cache so long runs happen once."""
+    """Enumerate with a JSON disk cache so long runs happen once.
+
+    A cache file is checked and every pair in it re-certified on load; a
+    bad file raises ValueError naming it.  New files are written through a
+    temporary file and ``os.replace``, so no partial cache is ever left.
+    """
     length = _check_capacity(length)
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     cache_file = cache_dir / f"gcps_len{length}.json"
     if cache_file.exists():
-        payload = json.loads(cache_file.read_text())
-        if payload.get("length") == length:
-            return [
-                GolayPair(
-                    parse_quaternary(sa), parse_quaternary(sb), certified=True
-                )
-                for sa, sb in payload["pairs"]
-            ]
+        return _load_cache(cache_file, length)
     pairs = enumerate_gcps(length)
     payload = {
         "length": length,
         "count": len(pairs),
         "pairs": [list(p.as_strings()) for p in pairs],
     }
-    cache_file.write_text(json.dumps(payload))
+    tmp = cache_file.with_name(f"{cache_file.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(payload))
+        os.replace(tmp, cache_file)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return pairs

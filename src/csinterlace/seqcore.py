@@ -31,13 +31,11 @@ def parse_quaternary(text: str) -> np.ndarray:
 def format_quaternary(seq) -> str:
     """Format a quaternary-valued sequence back into its symbol string."""
     seq = as_sequence(seq)
-    out = []
-    for value in seq:
-        matches = np.isclose(QUATERNARY_VALUES, value)
-        if not matches.any():
-            raise ValueError(f"element {value} is not a quaternary symbol")
-        out.append(QUATERNARY_SYMBOLS[int(np.argmax(matches))])
-    return "".join(out)
+    matches = np.isclose(QUATERNARY_VALUES, seq[:, None])  # tolerance relative to the element
+    missing = np.flatnonzero(~matches.any(axis=1))
+    if missing.size:
+        raise ValueError(f"element {seq[missing[0]]} is not a quaternary symbol")
+    return "".join(QUATERNARY_SYMBOLS[k] for k in np.argmax(matches, axis=1))
 
 
 def is_quaternary(seq) -> bool:

@@ -1,7 +1,11 @@
+import json
+
 import pytest
+from click.testing import CliRunner
 
 from csinterlace import fixtures
-from csinterlace.golay import cached_enumerate_gcps, enumerate_gcps
+from csinterlace.cli import main
+from csinterlace.golay import enumerate_gcps
 from csinterlace.interlace import InterlaceConfig
 
 
@@ -32,7 +36,24 @@ def small_libraries():
 
 
 @pytest.fixture(scope="session")
-def gcp_library_12(tmp_path_factory):
-    """The full length-12 library, enumerated once per session and disk-cached."""
-    cache = tmp_path_factory.mktemp("gcp-cache")
-    return cached_enumerate_gcps(12, cache)
+def enumerate_12_dir(tmp_path_factory):
+    """Directory holding ``enumerate.json`` from CLI ``enumerate-gcps
+    --length 12`` run once per session into the empty cache ``cache/``,
+    as the benchmark runs it."""
+    work = tmp_path_factory.mktemp("enumerate-12")
+    result = CliRunner().invoke(main, ["enumerate-gcps", "--length", "12",
+                                       "--cache-dir", str(work / "cache"),
+                                       "--out", str(work / "enumerate.json")])
+    assert result.exit_code == 0, result.output
+    return work
+
+
+@pytest.fixture(scope="session")
+def enumerate_12_output(enumerate_12_dir):
+    return (enumerate_12_dir / "enumerate.json").read_bytes()
+
+
+@pytest.fixture(scope="session")
+def library_12_pairs(enumerate_12_output):
+    """The length-12 library as canonical symbol-string pairs."""
+    return json.loads(enumerate_12_output)["pairs"]

@@ -2,8 +2,10 @@
 
 These deliberately avoid the library's coefficient-domain code paths:
 polynomials are evaluated by direct summation so they can vouch for the
-upsample/convolve/pad implementations, and spectra are synthesized by an
-O(N^2) loop to vouch for the FFT path.
+upsample/convolve/pad implementations, spectra are synthesized by an
+O(N^2) loop to vouch for the FFT path, and the pair library is enumerated
+from the full table of all canonical autocorrelation keys, with no spectral
+filter, to vouch for the filtered enumeration.
 """
 
 import numpy as np
@@ -34,3 +36,99 @@ def unit_circle_points(rng: np.random.Generator, count: int) -> np.ndarray:
 
 def random_unimodular(rng: np.random.Generator, length: int) -> np.ndarray:
     return np.exp(2j * np.pi * rng.random(length))
+
+
+SYMBOL_VALUES = np.array([1.0, -1.0, 1.0j, -1.0j], dtype=complex)  # code order of "+-ij"
+
+
+def canonical_rank(seq) -> int:
+    """Base-4 rank of a sequence's symbol codes after the first (first
+    symbol most significant); canonical sequences start with +1."""
+    codes = [int(np.flatnonzero(SYMBOL_VALUES == value)[0]) for value in seq[1:]]
+    return sum(code * 4 ** (len(codes) - 1 - pos) for pos, code in enumerate(codes))
+
+
+def _decode_canonical(indices: np.ndarray, length: int) -> np.ndarray:
+    codes = np.zeros((indices.size, length), dtype=np.int8)
+    rem = indices.astype(np.int64)
+    for pos in range(length - 1, 0, -1):
+        codes[:, pos] = rem % 4
+        rem //= 4
+    return SYMBOL_VALUES[codes]
+
+
+def _apac_keys(length: int, chunk: int = 1 << 19) -> np.ndarray:
+    """Integer autocorrelation keys (re/im interleaved, lags 1..N-1) for all
+    canonical sequences of the given length, in lexicographic order."""
+    total = 4 ** (length - 1)
+    keys = np.empty((total, 2 * (length - 1)), dtype=np.int8)
+    for start in range(0, total, chunk):
+        stop = min(start + chunk, total)
+        arr = _decode_canonical(np.arange(start, stop), length)
+        for k in range(1, length):
+            acf = np.sum(np.conj(arr[:, : length - k]) * arr[:, k:], axis=1)
+            keys[start:stop, 2 * (k - 1)] = acf.real.astype(np.int8)
+            keys[start:stop, 2 * (k - 1) + 1] = acf.imag.astype(np.int8)
+    return keys
+
+
+def _pack_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pack signed key rows into (hi, lo) uint64 words preserving lex order."""
+    shifted = keys.astype(np.int64) + 16  # |component| <= 12, so 5 bits suffice
+    ncols = shifted.shape[1]
+    hi = np.zeros(shifted.shape[0], dtype=np.uint64)
+    lo = np.zeros(shifted.shape[0], dtype=np.uint64)
+    for col in range(min(ncols, 12)):
+        hi = (hi << np.uint64(5)) | shifted[:, col].astype(np.uint64)
+    for col in range(12, ncols):
+        lo = (lo << np.uint64(5)) | shifted[:, col].astype(np.uint64)
+    return hi, lo
+
+
+def reference_mate_ranks(length: int) -> tuple[np.ndarray, np.ndarray]:
+    """All (i, j) canonical-rank pairs whose autocorrelations cancel, i < j,
+    in lexicographic order: every key of all 4**(length - 1) canonical
+    sequences is bucketed with its exact negation."""
+    keys = _apac_keys(length)
+    pos_hi, pos_lo = _pack_keys(keys)
+    neg_hi, neg_lo = _pack_keys(-keys)
+    total = pos_hi.size
+
+    all_hi = np.concatenate([pos_hi, neg_hi])
+    all_lo = np.concatenate([pos_lo, neg_lo])
+    order = np.lexsort((all_lo, all_hi))
+    sh = all_hi[order]
+    sl = all_lo[order]
+    new_group = np.empty(order.size, dtype=bool)
+    new_group[0] = True
+    new_group[1:] = (sh[1:] != sh[:-1]) | (sl[1:] != sl[:-1])
+    gid = np.cumsum(new_group) - 1
+    from_pos = order < total
+
+    n_pos = np.bincount(gid, weights=from_pos).astype(np.int64)
+    n_neg = np.bincount(gid, weights=~from_pos).astype(np.int64)
+    starts = np.flatnonzero(new_group)
+    ends = np.r_[starts[1:], order.size]
+
+    first_idx: list[np.ndarray] = []
+    second_idx: list[np.ndarray] = []
+    for g in np.flatnonzero((n_pos > 0) & (n_neg > 0)):
+        members = order[starts[g] : ends[g]]
+        seqs_v = members[members < total]
+        seqs_neg_v = members[members >= total] - total
+        # Each unordered pair lives in two groups (key v and key -v);
+        # emit only from the lexicographically smaller key.
+        j0 = seqs_neg_v[0]
+        if (sh[starts[g]], sl[starts[g]]) >= (pos_hi[j0], pos_lo[j0]):
+            continue
+        first_idx.append(np.repeat(seqs_v, seqs_neg_v.size))
+        second_idx.append(np.tile(seqs_neg_v, seqs_v.size))
+
+    if not first_idx:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    fa = np.concatenate(first_idx)
+    fb = np.concatenate(second_idx)
+    swap = fa > fb
+    fa[swap], fb[swap] = fb[swap], fa[swap].copy()
+    order = np.lexsort((fb, fa))
+    return fa[order], fb[order]

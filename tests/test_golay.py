@@ -1,4 +1,6 @@
+import io
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from csinterlace.seqcore import (
     parse_quaternary,
 )
 
-from helpers import random_unimodular
+from helpers import canonical_rank, random_unimodular, reference_mate_ranks
 
 
 def brute_force_canonical_pairs(length):
@@ -222,6 +224,73 @@ class TestEnumeration:
         cached = cached_enumerate_gcps(4, tmp_path)
         assert [p.as_strings() for p in fresh] == [p.as_strings() for p in cached]
 
+    @pytest.mark.parametrize("length", range(2, 11))
+    def test_matches_full_table_oracle(self, length):
+        want = list(zip(*(ranks.tolist() for ranks in reference_mate_ranks(length))))
+        got = [(canonical_rank(p.a), canonical_rank(p.b)) for p in enumerate_gcps(length)]
+        assert got == want
+
+
+class _FullDisk:
+    """A text file whose first write stores half its data and then fails."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def write(self, data):
+        self.handle.write(data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+
+class TestCache:
+    @pytest.mark.parametrize("payload", [
+        {"length": 4, "count": 99, "pairs": [["++++", "++++"]]},
+        {"length": 4, "count": 1, "pairs": [["++++", "++++"]]},
+        {"length": 4, "count": 2, "pairs": [["+++-", "++-+"]]},
+        {"length": 3, "count": 1, "pairs": [["+++-", "++-+"]]},
+        {"length": 4, "count": 1, "pairs": [["++-", "+-+"]]},
+        {"length": 4, "count": 1, "pairs": [["+++-", "++-+", "++++"]]},
+        {"length": 4, "count": 1, "pairs": [["+++x", "++-+"]]},
+    ])
+    def test_invalid_file_raises_naming_it(self, tmp_path, payload):
+        (tmp_path / "gcps_len4.json").write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="gcps_len4.json"):
+            cached_enumerate_gcps(4, tmp_path)
+
+    def test_truncated_file_raises_naming_it(self, tmp_path):
+        cache_file = tmp_path / "gcps_len4.json"
+        cached_enumerate_gcps(4, tmp_path)
+        cache_file.write_text(cache_file.read_text()[:100])
+        with pytest.raises(ValueError, match="gcps_len4.json"):
+            cached_enumerate_gcps(4, tmp_path)
+
+    def test_loaded_pairs_are_complementary_and_immutable(self, tmp_path):
+        cached_enumerate_gcps(6, tmp_path)
+        pairs = cached_enumerate_gcps(6, tmp_path)
+        assert len(pairs) == 64 and all(is_gcp(p.a, p.b, 0.0) for p in pairs)
+        with pytest.raises(ValueError):
+            pairs[0].a[0] = -1.0
+
+    def test_interrupted_write_leaves_no_cache_file(self, tmp_path, monkeypatch):
+        real_open = io.open
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            handle = real_open(file, mode, *args, **kwargs)
+            return _FullDisk(handle) if "w" in mode else handle
+
+        monkeypatch.setattr(io, "open", failing_open)
+        with pytest.raises(OSError):
+            cached_enumerate_gcps(4, tmp_path)
+        monkeypatch.undo()
+        assert list(tmp_path.iterdir()) == []
+        assert len(cached_enumerate_gcps(4, tmp_path)) == 16
+
 
 class TestIsComplementarySequence:
     def test_short_positives(self):
@@ -243,6 +312,25 @@ class TestIsComplementarySequence:
     def test_non_quaternary_rejected(self):
         with pytest.raises(ValueError):
             is_complementary_sequence(random_unimodular(np.random.default_rng(0), 4))
+
+    def test_length_12_seeded_batch(self, library_12_pairs):
+        members = {text for pair in library_12_pairs for text in pair}
+        rng = np.random.default_rng(1904)
+        queries = []
+        for _ in range(300):
+            pair = library_12_pairs[rng.integers(len(library_12_pairs))]
+            member = parse_quaternary(pair[rng.integers(2)])
+            queries.append(member * QUATERNARY_VALUES[rng.integers(4)])
+            mutant = member.copy()
+            pos = rng.integers(12)
+            code = int(np.flatnonzero(QUATERNARY_VALUES == mutant[pos])[0])
+            mutant[pos] = QUATERNARY_VALUES[(code + rng.integers(1, 4)) % 4]
+            queries.append(mutant * QUATERNARY_VALUES[rng.integers(4)])
+            queries.append(QUATERNARY_VALUES[rng.integers(0, 4, 12)])
+        answers = [is_complementary_sequence(q) for q in queries]
+        expected = [format_quaternary(q * np.conj(q[0])) in members for q in queries]
+        assert answers == expected
+        assert 300 <= sum(answers) < len(queries)
 
     def test_agrees_with_enumeration(self, small_libraries):
         members = {s for p in small_libraries[4] for s in p.as_strings()}

@@ -244,3 +244,11 @@ class TestSerialization:
     def test_format_rejects_non_quaternary(self):
         with pytest.raises(ValueError):
             format_quaternary(np.array([0.5 + 0.5j]))
+
+    def test_format_tolerates_rounding_near_symbols(self):
+        values = np.array([1 + 1e-12j, -1 - 1e-13, 1e-12 + 1j, 1e-14 - 1j, 1.0])
+        assert format_quaternary(values) == "+-ij+"
+
+    def test_format_names_first_non_quaternary_element(self):
+        with pytest.raises(ValueError, match=r"element \(0\.5\+0\.5j\) is not a quaternary"):
+            format_quaternary(np.array([1.0, 0.5 + 0.5j, 2.0, 1j]))
