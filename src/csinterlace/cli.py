@@ -1,19 +1,23 @@
 """Command-line front end and reproduction pipelines.
 
 Every command is deterministic given its parameters; each output file gets
-a sibling ``<name>.manifest.json`` recording the command, full parameter
-set, seed, toolkit version, and input digests, so equal manifests imply
-byte-identical outputs.  Numeric CSV fields are printed with 9 significant
-digits for stable diffs.
+a sibling ``<name>.manifest.json`` recording the command name, its click
+parameters as parsed (paths as strings), the toolkit version and the
+digests of its input files, so equal manifests imply byte-identical
+outputs.  Numeric CSV fields are printed with 9 significant digits for
+stable diffs.
+
+``reproduce <figure>`` is a lookup in :data:`FIGURES`, which maps each
+figure to a producer and a tuple of checks.  The producer writes the
+figure's files and returns their data (sweep rows, cross-correlation
+maxima or simulation reports); each check is a pure function of that data
+yielding failure messages, and any failure makes the command exit 1.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import json
-import os
-import sys
 from pathlib import Path
 
 import click
@@ -26,7 +30,7 @@ from .fixtures import (
     load_reference_pairs,
     reference_set_params,
 )
-from .golay import GolayPair, cached_enumerate_gcps, enumerate_gcps
+from .golay import GolayPair, cached_enumerate_gcps, enumerate_gcps, library_payload
 from .interlace import (
     InterlaceConfig,
     QPSK_PHASES,
@@ -41,7 +45,7 @@ from .interlace import (
 )
 from .linksim import SimConfig, run_sim
 from .metrics import ccdf, cm_db, papr_db, peak_xcorr, synthesize
-from .seqcore import format_quaternary, parse_quaternary, sequence_from_json
+from .seqcore import sequence_from_json
 
 PAPR_BOUND_DB = 10 * np.log10(2.0)
 DEFAULT_N_IDFT = 4096
@@ -59,43 +63,27 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _write_manifest(
-    anchor: Path, command: str, params: dict, inputs: list[Path], outputs: list[Path]
-) -> None:
+def _write_manifest(anchor: Path, outputs, inputs=()) -> None:
+    """Manifest of the running command; ``None`` entries are skipped."""
+    ctx = click.get_current_context()
     manifest = {
-        "command": command,
-        "params": params,
+        "command": ctx.info_name,
+        "params": {k: str(v) if isinstance(v, Path) else v for k, v in ctx.params.items()},
         "toolkit_version": __version__,
-        "inputs": {str(p): _sha256(p) for p in inputs},
-        "outputs": [str(p) for p in outputs],
+        "inputs": {str(p): hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in inputs if p is not None},
+        "outputs": [str(p) for p in outputs if p is not None],
     }
     anchor.with_suffix(anchor.suffix + ".manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("CSINTERLACE_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_jobs(func, items):
-    workers = _thread_count()
-    if workers == 1:
-        return [func(item) for item in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, items))
-
-
-def _geometry(nrb: int, nsc: int, nnull: int) -> InterlaceConfig:
-    return InterlaceConfig(nrb, nsc, nnull)
+def _geometry_options(command):
+    """Add the interlace geometry options ``--nrb``, ``--nsc`` and ``--nnull``."""
+    for name, default in (("--nnull", 108), ("--nsc", 12), ("--nrb", 10)):
+        command = click.option(name, default=default, show_default=True)(command)
+    return command
 
 
 def _build_spectrum(
@@ -113,9 +101,7 @@ def _build_spectrum(
         return build_coherent(cfg, spread, half, payload.phases())
     if scheme == "cycling":
         return cycling_baseline(cfg, pair.a)
-    if scheme == "zc":
-        return zadoff_chu_set(cfg, 30)[seq_index % 30]
-    raise click.ClickException(f"unknown scheme {scheme!r}")
+    return zadoff_chu_set(cfg, 30)[seq_index % 30]
 
 
 @click.group()
@@ -127,9 +113,7 @@ def main():
 @main.command("build-interlace")
 @click.option("--scheme", default="noncoherent",
               type=click.Choice(["noncoherent", "noncoherent-adjacent", "coherent", "cycling", "zc"]))
-@click.option("--nrb", default=10, show_default=True)
-@click.option("--nsc", default=12, show_default=True)
-@click.option("--nnull", default=108, show_default=True)
+@_geometry_options
 @click.option("--seq-index", default=0, show_default=True)
 @click.option("--shift", default=0.0, show_default=True, help="Cyclic-shift resource (non-coherent).")
 @click.option("--bits", default=1, show_default=True)
@@ -137,138 +121,103 @@ def main():
 @click.option("--out", type=click.Path(path_type=Path), default=None)
 def build_interlace(scheme, nrb, nsc, nnull, seq_index, shift, bits, value, out):
     """Emit one frequency-domain interlace as JSON."""
-    cfg = _geometry(nrb, nsc, nnull)
+    cfg = InterlaceConfig(nrb, nsc, nnull)
     spectrum = _build_spectrum(scheme, cfg, seq_index, shift, bits, value)
     payload = json.dumps(spectrum.to_json_dict(), sort_keys=True)
     if out is None:
         click.echo(payload)
     else:
         out.write_text(payload + "\n")
-        _write_manifest(
-            out, "build-interlace",
-            {"scheme": scheme, "nrb": nrb, "nsc": nsc, "nnull": nnull,
-             "seq_index": seq_index, "shift": shift, "bits": bits, "value": value},
-            [], [out],
-        )
-
-
-def _metric_sweep(cfg: InterlaceConfig, schemes: tuple[str, ...], n_idft: int) -> list[tuple]:
-    pairs = load_reference_pairs()
-    spread = load_noncoherent_spread()
-    rows: list[tuple] = []
-
-    def evaluate(item):
-        scheme, index, tag, spectrum = item
-        wave = synthesize(spectrum, n_idft)
-        return (scheme, index, tag, papr_db(wave), cm_db(wave))
-
-    jobs = []
-    if "noncoherent" in schemes:
-        for i, pair in enumerate(pairs):
-            for shift in range(cfg.n_sc):
-                jobs.append(
-                    ("noncoherent", i, f"shift={shift}",
-                     build_noncoherent(cfg, spread, pair, shift))
-                )
-    if "noncoherent-adjacent" in schemes:
-        for i, pair in enumerate(pairs):
-            for shift in range(cfg.n_sc):
-                jobs.append(
-                    ("noncoherent-adjacent", i, f"shift={shift}",
-                     build_noncoherent_adjacent(cfg, spread, pair, shift))
-                )
-    if "coherent" in schemes:
-        spread_c, half = load_coherent_example()
-        for w1_idx, w1 in enumerate(QPSK_PHASES):
-            for w2_idx, w2 in enumerate(QPSK_PHASES):
-                jobs.append(
-                    ("coherent", 0, f"phases={w1_idx}{w2_idx}",
-                     build_coherent(cfg, spread_c, half, (w1, w2)))
-                )
-    if "cycling" in schemes:
-        for i, pair in enumerate(pairs):
-            jobs.append(("cycling", i, "", cycling_baseline(cfg, pair.a)))
-    if "zc" in schemes:
-        for i, spectrum in enumerate(zadoff_chu_set(cfg, 30, n_idft)):
-            jobs.append(("zc", i, "", spectrum))
-    rows = _map_jobs(evaluate, jobs)
-    return rows
+        _write_manifest(out, [out])
 
 
 _SWEEP_SCHEMES = ("noncoherent", "noncoherent-adjacent", "coherent", "cycling", "zc")
+_PROPOSED_SCHEMES = ("noncoherent", "noncoherent-adjacent", "coherent")
+_SWEEP_HEADER = ["scheme", "seq_index", "selector", "papr_db", "cm_db"]
 
 
-@main.command("eval-papr")
-@click.option("--scheme", default="all",
-              type=click.Choice(("all",) + _SWEEP_SCHEMES))
-@click.option("--nrb", default=10)
-@click.option("--nsc", default=12)
-@click.option("--nnull", default=108)
-@click.option("--n-idft", default=DEFAULT_N_IDFT, show_default=True)
-@click.option("--out", type=click.Path(path_type=Path), required=True)
-def eval_papr(scheme, nrb, nsc, nnull, n_idft, out):
-    """PAPR/CM sweep: one CSV row per (scheme, sequence, shift/payload)."""
-    schemes = _SWEEP_SCHEMES if scheme == "all" else (scheme,)
-    rows = _metric_sweep(_geometry(nrb, nsc, nnull), schemes, n_idft)
-    _write_csv(out, ["scheme", "seq_index", "selector", "papr_db", "cm_db"], rows)
-    _write_manifest(out, "eval-papr",
-                    {"scheme": scheme, "nrb": nrb, "nsc": nsc, "nnull": nnull,
-                     "n_idft": n_idft}, [], [out])
-    worst = max(r[3] for r in rows)
-    click.echo(f"{len(rows)} waveforms, max PAPR {worst:.6f} dB")
+def _sweep_spectra(cfg: InterlaceConfig, scheme: str, n_idft: int):
+    """Yield ``(seq_index, selector, spectrum)`` for every waveform of ``scheme``."""
+    pairs = load_reference_pairs()
+    if scheme in ("noncoherent", "noncoherent-adjacent"):
+        build = build_noncoherent if scheme == "noncoherent" else build_noncoherent_adjacent
+        spread = load_noncoherent_spread()
+        for i, pair in enumerate(pairs):
+            for shift in range(cfg.n_sc):
+                yield i, f"shift={shift}", build(cfg, spread, pair, shift)
+    elif scheme == "coherent":
+        spread, half = load_coherent_example()
+        for w1_idx, w1 in enumerate(QPSK_PHASES):
+            for w2_idx, w2 in enumerate(QPSK_PHASES):
+                yield 0, f"phases={w1_idx}{w2_idx}", build_coherent(cfg, spread, half, (w1, w2))
+    elif scheme == "cycling":
+        for i, pair in enumerate(pairs):
+            yield i, "", cycling_baseline(cfg, pair.a)
+    else:
+        for i, spectrum in enumerate(zadoff_chu_set(cfg, 30, n_idft)):
+            yield i, "", spectrum
 
 
-@main.command("eval-cm")
-@click.option("--scheme", default="all",
-              type=click.Choice(("all",) + _SWEEP_SCHEMES))
-@click.option("--nrb", default=10)
-@click.option("--nsc", default=12)
-@click.option("--nnull", default=108)
-@click.option("--n-idft", default=DEFAULT_N_IDFT, show_default=True)
-@click.option("--out", type=click.Path(path_type=Path), required=True)
-def eval_cm(scheme, nrb, nsc, nnull, n_idft, out):
-    """Cubic-metric sweep (same rows as eval-papr)."""
-    schemes = _SWEEP_SCHEMES if scheme == "all" else (scheme,)
-    rows = _metric_sweep(_geometry(nrb, nsc, nnull), schemes, n_idft)
-    _write_csv(out, ["scheme", "seq_index", "selector", "papr_db", "cm_db"], rows)
-    _write_manifest(out, "eval-cm",
-                    {"scheme": scheme, "nrb": nrb, "nsc": nsc, "nnull": nnull,
-                     "n_idft": n_idft}, [], [out])
-    worst = max(r[4] for r in rows)
-    click.echo(f"{len(rows)} waveforms, max CM {worst:.6f} dB")
+def _metric_sweep(cfg: InterlaceConfig, schemes: tuple[str, ...], n_idft: int) -> list[tuple]:
+    rows = []
+    for scheme in schemes:
+        for index, selector, spectrum in _sweep_spectra(cfg, scheme, n_idft):
+            wave = synthesize(spectrum, n_idft)
+            rows.append((scheme, index, selector, papr_db(wave), cm_db(wave)))
+    return rows
+
+
+def _sweep_command(name: str, column: int, label: str, doc: str) -> None:
+    """Register ``name`` as a sweep command echoing the worst ``label``."""
+
+    @main.command(name, help=doc)
+    @click.option("--scheme", default="all",
+                  type=click.Choice(("all",) + _SWEEP_SCHEMES))
+    @_geometry_options
+    @click.option("--n-idft", default=DEFAULT_N_IDFT, show_default=True)
+    @click.option("--out", type=click.Path(path_type=Path), required=True)
+    def command(scheme, nrb, nsc, nnull, n_idft, out):
+        schemes = _SWEEP_SCHEMES if scheme == "all" else (scheme,)
+        rows = _metric_sweep(InterlaceConfig(nrb, nsc, nnull), schemes, n_idft)
+        _write_csv(out, _SWEEP_HEADER, rows)
+        _write_manifest(out, [out])
+        worst = max(r[column] for r in rows)
+        click.echo(f"{len(rows)} waveforms, max {label} {worst:.6f} dB")
+
+
+_sweep_command("eval-papr", 3, "PAPR",
+               "PAPR/CM sweep: one CSV row per (scheme, sequence, shift/payload).")
+_sweep_command("eval-cm", 4, "CM", "Cubic-metric sweep (same rows as eval-papr).")
 
 
 def _xcorr_members(which: str, cfg: InterlaceConfig, seq_file: Path | None):
     if seq_file is not None:
         payload = json.loads(seq_file.read_text())
         return [sequence_from_json(s) for s in payload["sequences"]]
-    pairs = load_reference_pairs()
-    if which == "reference-c":
-        return [p.a for p in pairs]
-    if which == "reference-d":
-        return [p.b for p in pairs]
     if which == "zc":
         # Per-block slices: cross-correlation that matters for interference
         # is block-by-block, and for this scheme every block differs.
         return [rb_values(s, cfg) for s in zadoff_chu_set(cfg, 30)]
-    raise click.ClickException(f"unknown set {which!r}")
+    return [p.a if which == "reference-c" else p.b for p in load_reference_pairs()]
 
 
-def _pairwise_rho(members, n_idft: int) -> list[tuple]:
+def _write_xcorr(members, n_idft: int, out: Path, ccdf_out: Path | None) -> float:
+    """Write the peak cross-correlation of every ordered pair and, if asked,
+    its CCDF; return the max rho.  2-D members are compared row by row (per
+    block) and their worst row is kept."""
     rows = []
-    for i in range(len(members)):
-        for j in range(len(members)):
-            if i == j:
-                continue
-            mi, mj = members[i], members[j]
-            if mi.ndim == 2:  # per-block comparison
-                rho = max(
-                    peak_xcorr(mi[r], mj[r], n_idft) for r in range(mi.shape[0])
-                )
-            else:
-                rho = peak_xcorr(mi, mj, n_idft)
-            rows.append((i, j, rho))
-    return rows
+    for i, mi in enumerate(members):
+        for j, mj in enumerate(members):
+            if i != j:
+                rho = max(peak_xcorr(x, y, n_idft)
+                          for x, y in zip(np.atleast_2d(mi), np.atleast_2d(mj)))
+                rows.append((i, j, rho))
+    _write_csv(out, ["i", "j", "rho"], rows)
+    if ccdf_out is not None:
+        curve = ccdf(np.array([r[2] for r in rows]), np.linspace(0.0, 1.0, 101))
+        _write_csv(ccdf_out, ["threshold", "exceed_prob"],
+                   list(zip(curve.thresholds.tolist(), curve.exceed_prob.tolist())))
+    return float(max(r[2] for r in rows))
 
 
 @main.command("eval-xcorr")
@@ -276,33 +225,17 @@ def _pairwise_rho(members, n_idft: int) -> list[tuple]:
               type=click.Choice(["reference-c", "reference-d", "zc"]))
 @click.option("--seq-file", type=click.Path(path_type=Path, exists=True), default=None,
               help="JSON file with a 'sequences' list; overrides --set.")
-@click.option("--nrb", default=10)
-@click.option("--nsc", default=12)
-@click.option("--nnull", default=108)
+@_geometry_options
 @click.option("--n-idft", default=DEFAULT_N_IDFT, show_default=True)
 @click.option("--out", type=click.Path(path_type=Path), required=True)
 @click.option("--ccdf-out", type=click.Path(path_type=Path), default=None)
 def eval_xcorr(which, seq_file, nrb, nsc, nnull, n_idft, out, ccdf_out):
     """Pairwise peak cross-correlation matrix and optional CCDF."""
-    cfg = _geometry(nrb, nsc, nnull)
-    members = _xcorr_members(which, cfg, seq_file)
-    rows = _pairwise_rho(members, n_idft)
-    _write_csv(out, ["i", "j", "rho"], rows)
-    outputs = [out]
-    if ccdf_out is not None:
-        values = np.array([r[2] for r in rows])
-        thresholds = np.linspace(0.0, 1.0, 101)
-        curve = ccdf(values, thresholds)
-        _write_csv(
-            ccdf_out, ["threshold", "exceed_prob"],
-            list(zip(curve.thresholds.tolist(), curve.exceed_prob.tolist())),
-        )
-        outputs.append(ccdf_out)
-    _write_manifest(out, "eval-xcorr",
-                    {"set": which, "seq_file": str(seq_file) if seq_file else None,
-                     "nrb": nrb, "nsc": nsc, "nnull": nnull, "n_idft": n_idft},
-                    [seq_file] if seq_file else [], outputs)
-    click.echo(f"max rho {max(r[2] for r in rows):.6f} over {len(rows)} ordered pairs")
+    members = _xcorr_members(which, InterlaceConfig(nrb, nsc, nnull), seq_file)
+    rho = _write_xcorr(members, n_idft, out, ccdf_out)
+    _write_manifest(out, [out, ccdf_out], [seq_file])
+    n = len(members)
+    click.echo(f"max rho {rho:.6f} over {n * (n - 1)} ordered pairs")
 
 
 @main.command("enumerate-gcps")
@@ -315,15 +248,8 @@ def enumerate_gcps_cmd(length, cache_dir, out):
         pairs = cached_enumerate_gcps(length, cache_dir)
     else:
         pairs = enumerate_gcps(length)
-    payload = {
-        "length": length,
-        "count": len(pairs),
-        "pairs": [list(p.as_strings()) for p in pairs],
-    }
-    out.write_text(json.dumps(payload) + "\n")
-    _write_manifest(out, "enumerate-gcps",
-                    {"length": length, "cache_dir": str(cache_dir) if cache_dir else None},
-                    [], [out])
+    out.write_text(json.dumps(library_payload(length, pairs)) + "\n")
+    _write_manifest(out, [out])
     click.echo(f"{len(pairs)} pairs of length {length}")
 
 
@@ -365,10 +291,7 @@ def search_sets(beta, u, k_target, length, seed_file, cache_dir, out):
         ],
     }
     out.write_text(json.dumps(payload, indent=2) + "\n")
-    _write_manifest(out, "search-sets",
-                    {"beta": beta, "u": u, "k": k_target, "length": length,
-                     "seed_file": str(seed_file) if seed_file else None},
-                    [seed_file] if seed_file else [], [out])
+    _write_manifest(out, [out], [seed_file])
     click.echo(
         f"admitted {sets.size}/{k_target}; "
         f"max xcorr {max(report.max_xcorr_first, report.max_xcorr_second):.6f}; "
@@ -396,17 +319,16 @@ def simulate_link(scheme, channel, snr_from, snr_to, snr_step, trials,
                   calibration_trials, seed, energy_norm, out):
     """Monte-Carlo DTX/ACK/NACK detection rates over an SNR grid."""
     grid = tuple(np.arange(snr_from, snr_to + snr_step / 2, snr_step).tolist())
-    cfg = SimConfig(
-        scheme=scheme, channel=channel, snr_grid_db=grid, n_trials=trials,
-        calibration_trials=calibration_trials, rng_seed=seed, energy_norm=energy_norm,
-    )
+    try:
+        cfg = SimConfig(
+            scheme=scheme, channel=channel, snr_grid_db=grid, n_trials=trials,
+            calibration_trials=calibration_trials, rng_seed=seed, energy_norm=energy_norm,
+        )
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
     report = run_sim(cfg)
     report.write_csv(out)
-    _write_manifest(out, "simulate-link",
-                    {"scheme": scheme, "channel": channel, "snr_from": snr_from,
-                     "snr_to": snr_to, "snr_step": snr_step, "trials": trials,
-                     "calibration_trials": calibration_trials, "seed": seed,
-                     "energy_norm": energy_norm}, [], [out])
+    _write_manifest(out, [out])
     click.echo(f"threshold {report.threshold:.6g}; wrote {len(report.points)} SNR points")
 
 
@@ -452,13 +374,102 @@ def import_sequences(path, out):
         ],
     }
     out.write_text(json.dumps(normalized) + "\n")
-    _write_manifest(out, "import-sequences", {"source": str(path)}, [path], [out])
+    _write_manifest(out, [out], [path])
     click.echo(f"registered {len(sequences)} sequences of length {length}")
 
 
+def _produce_sweep(figure: str, out_dir: Path, trials: int, seed: int) -> list[tuple]:
+    rows = _metric_sweep(InterlaceConfig(10, 12, 108), _SWEEP_SCHEMES, DEFAULT_N_IDFT)
+    out = out_dir / f"{figure}.csv"
+    _write_csv(out, _SWEEP_HEADER, rows)
+    _write_manifest(out, [out])
+    proposed = [r[3] for r in rows if r[0] in _PROPOSED_SCHEMES]
+    click.echo(f"max proposed PAPR {max(proposed):.6f} dB over {len(proposed)} waveforms")
+    return rows
+
+
+def _produce_xcorr(figure: str, out_dir: Path, trials: int, seed: int) -> dict[str, float]:
+    cfg = InterlaceConfig(10, 12, 108)
+    maxima = {}
+    for which in ("reference-c", "reference-d", "zc"):
+        out = out_dir / f"xcorr_{which}.csv"
+        ccdf_out = out_dir / f"xcorr_{which}_ccdf.csv"
+        maxima[which] = _write_xcorr(_xcorr_members(which, cfg, None), DEFAULT_N_IDFT,
+                                     out, ccdf_out)
+        _write_manifest(out, [out, ccdf_out])
+    click.echo(" ".join(f"{k}:{v:.4f}" for k, v in maxima.items()))
+    return maxima
+
+
+def _produce_sim(figure: str, out_dir: Path, trials: int, seed: int) -> list:
+    scheme = figure.removeprefix("sim-")
+    reports = []
+    for channel in ("flat", "iid_per_rb"):
+        for sch in (scheme, f"single-rb-{scheme}"):
+            cfg = SimConfig(
+                scheme=sch, channel=channel, n_trials=trials, rng_seed=seed,
+                calibration_trials=max(20_000, trials),
+            )
+            report = run_sim(cfg)
+            out = out_dir / f"{figure}_{channel}_{sch}.csv"
+            report.write_csv(out)
+            _write_manifest(out, [out])
+            reports.append(report)
+    click.echo(f"wrote {len(reports)} reports to {out_dir}")
+    return reports
+
+
+def _check_papr_bound(rows):
+    worst = max(r[3] for r in rows if r[0] in _PROPOSED_SCHEMES)
+    if worst > PAPR_BOUND_DB + 1e-6:
+        yield f"proposed max PAPR {worst:.6f} dB exceeds the 3 dB bound"
+
+
+def _check_cm_below_cycling(rows):
+    worst = max(r[4] for r in rows if r[0] in _PROPOSED_SCHEMES)
+    cycling = max(r[4] for r in rows if r[0] == "cycling")
+    if worst >= cycling:
+        yield f"proposed CM {worst:.3f} dB is not below cycling {cycling:.3f} dB"
+
+
+def _check_reference_beta(maxima):
+    beta, _ = reference_set_params()
+    for which in ("reference-c", "reference-d"):
+        if maxima[which] > beta + 1e-9:
+            yield f"{which} max rho {maxima[which]:.6f} exceeds beta {beta}"
+
+
+def _check_zc_rho(maxima):
+    if not 0.92 <= maxima["zc"] <= 0.98:
+        yield f"zc max rho {maxima['zc']:.6f} outside 0.95 +/- 0.03"
+
+
+def _check_miss_monotone(reports):
+    for report in reports:
+        for k, (p, q) in enumerate(zip(report.points, report.points[1:]), 1):
+            if q.ack_miss > p.ack_miss + p.ci_miss + q.ci_miss:
+                yield (f"{report.config.channel}/{report.config.scheme}: "
+                       f"ack_miss not monotone within CI at point {k}")
+
+
+def _check_interlace_diversity(reports):
+    top_miss = {r.config.scheme.startswith("single-rb-"): r.points[-1].ack_miss
+                for r in reports if r.config.channel == "iid_per_rb"}
+    if top_miss[False] > top_miss[True]:
+        yield "iid fading: interlace misses more than single block at top SNR"
+
+
+FIGURES = {
+    "papr": (_produce_sweep, (_check_papr_bound,)),
+    "cm": (_produce_sweep, (_check_papr_bound, _check_cm_below_cycling)),
+    "xcorr": (_produce_xcorr, (_check_reference_beta, _check_zc_rho)),
+    "sim-noncoherent": (_produce_sim, (_check_miss_monotone, _check_interlace_diversity)),
+    "sim-coherent": (_produce_sim, (_check_miss_monotone, _check_interlace_diversity)),
+}
+
+
 @main.command("reproduce")
-@click.argument("figure", type=click.Choice(["papr", "cm", "xcorr",
-                                             "sim-noncoherent", "sim-coherent"]))
+@click.argument("figure", type=click.Choice(list(FIGURES)))
 @click.option("--out-dir", type=click.Path(path_type=Path), default=Path("reproduction"))
 @click.option("--trials", default=2000, show_default=True,
               help="Trials per SNR point for the sim pipelines.")
@@ -467,84 +478,9 @@ def import_sequences(path, out):
 def reproduce(ctx, figure, out_dir, trials, seed):
     """Run one reporting pipeline; exit nonzero if its embedded checks fail."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    failures: list[str] = []
-
-    if figure in ("papr", "cm"):
-        cfg = _geometry(10, 12, 108)
-        rows = _metric_sweep(cfg, _SWEEP_SCHEMES, DEFAULT_N_IDFT)
-        out = out_dir / f"{figure}.csv"
-        _write_csv(out, ["scheme", "seq_index", "selector", "papr_db", "cm_db"], rows)
-        _write_manifest(out, f"reproduce {figure}", {"n_idft": DEFAULT_N_IDFT}, [], [out])
-        proposed = [r for r in rows if r[0] in ("noncoherent", "noncoherent-adjacent", "coherent")]
-        cycling = [r for r in rows if r[0] == "cycling"]
-        worst_papr = max(r[3] for r in proposed)
-        if worst_papr > PAPR_BOUND_DB + 1e-6:
-            failures.append(f"proposed max PAPR {worst_papr:.6f} dB exceeds the 3 dB bound")
-        if figure == "cm":
-            worst_cm = max(r[4] for r in proposed)
-            cycling_cm = max(r[4] for r in cycling)
-            if worst_cm >= cycling_cm:
-                failures.append(
-                    f"proposed CM {worst_cm:.3f} dB is not below cycling {cycling_cm:.3f} dB"
-                )
-        click.echo(f"max proposed PAPR {worst_papr:.6f} dB over {len(proposed)} waveforms")
-
-    elif figure == "xcorr":
-        cfg = _geometry(10, 12, 108)
-        beta, _ = reference_set_params()
-        outputs = []
-        maxima = {}
-        for which in ("reference-c", "reference-d", "zc"):
-            members = _xcorr_members(which, cfg, None)
-            rows = _pairwise_rho(members, DEFAULT_N_IDFT)
-            out = out_dir / f"xcorr_{which}.csv"
-            _write_csv(out, ["i", "j", "rho"], rows)
-            values = np.array([r[2] for r in rows])
-            curve = ccdf(values, np.linspace(0.0, 1.0, 101))
-            ccdf_out = out_dir / f"xcorr_{which}_ccdf.csv"
-            _write_csv(ccdf_out, ["threshold", "exceed_prob"],
-                       list(zip(curve.thresholds.tolist(), curve.exceed_prob.tolist())))
-            _write_manifest(out, "reproduce xcorr", {"set": which}, [], [out, ccdf_out])
-            outputs += [out, ccdf_out]
-            maxima[which] = float(values.max())
-        for which in ("reference-c", "reference-d"):
-            if maxima[which] > beta + 1e-9:
-                failures.append(f"{which} max rho {maxima[which]:.6f} exceeds beta {beta}")
-        if not 0.92 <= maxima["zc"] <= 0.98:
-            failures.append(f"zc max rho {maxima['zc']:.6f} outside 0.95 +/- 0.03")
-        click.echo(" ".join(f"{k}:{v:.4f}" for k, v in maxima.items()))
-
-    else:
-        scheme = "noncoherent" if figure == "sim-noncoherent" else "coherent"
-        reports = {}
-        for channel in ("flat", "iid_per_rb"):
-            for sch in (scheme, f"single-rb-{scheme}"):
-                cfg = SimConfig(
-                    scheme=sch, channel=channel, n_trials=trials, rng_seed=seed,
-                    calibration_trials=max(20_000, trials),
-                )
-                rep = run_sim(cfg)
-                out = out_dir / f"{figure}_{channel}_{sch}.csv"
-                rep.write_csv(out)
-                _write_manifest(out, f"reproduce {figure}",
-                                {"scheme": sch, "channel": channel, "trials": trials,
-                                 "seed": seed}, [], [out])
-                reports[(channel, sch)] = rep
-        for (channel, sch), rep in reports.items():
-            misses = [p.ack_miss for p in rep.points]
-            cis = [p.ci_miss for p in rep.points]
-            for k in range(len(misses) - 1):
-                if misses[k + 1] > misses[k] + cis[k] + cis[k + 1]:
-                    failures.append(
-                        f"{channel}/{sch}: ack_miss not monotone within CI at point {k + 1}"
-                    )
-        iid_pair = [reports[("iid_per_rb", scheme)], reports[("iid_per_rb", f"single-rb-{scheme}")]]
-        last_interlace = iid_pair[0].points[-1].ack_miss
-        last_single = iid_pair[1].points[-1].ack_miss
-        if last_interlace > last_single:
-            failures.append("iid fading: interlace misses more than single block at top SNR")
-        click.echo(f"wrote {len(reports)} reports to {out_dir}")
-
+    produce, checks = FIGURES[figure]
+    data = produce(figure, out_dir, trials, seed)
+    failures = [message for check in checks for message in check(data)]
     if failures:
         for message in failures:
             click.echo(f"CHECK FAILED: {message}", err=True)

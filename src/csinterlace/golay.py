@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +99,11 @@ class GolayPair:
         return float(np.sum(np.abs(self.a) ** 2) + np.sum(np.abs(self.b) ** 2))
 
     def as_strings(self) -> tuple[str, str]:
+        """Symbol strings of both members, formatted once per pair."""
+        return self._strings
+
+    @cached_property
+    def _strings(self) -> tuple[str, str]:
         return format_quaternary(self.a), format_quaternary(self.b)
 
 
@@ -350,6 +355,15 @@ def is_complementary_sequence(a) -> bool:
 # Disk cache (JSON of symbol strings, keyed by length)
 # ---------------------------------------------------------------------------
 
+def library_payload(length: int, pairs: list[GolayPair]) -> dict:
+    """JSON form of a pair library, as the cache and ``enumerate-gcps`` write it."""
+    return {
+        "length": length,
+        "count": len(pairs),
+        "pairs": [list(p.as_strings()) for p in pairs],
+    }
+
+
 def _load_cache(cache_file: Path, length: int) -> list[GolayPair]:
     """The pairs of a cache file, all re-certified in one exact pass."""
     try:
@@ -383,14 +397,9 @@ def cached_enumerate_gcps(length: int, cache_dir: str | Path) -> list[GolayPair]
     if cache_file.exists():
         return _load_cache(cache_file, length)
     pairs = enumerate_gcps(length)
-    payload = {
-        "length": length,
-        "count": len(pairs),
-        "pairs": [list(p.as_strings()) for p in pairs],
-    }
     tmp = cache_file.with_name(f"{cache_file.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(json.dumps(payload))
+        tmp.write_text(json.dumps(library_payload(length, pairs)))
         os.replace(tmp, cache_file)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -83,6 +83,10 @@ class SimConfig:
             raise ValueError("dtx_target must lie strictly between 0 and 1")
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
+        if self.calibration_trials < 1:
+            raise ValueError("calibration_trials must be >= 1")
+        if not self.snr_grid_db:
+            raise ValueError("snr_grid_db must hold at least one SNR point")
         if self.energy_norm not in ("equal_total", "per_tone"):
             raise ValueError("energy_norm must be equal_total or per_tone")
         if self.n_rx < 1:

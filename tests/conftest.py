@@ -57,3 +57,21 @@ def enumerate_12_output(enumerate_12_dir):
 def library_12_pairs(enumerate_12_output):
     """The length-12 library as canonical symbol-string pairs."""
     return json.loads(enumerate_12_output)["pairs"]
+
+
+def _reproduce(tmp_path_factory, figure: str):
+    out_dir = tmp_path_factory.mktemp(f"reproduce-{figure}")
+    result = CliRunner().invoke(main, ["reproduce", figure, "--out-dir", str(out_dir)])
+    return result, out_dir
+
+
+@pytest.fixture(scope="session")
+def reproduce_papr(tmp_path_factory):
+    """``(result, out_dir)`` of CLI ``reproduce papr``, run once per session."""
+    return _reproduce(tmp_path_factory, "papr")
+
+
+@pytest.fixture(scope="session")
+def reproduce_xcorr(tmp_path_factory):
+    """``(result, out_dir)`` of CLI ``reproduce xcorr``, run once per session."""
+    return _reproduce(tmp_path_factory, "xcorr")

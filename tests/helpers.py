@@ -5,10 +5,23 @@ polynomials are evaluated by direct summation so they can vouch for the
 upsample/convolve/pad implementations, spectra are synthesized by an
 O(N^2) loop to vouch for the FFT path, and the pair library is enumerated
 from the full table of all canonical autocorrelation keys, with no spectral
-filter, to vouch for the filtered enumeration.
+filter, to vouch for the filtered enumeration.  ``EXPECTED`` holds the
+output digests that ``perfbench/expected.json`` records for the benchmark.
 """
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
+
+EXPECTED = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "expected.json").read_text()
+)
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def poly_eval(coeffs, z: complex) -> complex:

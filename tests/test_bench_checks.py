@@ -1,15 +1,20 @@
 """The benchmark's output checks fail on tampered outputs.
 
 ``perfbench/checks.py`` is imported as it stands and fed the CLI's
-length-12 library, altered in one place; no benchmark workload runs here.
+length-12 library, set search and ``reproduce papr|xcorr`` files, altered
+in one place; no benchmark workload runs here.
 """
 
 import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
+import pytest
+from click.testing import CliRunner
 
+from csinterlace.cli import main
 from csinterlace.golay import is_complementary_sequence
 
 
@@ -22,6 +27,8 @@ def _load_checks():
 
 
 checks = _load_checks()
+
+XCORR_FILES = sorted(name for name in checks.EXPECTED["sha256"] if name.startswith("xcorr_"))
 
 
 def failed(results) -> list[str]:
@@ -62,3 +69,45 @@ def test_oracle_checks_fail_on_one_flipped_answer(library_12_pairs):
     answers[3] = not answers[3]
     assert failed(checks.oracle_checks(queries, answers, library)) == [
         "is_complementary_sequence:3"]
+
+
+def test_file_digest_checks_pass_on_cli_figures(reproduce_papr, reproduce_xcorr):
+    assert failed(checks.file_digest_checks(reproduce_papr[1], ["papr.csv"])) == []
+    assert failed(checks.file_digest_checks(reproduce_xcorr[1], XCORR_FILES)) == []
+
+
+def test_file_digest_checks_fail_on_one_changed_byte(reproduce_papr, tmp_path):
+    data = bytearray((reproduce_papr[1] / "papr.csv").read_bytes())
+    data[-2] = ord("0") if data[-2] != ord("0") else ord("1")
+    (tmp_path / "papr.csv").write_bytes(bytes(data))
+    assert failed(checks.file_digest_checks(tmp_path, ["papr.csv"])) == ["digest:papr.csv"]
+
+
+def test_file_digest_checks_fail_on_missing_xcorr_file(reproduce_xcorr, tmp_path):
+    for name in XCORR_FILES[1:]:
+        shutil.copy(reproduce_xcorr[1] / name, tmp_path / name)
+    assert failed(checks.file_digest_checks(tmp_path, XCORR_FILES)) == [f"digest:{XCORR_FILES[0]}"]
+
+
+@pytest.fixture(scope="module")
+def search_sets_output(enumerate_12_dir, tmp_path_factory):
+    """CLI ``search-sets`` with its defaults on the session's length-12 cache."""
+    out = tmp_path_factory.mktemp("search-sets") / "search-sets.json"
+    result = CliRunner().invoke(main, ["search-sets", "--cache-dir", str(enumerate_12_dir / "cache"),
+                                       "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    return out.read_bytes()
+
+
+def test_search_sets_checks_pass_on_cli_output(search_sets_output):
+    assert failed(checks.search_sets_checks(search_sets_output)) == []
+
+
+def test_search_sets_checks_fail_on_tampered_payload(search_sets_output):
+    payload = json.loads(search_sets_output)
+    payload["admission_log"][3]["max_xcorr"] += 1e-9
+    assert failed(checks.search_sets_checks(
+        (json.dumps(payload, indent=2) + "\n").encode())) == ["digest:search-sets.json"]
+    payload["verified"] = False
+    assert failed(checks.search_sets_checks((json.dumps(payload, indent=2) + "\n").encode())) == [
+        "digest:search-sets.json", "search-sets:verified"]

@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from csinterlace.cli import main
+from csinterlace import golay
+from csinterlace.cli import FIGURES, main
+from csinterlace.fixtures import reference_set_params
 from csinterlace.interlace import SparseSpectrum
+from csinterlace.linksim import PointStats, SimConfig, SimReport
+from csinterlace.seqcore import format_quaternary
+from helpers import EXPECTED, sha256
 
 
 @pytest.fixture
@@ -84,6 +89,23 @@ class TestEnumerateAndSearch:
         payload = json.loads(out.read_text())
         assert payload["count"] == 4
 
+    def test_cold_cache_formats_each_string_once(self, runner, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_format(seq):
+            calls.append(1)
+            return format_quaternary(seq)
+
+        monkeypatch.setattr(golay, "format_quaternary", counting_format)
+        out = tmp_path / "lib.json"
+        result = runner.invoke(main, ["enumerate-gcps", "--length", "8",
+                                      "--cache-dir", str(tmp_path / "cache"), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(out.read_text())["count"] == 208
+        assert len(calls) == 2 * 208
+        assert (json.loads((tmp_path / "cache" / "gcps_len8.json").read_text())
+                == json.loads(out.read_text()))
+
     def test_search_with_seed_file(self, runner, tmp_path):
         lib = tmp_path / "lib.json"
         runner.invoke(main, ["enumerate-gcps", "--length", "4", "--out", str(lib)])
@@ -113,6 +135,18 @@ class TestSimulateLink:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 3
         assert (tmp_path / "link.csv.manifest.json").exists()
+
+    @pytest.mark.parametrize("args, field", [
+        (["--snr-from", "10", "--snr-to", "-10"], "snr_grid_db"),
+        (["--calibration-trials", "0"], "calibration_trials"),
+    ])
+    def test_invalid_config_is_a_click_error(self, runner, tmp_path, args, field):
+        out = tmp_path / "link.csv"
+        result = runner.invoke(main, ["simulate-link", "--trials", "10", *args, "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert "Error:" in result.output and field in result.output
+        assert not out.exists()
 
 
 class TestImportSequences:
@@ -162,16 +196,119 @@ class TestImportSequences:
 
 
 class TestReproduce:
-    def test_xcorr_pipeline_passes_checks(self, runner, tmp_path):
-        result = runner.invoke(main, ["reproduce", "xcorr", "--out-dir", str(tmp_path)])
+    def test_xcorr_pipeline_passes_checks(self, reproduce_xcorr):
+        result, out_dir = reproduce_xcorr
         assert result.exit_code == 0, result.output
         assert "embedded checks passed" in result.output
-        assert (tmp_path / "xcorr_zc.csv").exists()
+        for name in XCORR_FILES:
+            assert sha256((out_dir / name).read_bytes()) == EXPECTED["sha256"][name], name
 
-    def test_papr_pipeline_deterministic(self, runner, tmp_path):
-        first_dir = tmp_path / "a"
-        second_dir = tmp_path / "b"
-        for out_dir in (first_dir, second_dir):
-            result = runner.invoke(main, ["reproduce", "papr", "--out-dir", str(out_dir)])
-            assert result.exit_code == 0, result.output
-        assert (first_dir / "papr.csv").read_bytes() == (second_dir / "papr.csv").read_bytes()
+    def test_papr_pipeline_deterministic(self, runner, reproduce_papr, tmp_path):
+        first, first_dir = reproduce_papr
+        assert first.exit_code == 0, first.output
+        result = runner.invoke(main, ["reproduce", "papr", "--out-dir", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        data = (first_dir / "papr.csv").read_bytes()
+        assert data == (tmp_path / "papr.csv").read_bytes()
+        assert sha256(data) == EXPECTED["sha256"]["papr.csv"]
+
+    def test_failed_check_exits_nonzero(self, runner, tmp_path, monkeypatch):
+        def stub_producer(figure, out_dir, trials, seed):
+            return sweep_rows(proposed_papr=3.02)
+
+        monkeypatch.setitem(FIGURES, "papr", (stub_producer, FIGURES["papr"][1]))
+        result = runner.invoke(main, ["reproduce", "papr", "--out-dir", str(tmp_path)])
+        assert result.exit_code == 1
+        assert "CHECK FAILED: proposed max PAPR 3.020000 dB exceeds the 3 dB bound" in result.output
+        assert "embedded checks passed" not in result.output
+
+    def test_manifest_records_figure_and_params(self, reproduce_xcorr):
+        _, out_dir = reproduce_xcorr
+        manifest = json.loads((out_dir / "xcorr_zc.csv.manifest.json").read_text())
+        assert manifest["command"] == "reproduce"
+        assert manifest["params"] == {"figure": "xcorr", "out_dir": str(out_dir),
+                                      "trials": 2000, "seed": 1}
+        assert manifest["outputs"] == [str(out_dir / "xcorr_zc.csv"),
+                                       str(out_dir / "xcorr_zc_ccdf.csv")]
+
+
+XCORR_FILES = [f"xcorr_{which}{suffix}.csv" for which in ("reference-c", "reference-d", "zc")
+               for suffix in ("", "_ccdf")]
+
+
+def sweep_rows(proposed_papr=2.9, cycling_cm=3.5):
+    """Synthetic ``reproduce papr|cm`` rows: (scheme, index, selector, papr, cm)."""
+    return [("noncoherent", 0, "shift=0", proposed_papr, 2.0),
+            ("noncoherent-adjacent", 1, "shift=3", 2.8, 2.05),
+            ("coherent", 0, "phases=00", 3.0, 2.1),
+            ("cycling", 0, "", 5.0, cycling_cm),
+            ("zc", 0, "", 4.0, 3.0)]
+
+
+def sim_reports(iid_top_miss=0.05, flat_misses=(0.5, 0.2, 0.05)):
+    """Synthetic ``reproduce sim-noncoherent`` reports, ci_miss 0.01 everywhere."""
+    misses = {("flat", "noncoherent"): flat_misses,
+              ("flat", "single-rb-noncoherent"): (0.6, 0.3, 0.2),
+              ("iid_per_rb", "noncoherent"): (0.5, 0.2, iid_top_miss),
+              ("iid_per_rb", "single-rb-noncoherent"): (0.6, 0.3, 0.1)}
+    return [SimReport(SimConfig(scheme=scheme, channel=channel), 1.0,
+                      tuple(PointStats(snr, 0.01, 0.0, miss, 0.001, 0.0, 0.01)
+                            for snr, miss in zip((-4.0, 0.0, 4.0), seq)))
+            for (channel, scheme), seq in misses.items()]
+
+
+def check_failures(figure, data) -> list[str]:
+    return [message for check in FIGURES[figure][1] for message in check(data)]
+
+
+class TestFigureChecks:
+    """Each embedded check of ``reproduce`` passes on good data and fails
+    on tampered data; no pipeline runs here."""
+
+    BETA = reference_set_params()[0]
+
+    @pytest.mark.parametrize("figure", ["papr", "cm"])
+    def test_sweep_checks_pass(self, figure):
+        assert check_failures(figure, sweep_rows()) == []
+
+    @pytest.mark.parametrize("figure", ["papr", "cm"])
+    def test_proposed_papr_above_3_db_fails(self, figure):
+        assert check_failures(figure, sweep_rows(proposed_papr=3.02)) == [
+            "proposed max PAPR 3.020000 dB exceeds the 3 dB bound"]
+
+    @pytest.mark.parametrize("cycling_cm", [2.1, 2.0])
+    def test_proposed_cm_not_below_cycling_fails(self, cycling_cm):
+        assert check_failures("papr", sweep_rows(cycling_cm=cycling_cm)) == []
+        assert check_failures("cm", sweep_rows(cycling_cm=cycling_cm)) == [
+            f"proposed CM 2.100 dB is not below cycling {cycling_cm:.3f} dB"]
+
+    def maxima(self, **changes):
+        return {"reference-c": self.BETA, "reference-d": 0.7, "zc": 0.9576, **changes}
+
+    def test_xcorr_checks_pass(self):
+        assert check_failures("xcorr", self.maxima()) == []
+
+    @pytest.mark.parametrize("which", ["reference-c", "reference-d"])
+    def test_reference_rho_above_beta_fails(self, which):
+        tampered = self.maxima(**{which: self.BETA + 1e-6})
+        assert check_failures("xcorr", tampered) == [
+            f"{which} max rho {self.BETA + 1e-6:.6f} exceeds beta {self.BETA}"]
+
+    @pytest.mark.parametrize("zc", [0.91, 0.99])
+    def test_zc_rho_outside_band_fails(self, zc):
+        assert check_failures("xcorr", self.maxima(zc=zc)) == [
+            f"zc max rho {zc:.6f} outside 0.95 +/- 0.03"]
+
+    @pytest.mark.parametrize("figure", ["sim-noncoherent", "sim-coherent"])
+    def test_sim_checks_pass_within_ci(self, figure):
+        assert check_failures(figure, sim_reports()) == []
+        # A rise no larger than the two confidence half-widths is tolerated.
+        assert check_failures(figure, sim_reports(flat_misses=(0.5, 0.2, 0.21))) == []
+
+    def test_non_monotone_ack_miss_fails(self):
+        assert check_failures("sim-noncoherent", sim_reports(flat_misses=(0.5, 0.2, 0.3))) == [
+            "flat/noncoherent: ack_miss not monotone within CI at point 2"]
+
+    def test_interlace_missing_more_than_single_block_fails(self):
+        assert check_failures("sim-noncoherent", sim_reports(iid_top_miss=0.11)) == [
+            "iid fading: interlace misses more than single block at top SNR"]

@@ -1,21 +1,12 @@
 """Golden outputs: the pipelines' bytes against the SHA-256 digests that
 ``perfbench/expected.json`` records for the benchmark."""
 
-import hashlib
 import json
-from pathlib import Path
 
 from click.testing import CliRunner
 
 from csinterlace.cli import main
-
-EXPECTED = json.loads(
-    (Path(__file__).resolve().parents[1] / "perfbench" / "expected.json").read_text()
-)
-
-
-def sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+from helpers import EXPECTED, sha256
 
 
 def test_enumerate_12_cold_matches_recorded_digest(enumerate_12_output):

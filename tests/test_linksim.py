@@ -33,6 +33,11 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
 
+    @pytest.mark.parametrize("field, value", [("calibration_trials", 0), ("snr_grid_db", ())])
+    def test_boundary_error_names_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**{field: value})
+
     def test_single_rb_mapping(self):
         cfg = SimConfig(scheme="coherent")
         assert single_rb_config(cfg).scheme == "single-rb-coherent"
