@@ -193,7 +193,11 @@ _sweep_command("eval-cm", 4, "CM", "Cubic-metric sweep (same rows as eval-papr).
 def _xcorr_members(which: str, cfg: InterlaceConfig, seq_file: Path | None):
     if seq_file is not None:
         payload = json.loads(seq_file.read_text())
-        return [sequence_from_json(s) for s in payload["sequences"]]
+        members = [sequence_from_json(s) for s in payload["sequences"]]
+        if len(members) < 2:
+            raise click.ClickException(
+                f"{seq_file}: need at least two sequences to correlate, found {len(members)}")
+        return members
     if which == "zc":
         # Per-block slices: cross-correlation that matters for interference
         # is block-by-block, and for this scheme every block differs.
@@ -471,7 +475,7 @@ FIGURES = {
 @main.command("reproduce")
 @click.argument("figure", type=click.Choice(list(FIGURES)))
 @click.option("--out-dir", type=click.Path(path_type=Path), default=Path("reproduction"))
-@click.option("--trials", default=2000, show_default=True,
+@click.option("--trials", default=2000, show_default=True, type=click.IntRange(min=1),
               help="Trials per SNR point for the sim pipelines.")
 @click.option("--seed", default=1, show_default=True)
 @click.pass_context

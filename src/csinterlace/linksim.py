@@ -2,11 +2,20 @@
 
 Per trial, one OFDM symbol carrying DTX (nothing), ACK, or NACK passes
 through flat or per-block-independent Rayleigh fading with per-tone complex
-Gaussian noise and two receive antennas.  Non-coherent detection correlates
-the received grid against each candidate spectrum; coherent detection
-estimates the channel from the built-in pilot tones and combines data tones
-with maximum-ratio weights.  An energy threshold calibrated on noise-only
-trials fixes the DTX-to-ACK rate.
+Gaussian noise and two receive antennas.  Outcomes are the integer codes
+``NACK, ACK, DTX = 0, 1, 2``.
+
+Each scheme has one of two detectors, and both answer one call,
+``scores(received) -> (scores, energy)``: for a batch of received grids
+(B, tones, rx) it gives the NACK and ACK scores (B, 2), in that order, and
+an energy (B,).  The non-coherent detector correlates the grid with the NACK
+and ACK spectra, and its energy is the larger correlation; the coherent one
+estimates the channel from the built-in pilot tones, combines the data
+tones with maximum-ratio weights into a soft symbol z, scores z against the
+two payload phases, and its energy is |z|².  A decision is the better score
+(NACK on a tie), or DTX below an energy threshold; the threshold is
+calibrated on noise-only trials, where a trial claims ACK when the ACK
+score is at least the NACK score, to fix the DTX-to-ACK rate.
 
 Randomness is counter-based: every trial owns a Philox stream keyed by
 (rng_seed, snr index, hypothesis, trial index), so results are bit-identical
@@ -23,8 +32,9 @@ fading, independent per-block combining when blocks fade independently.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -42,7 +52,8 @@ from .seqcore import cyclic_modulate
 SCHEMES = ("noncoherent", "coherent", "single-rb-noncoherent", "single-rb-coherent")
 CHANNELS = ("flat", "iid_per_rb")
 
-DTX, ACK, NACK = "DTX", "ACK", "NACK"
+# Outcome codes; NACK and ACK also index the detectors' score columns.
+NACK, ACK, DTX = 0, 1, 2
 
 # Hypothesis stream identifiers baked into the per-trial RNG keys.
 _HYP_CALIBRATE = 0
@@ -52,6 +63,8 @@ _HYP_NACK = 3
 _HYP_VALIDATE = 4
 
 _CHUNK = 4096
+_TRIAL_LIMIT = 1 << 40
+_SNR_LIMIT = 1 << 16
 
 
 class CalibrationError(Exception):
@@ -70,9 +83,11 @@ class SimConfig:
     calibration_trials: int = 100_000
     energy_norm: str = "equal_total"
     seq_index: int = 0
-    n_rb: int = 10
-    n_sc: int = 12
-    n_null: int = 108
+    # The geometry of the shipped fixtures: ten blocks of twelve tones
+    # spaced 120 apart.
+    n_rb: ClassVar[int] = 10
+    n_sc: ClassVar[int] = 12
+    n_null: ClassVar[int] = 108
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -81,12 +96,13 @@ class SimConfig:
             raise ValueError(f"unknown channel {self.channel!r}")
         if not 0 < self.dtx_target < 1:
             raise ValueError("dtx_target must lie strictly between 0 and 1")
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
-        if self.calibration_trials < 1:
-            raise ValueError("calibration_trials must be >= 1")
-        if not self.snr_grid_db:
-            raise ValueError("snr_grid_db must hold at least one SNR point")
+        # Trial indices and SNR indices are 40- and 16-bit fields of the
+        # per-trial RNG key; larger values would alias earlier streams.
+        for name in ("n_trials", "calibration_trials"):
+            if not 1 <= getattr(self, name) < _TRIAL_LIMIT:
+                raise ValueError(f"{name} must lie in [1, 2**40)")
+        if not 1 <= len(self.snr_grid_db) <= _SNR_LIMIT:
+            raise ValueError("snr_grid_db must hold between 1 and 2**16 SNR points")
         if self.energy_norm not in ("equal_total", "per_tone"):
             raise ValueError("energy_norm must be equal_total or per_tone")
         if self.n_rx < 1:
@@ -127,90 +143,101 @@ class SimReport:
 
 
 @dataclass(frozen=True, eq=False)
-class CoherentLayout:
-    """Pilot/data tone positions and reference values inside the occupied grid."""
+class _Noncoherent:
+    """Correlates the received grid with the NACK and ACK spectra."""
 
-    pilot_idx: np.ndarray
-    pilot_vals: np.ndarray  # includes the fixed pilot phase
-    data_idx: np.ndarray
-    data_vals: np.ndarray  # data tone values without the payload phase
-    omegas: dict  # label -> payload phase
+    templates: np.ndarray  # (2, blocks, n_sc) in NACK, ACK order
+    per_block: bool  # add block energies (iid fading) or block correlations (flat)
+
+    def scores(self, received: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        _, n_blocks, n_sc = self.templates.shape
+        blocks = received.reshape(received.shape[0], n_blocks, n_sc, received.shape[2])
+        corr = np.einsum("bksa,cks->bcka", blocks, np.conj(self.templates))
+        if self.per_block:
+            scores = np.sum(np.abs(corr) ** 2, axis=(2, 3))
+        else:
+            scores = np.sum(np.abs(np.sum(corr, axis=2)) ** 2, axis=2)
+        return scores, np.max(scores, axis=1)
+
+
+@dataclass(frozen=True, eq=False)
+class _Coherent:
+    """Least-squares channel estimates from the pilot tones, maximum-ratio
+    combining of the data tones into one soft symbol z, scored against the
+    NACK and ACK payload phases."""
+
+    pilot_idx: np.ndarray  # even tones of each block
+    data_idx: np.ndarray  # odd tones of each block
+    reference: np.ndarray  # (tones,) transmitted values without the payload phase
+    phases: np.ndarray  # (2,) payload phases in NACK, ACK order
+    n_blocks: int
+    per_block: bool  # one estimate per block (iid fading) or one for the grid (flat)
+
+    def scores(self, received: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # Index arrays, not slices: the gathered arrays' memory layout fixes
+        # the summation order of the reductions below, and with it the bits.
+        b, _, n_rx = received.shape
+        pilots = received[:, self.pilot_idx, :] * np.conj(self.reference[self.pilot_idx])[:, None]
+        if self.per_block:
+            estimates = pilots.reshape(b, self.n_blocks, -1, n_rx).mean(axis=2)
+        else:
+            estimates = np.broadcast_to(
+                pilots.mean(axis=1)[:, None, :], (b, self.n_blocks, n_rx)
+            )
+        data = received[:, self.data_idx, :] * np.conj(self.reference[self.data_idx])[:, None]
+        soft_block = data.reshape(b, self.n_blocks, -1, n_rx).sum(axis=2)
+        z = np.sum(np.conj(estimates) * soft_block, axis=(1, 2))
+        return np.real(z[:, None] * np.conj(self.phases)), np.abs(z) ** 2
 
 
 @dataclass(frozen=True, eq=False)
 class _SchemeSignals:
-    kind: str  # noncoherent | coherent
+    tx: np.ndarray  # (2, tones): NACK and ACK values on the occupied tones
     n_blocks: int
-    n_sc: int
-    candidates: dict | None = None  # label -> occupied-tone values (non-coherent)
-    layout: CoherentLayout | None = None
-
-    @property
-    def n_tones(self) -> int:
-        return self.n_blocks * self.n_sc
-
-    def tx_values(self, label: str) -> np.ndarray:
-        if self.kind == "noncoherent":
-            return self.candidates[label]
-        values = np.zeros(self.n_tones, dtype=complex)
-        values[self.layout.pilot_idx] = self.layout.pilot_vals
-        values[self.layout.data_idx] = self.layout.omegas[label] * self.layout.data_vals
-        return values
+    detector: _Noncoherent | _Coherent
 
 
 def _build_signals(cfg: SimConfig) -> _SchemeSignals:
     pairs = load_reference_pairs()
     rb_pair = pairs[cfg.seq_index % len(pairs)]
     geometry = InterlaceConfig(cfg.n_rb, cfg.n_sc, cfg.n_null)
-    shift_ack = SHIFT_MAP_1BIT[1]
-    shift_nack = SHIFT_MAP_1BIT[0]
+    shifts = SHIFT_MAP_1BIT  # payload values 0 and 1: NACK, ACK
+    per_block = cfg.channel != "flat"
 
-    if cfg.scheme == "noncoherent":
-        spread = load_noncoherent_spread()
-        candidates = {
-            label: build_noncoherent(geometry, spread, rb_pair, delta).values
-            for label, delta in ((NACK, shift_nack), (ACK, shift_ack))
-        }
-        return _SchemeSignals("noncoherent", cfg.n_rb, cfg.n_sc, candidates=candidates)
-
-    if cfg.scheme == "single-rb-noncoherent":
-        candidates = {
-            NACK: cyclic_modulate(rb_pair.a, shift_nack),
-            ACK: cyclic_modulate(rb_pair.a, shift_ack),
-        }
-        return _SchemeSignals("noncoherent", 1, cfg.n_sc, candidates=candidates)
+    if cfg.scheme.endswith("noncoherent"):
+        if cfg.scheme == "noncoherent":
+            spread = load_noncoherent_spread()
+            tx = np.stack([build_noncoherent(geometry, spread, rb_pair, d).values for d in shifts])
+        else:
+            tx = np.stack([cyclic_modulate(rb_pair.a, d) for d in shifts])
+        n_blocks = tx.shape[1] // cfg.n_sc
+        templates = tx.reshape(2, n_blocks, cfg.n_sc)
+        return _SchemeSignals(tx, n_blocks, _Noncoherent(templates, per_block))
 
     spread, half = load_coherent_example()
-    omegas = {NACK: complex(PILOT_PHASE), ACK: complex(-PILOT_PHASE)}
     if cfg.scheme == "coherent":
         base = build_coherent(geometry, spread, half, (PILOT_PHASE, 1.0)).values
-        n_blocks = cfg.n_rb
     else:  # single-rb-coherent: one block of interleaved pilot/data tones
         unit = GolayPair.certify([1.0], [1.0])
         params = ConstructionParams(
             phase1=PILOT_PHASE, phase2=1.0, step1=1, step2=2, offset=1
         )
         base = combine_gcps(unit, half, params).a
-        n_blocks = 1
-    n_tones = n_blocks * cfg.n_sc
-    local = np.arange(n_tones) % cfg.n_sc
-    pilot_idx = np.flatnonzero(local % 2 == 0)
-    data_idx = np.flatnonzero(local % 2 == 1)
-    layout = CoherentLayout(
-        pilot_idx=pilot_idx,
-        pilot_vals=base[pilot_idx],
-        data_idx=data_idx,
-        data_vals=base[data_idx],
-        omegas=omegas,
-    )
-    return _SchemeSignals("coherent", n_blocks, cfg.n_sc, layout=layout)
+    # Pilots on the even tones of each block, data on the odd ones.
+    pilot_idx, data_idx = np.arange(0, base.size, 2), np.arange(1, base.size, 2)
+    n_blocks = base.size // cfg.n_sc
+    phases = np.array([PILOT_PHASE, -PILOT_PHASE])  # NACK, ACK
+    tx = np.tile(base, (2, 1))
+    tx[:, data_idx] *= phases[:, None]
+    detector = _Coherent(pilot_idx, data_idx, base, phases, n_blocks, per_block)
+    return _SchemeSignals(tx, n_blocks, detector)
 
 
 def _tone_amplitude(cfg: SimConfig, signals: _SchemeSignals, snr_db: float) -> float:
     es = 10.0 ** (snr_db / 10.0)
     if cfg.energy_norm == "equal_total":
         reference_tones = cfg.n_rb * cfg.n_sc
-        es *= reference_tones / signals.n_tones
+        es *= reference_tones / signals.tx.shape[1]
     return float(np.sqrt(es))
 
 
@@ -236,13 +263,14 @@ def _received_batch(
     hyp: int,
     trials: range,
     amp: float,
-    label: str | None,
+    sent: int | None,
 ) -> np.ndarray:
-    """Received occupied-tone grid for a batch of trials: (B, tones, rx)."""
-    n_tones = signals.n_tones
+    """Received occupied-tone grid for a batch of trials: (B, tones, rx).
+    ``sent`` is NACK or ACK, or None for noise only."""
+    n_tones = signals.tx.shape[1]
     out = np.empty((len(trials), n_tones, cfg.n_rx), dtype=complex)
-    tone_block = np.repeat(np.arange(signals.n_blocks), signals.n_sc)
-    tx = signals.tx_values(label) if label is not None else None
+    tone_block = np.repeat(np.arange(signals.n_blocks), cfg.n_sc)
+    tx = None if sent is None else signals.tx[sent]
     n_gain_groups = 1 if cfg.channel == "flat" else signals.n_blocks
     for row, trial in enumerate(trials):
         rng = _trial_rng(cfg.rng_seed, snr_idx, hyp, trial)
@@ -258,139 +286,33 @@ def _received_batch(
     return out
 
 
-# ---------------------------------------------------------------------------
-# Detection
-# ---------------------------------------------------------------------------
-
-def _noncoherent_stats(
-    received: np.ndarray, signals: _SchemeSignals, combine: str
-) -> tuple[np.ndarray, list[str]]:
-    """Candidate statistics (B, n_candidates) for a received batch."""
-    labels = list(signals.candidates)
-    templates = np.stack([signals.candidates[k] for k in labels])
-    blocks = received.reshape(
-        received.shape[0], signals.n_blocks, signals.n_sc, received.shape[2]
-    )
-    tblocks = templates.reshape(len(labels), signals.n_blocks, signals.n_sc)
-    corr = np.einsum("bksa,cks->bcka", blocks, np.conj(tblocks))
-    if combine == "per_rb":
-        stats = np.sum(np.abs(corr) ** 2, axis=(2, 3))
-    elif combine == "full_grid":
-        stats = np.sum(np.abs(np.sum(corr, axis=2)) ** 2, axis=2)
-    else:
-        raise ValueError(f"unknown combining mode {combine!r}")
-    return stats, labels
-
-
-def _coherent_soft(
-    received: np.ndarray, signals: _SchemeSignals, combine: str
-) -> np.ndarray:
-    """MRC-combined data soft symbol (B,) for a received batch."""
-    layout = signals.layout
-    n_blocks = signals.n_blocks
-    b = received.shape[0]
-    pilots = received[:, layout.pilot_idx, :]
-    despread = pilots * np.conj(layout.pilot_vals)[None, :, None]
-    per_block = despread.reshape(b, n_blocks, -1, received.shape[2])
-    if combine == "per_rb":
-        estimates = per_block.mean(axis=2)  # (B, blocks, rx)
-    elif combine == "full_grid":
-        estimates = np.broadcast_to(
-            despread.mean(axis=1)[:, None, :], (b, n_blocks, received.shape[2])
-        )
-    else:
-        raise ValueError(f"unknown combining mode {combine!r}")
-    data = received[:, layout.data_idx, :] * np.conj(layout.data_vals)[None, :, None]
-    soft_block = data.reshape(b, n_blocks, -1, received.shape[2]).sum(axis=2)
-    return np.sum(np.conj(estimates) * soft_block, axis=(1, 2))
-
-
-def _ack_claim_statistic(
-    received: np.ndarray, signals: _SchemeSignals, combine: str
-) -> np.ndarray:
-    """Per-trial energy statistic, masked to -inf when ACK would lose the
-    label competition; used by threshold calibration."""
-    if signals.kind == "noncoherent":
-        stats, labels = _noncoherent_stats(received, signals, combine)
-        ack_col = labels.index(ACK)
-        other = np.max(np.delete(stats, ack_col, axis=1), axis=1)
-        out = np.where(stats[:, ack_col] >= other, stats[:, ack_col], -np.inf)
-        return out
-    z = _coherent_soft(received, signals, combine)
-    scores = {k: np.real(z * np.conj(w)) for k, w in signals.layout.omegas.items()}
-    ack_wins = scores[ACK] >= scores[NACK]
-    return np.where(ack_wins, np.abs(z) ** 2, -np.inf)
-
-
 def _decide(
-    received: np.ndarray, signals: _SchemeSignals, threshold: float, combine: str
+    received: np.ndarray, detector: _Noncoherent | _Coherent, threshold: float
 ) -> np.ndarray:
-    """Detector outputs for a received batch as an array of labels."""
-    if signals.kind == "noncoherent":
-        stats, labels = _noncoherent_stats(received, signals, combine)
-        best = np.argmax(stats, axis=1)
-        peak = np.max(stats, axis=1)
-        out = np.array([labels[i] for i in best], dtype=object)
-        out[peak < threshold] = DTX
-        return out
-    z = _coherent_soft(received, signals, combine)
-    labels = list(signals.layout.omegas)
-    scores = np.stack(
-        [np.real(z * np.conj(signals.layout.omegas[k])) for k in labels], axis=1
-    )
-    out = np.array([labels[i] for i in np.argmax(scores, axis=1)], dtype=object)
-    out[np.abs(z) ** 2 < threshold] = DTX
-    return out
+    """Outcome codes (B,) of a received batch: the better scoring of NACK and
+    ACK (NACK on a tie), or DTX where the energy is below the threshold."""
+    scores, energy = detector.scores(received)
+    codes = np.argmax(scores, axis=1)
+    codes[energy < threshold] = DTX
+    return codes
 
 
-def detect_noncoherent(
-    received, candidates: dict, threshold: float, combine: str = "per_rb"
-) -> str:
-    """Single-shot non-coherent detection.
-
-    ``received`` holds the occupied-tone grid per antenna, shape
-    (tones, antennas); ``candidates`` maps labels to transmitted spectra on
-    the same grid.  Correlation energy is accumulated across blocks and
-    antennas; below the threshold the verdict is DTX, otherwise the best
-    correlating label wins.
-    """
-    received = np.asarray(received, dtype=complex)
-    if received.ndim == 1:
-        received = received[:, None]
-    n_tones = received.shape[0]
-    n_blocks = _infer_blocks(n_tones)
-    signals = _SchemeSignals(
-        "noncoherent",
-        n_blocks=n_blocks,
-        n_sc=n_tones // n_blocks,
-        candidates={k: np.asarray(v, dtype=complex) for k, v in candidates.items()},
-    )
-    return str(_decide(received[None, ...], signals, threshold, combine)[0])
+def _ack_claim_statistic(received: np.ndarray, detector: _Noncoherent | _Coherent) -> np.ndarray:
+    """Per-trial energy, masked to -inf where NACK outscores ACK (ACK wins a
+    tie); the statistic that threshold calibration ranks."""
+    scores, energy = detector.scores(received)
+    return np.where(scores[:, ACK] >= scores[:, NACK], energy, -np.inf)
 
 
-def _infer_blocks(n_tones: int, n_sc: int = 12) -> int:
-    return n_tones // n_sc if n_tones % n_sc == 0 else 1
-
-
-def detect_coherent(
-    received, layout: CoherentLayout, threshold: float, combine: str = "per_rb"
-) -> str:
-    """Single-shot coherent detection with per-block least-squares channel
-    estimates from the pilot tones and maximum-ratio data combining."""
-    received = np.asarray(received, dtype=complex)
-    if received.ndim == 1:
-        received = received[:, None]
-    n_tones = received.shape[0]
-    n_blocks = _infer_blocks(n_tones)
-    signals = _SchemeSignals(
-        "coherent", n_blocks=n_blocks, n_sc=n_tones // n_blocks, layout=layout
-    )
-    return str(_decide(received[None, ...], signals, threshold, combine)[0])
-
-
-def _combine_mode(cfg: SimConfig) -> str:
-    # Receiver-side combining matched to the channel's block correlation.
-    return "full_grid" if cfg.channel == "flat" else "per_rb"
+def _noise_claims(cfg: SimConfig, hyp: int, n: int) -> np.ndarray:
+    """ACK-claim statistics of ``n`` noise-only trials on stream ``hyp``."""
+    signals = _build_signals(cfg)
+    stats = np.empty(n)
+    for start in range(0, n, _CHUNK):
+        trials = range(start, min(start + _CHUNK, n))
+        batch = _received_batch(cfg, signals, 0, hyp, trials, 0.0, None)
+        stats[trials] = _ack_claim_statistic(batch, signals.detector)
+    return stats
 
 
 def calibrate_dtx_threshold(cfg: SimConfig, target: float | None = None) -> float:
@@ -408,14 +330,8 @@ def calibrate_dtx_threshold(cfg: SimConfig, target: float | None = None) -> floa
     target = cfg.dtx_target if target is None else float(target)
     if not 0 < target <= 1:
         raise CalibrationError("target rate must lie in (0, 1]")
-    signals = _build_signals(cfg)
-    combine = _combine_mode(cfg)
     n = cfg.calibration_trials
-    stats = np.empty(n)
-    for start in range(0, n, _CHUNK):
-        trials = range(start, min(start + _CHUNK, n))
-        batch = _received_batch(cfg, signals, 0, _HYP_CALIBRATE, trials, 0.0, None)
-        stats[trials] = _ack_claim_statistic(batch, signals, combine)
+    stats = _noise_claims(cfg, _HYP_CALIBRATE, n)
 
     finite = np.sort(stats[np.isfinite(stats)])[::-1]
     max_rate = finite.size / n
@@ -436,15 +352,8 @@ def calibrate_dtx_threshold(cfg: SimConfig, target: float | None = None) -> floa
 
 def validate_dtx_rate(cfg: SimConfig, threshold: float, n_trials: int) -> float:
     """Fresh-stream noise-only ACK rate at a given threshold."""
-    signals = _build_signals(cfg)
-    combine = _combine_mode(cfg)
-    hits = 0
-    for start in range(0, n_trials, _CHUNK):
-        trials = range(start, min(start + _CHUNK, n_trials))
-        batch = _received_batch(cfg, signals, 0, _HYP_VALIDATE, trials, 0.0, None)
-        stat = _ack_claim_statistic(batch, signals, combine)
-        hits += int(np.sum(stat >= threshold))
-    return hits / n_trials
+    stats = _noise_claims(cfg, _HYP_VALIDATE, n_trials)
+    return int(np.sum(stats >= threshold)) / n_trials
 
 
 def _binomial_ci(p: float, n: int) -> float:
@@ -458,26 +367,22 @@ def run_sim(cfg: SimConfig) -> SimReport:
     rate comes with a 95 % binomial confidence half-width.
     """
     signals = _build_signals(cfg)
-    combine = _combine_mode(cfg)
     threshold = calibrate_dtx_threshold(cfg)
+    n = cfg.n_trials
     points = []
     for snr_idx, snr_db in enumerate(cfg.snr_grid_db):
         amp = _tone_amplitude(cfg, signals, snr_db)
-        counts = {}
-        for hyp, label in ((_HYP_DTX, None), (_HYP_ACK, ACK), (_HYP_NACK, NACK)):
-            outcomes = {DTX: 0, ACK: 0, NACK: 0}
-            for start in range(0, cfg.n_trials, _CHUNK):
-                trials = range(start, min(start + _CHUNK, cfg.n_trials))
-                batch = _received_batch(cfg, signals, snr_idx, hyp, trials, amp, label)
-                decided = _decide(batch, signals, threshold, combine)
-                values, tally = np.unique(decided, return_counts=True)
-                for v, t in zip(values, tally):
-                    outcomes[str(v)] += int(t)
-            counts[hyp] = outcomes
-        n = cfg.n_trials
-        dtx_to_ack = counts[_HYP_DTX][ACK] / n
-        nack_to_ack = counts[_HYP_NACK][ACK] / n
-        ack_miss = (n - counts[_HYP_ACK][ACK]) / n
+        acks = {}  # hypothesis -> trials decided ACK
+        for hyp, sent in ((_HYP_DTX, None), (_HYP_ACK, ACK), (_HYP_NACK, NACK)):
+            tally = np.zeros(3, dtype=np.int64)
+            for start in range(0, n, _CHUNK):
+                trials = range(start, min(start + _CHUNK, n))
+                batch = _received_batch(cfg, signals, snr_idx, hyp, trials, amp, sent)
+                tally += np.bincount(_decide(batch, signals.detector, threshold), minlength=3)
+            acks[hyp] = int(tally[ACK])
+        dtx_to_ack = acks[_HYP_DTX] / n
+        nack_to_ack = acks[_HYP_NACK] / n
+        ack_miss = (n - acks[_HYP_ACK]) / n
         points.append(
             PointStats(
                 snr_db=float(snr_db),
@@ -490,14 +395,3 @@ def run_sim(cfg: SimConfig) -> SimReport:
             )
         )
     return SimReport(config=cfg, threshold=threshold, points=tuple(points))
-
-
-def single_rb_config(cfg: SimConfig) -> SimConfig:
-    """The matching single-block baseline of an interlaced configuration."""
-    mapping = {
-        "noncoherent": "single-rb-noncoherent",
-        "coherent": "single-rb-coherent",
-    }
-    if cfg.scheme not in mapping:
-        raise ValueError("config already describes a single-block scheme")
-    return replace(cfg, scheme=mapping[cfg.scheme])

@@ -6,18 +6,27 @@ upsample/convolve/pad implementations, spectra are synthesized by an
 O(N^2) loop to vouch for the FFT path, and the pair library is enumerated
 from the full table of all canonical autocorrelation keys, with no spectral
 filter, to vouch for the filtered enumeration.  ``EXPECTED`` holds the
-output digests that ``perfbench/expected.json`` records for the benchmark.
+output digests that ``perfbench/expected.json`` records for the benchmark,
+and :func:`load_bench_checks` imports the benchmark's ``checks.py``.
 """
 
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
 import numpy as np
 
-EXPECTED = json.loads(
-    (Path(__file__).resolve().parents[1] / "perfbench" / "expected.json").read_text()
-)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+EXPECTED = json.loads((PERFBENCH / "expected.json").read_text())
+
+
+def load_bench_checks():
+    """``perfbench/checks.py`` as a module, imported as it stands."""
+    spec = importlib.util.spec_from_file_location("perfbench_checks", PERFBENCH / "checks.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def sha256(data: bytes) -> str:

@@ -5,10 +5,8 @@ length-12 library, set search and ``reproduce papr|xcorr`` files, altered
 in one place; no benchmark workload runs here.
 """
 
-import importlib.util
 import json
 import shutil
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,17 +14,9 @@ from click.testing import CliRunner
 
 from csinterlace.cli import main
 from csinterlace.golay import is_complementary_sequence
+from helpers import load_bench_checks
 
-
-def _load_checks():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
-    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-checks = _load_checks()
+checks = load_bench_checks()
 
 XCORR_FILES = sorted(name for name in checks.EXPECTED["sha256"] if name.startswith("xcorr_"))
 

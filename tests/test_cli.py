@@ -80,6 +80,19 @@ class TestMetricSweeps:
         assert max(rhos) <= 0.715
         assert ccdf_out.exists()
 
+    @pytest.mark.parametrize("sequences", [[], ["+-j+"]])
+    def test_eval_xcorr_needs_two_sequences(self, runner, tmp_path, sequences):
+        seq_file = tmp_path / "seqs.json"
+        seq_file.write_text(json.dumps({"sequences": sequences}))
+        out = tmp_path / "xc.csv"
+        result = runner.invoke(main, ["eval-xcorr", "--seq-file", str(seq_file),
+                                      "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert "Error:" in result.output and str(seq_file) in result.output
+        assert "at least two sequences" in result.output
+        assert not out.exists()
+
 
 class TestEnumerateAndSearch:
     def test_enumerate_small(self, runner, tmp_path):
@@ -221,6 +234,15 @@ class TestReproduce:
         assert result.exit_code == 1
         assert "CHECK FAILED: proposed max PAPR 3.020000 dB exceeds the 3 dB bound" in result.output
         assert "embedded checks passed" not in result.output
+
+    @pytest.mark.parametrize("figure", ["sim-noncoherent", "sim-coherent"])
+    def test_zero_trials_is_a_usage_error(self, runner, tmp_path, figure):
+        result = runner.invoke(main, ["reproduce", figure, "--trials", "0",
+                                      "--out-dir", str(tmp_path)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert "Invalid value for '--trials'" in result.output
+        assert list(tmp_path.glob("*.csv")) == []
 
     def test_manifest_records_figure_and_params(self, reproduce_xcorr):
         _, out_dir = reproduce_xcorr

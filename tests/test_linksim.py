@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,12 @@ from csinterlace.linksim import (
     NACK,
     SimConfig,
     calibrate_dtx_threshold,
-    detect_coherent,
-    detect_noncoherent,
     run_sim,
-    single_rb_config,
     validate_dtx_rate,
 )
+from helpers import load_bench_checks
+
+checks = load_bench_checks()
 
 FAST = dict(calibration_trials=8000, n_trials=500, snr_grid_db=(0.0, 6.0))
 
@@ -38,11 +40,21 @@ class TestSimConfig:
         with pytest.raises(ValueError, match=field):
             SimConfig(**{field: value})
 
-    def test_single_rb_mapping(self):
-        cfg = SimConfig(scheme="coherent")
-        assert single_rb_config(cfg).scheme == "single-rb-coherent"
-        with pytest.raises(ValueError):
-            single_rb_config(single_rb_config(cfg))
+    def test_geometry_is_fixed(self):
+        assert (SimConfig.n_rb, SimConfig.n_sc, SimConfig.n_null) == (10, 12, 108)
+        with pytest.raises(TypeError, match="n_rb"):
+            SimConfig(n_rb=8)
+
+    @pytest.mark.parametrize("field", ["n_trials", "calibration_trials"])
+    def test_trial_count_beyond_rng_key_names_field(self, field):
+        SimConfig(**{field: 2**40 - 1})  # constructing runs no trials
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**{field: 2**40})
+
+    def test_snr_grid_beyond_rng_key_names_field(self):
+        SimConfig(snr_grid_db=(0.0,) * 2**16)
+        with pytest.raises(ValueError, match="snr_grid_db"):
+            SimConfig(snr_grid_db=(0.0,) * (2**16 + 1))
 
 
 class TestCalibration:
@@ -58,7 +70,7 @@ class TestCalibration:
         batch = linksim._received_batch(
             cfg, signals, 0, linksim._HYP_CALIBRATE, range(2000), 0.0, None
         )
-        stats = linksim._ack_claim_statistic(batch, signals, "per_rb")
+        stats = linksim._ack_claim_statistic(batch, signals.detector)
         assert threshold > np.max(stats[np.isfinite(stats)])
 
     def test_default_target_hits_one_percent(self):
@@ -84,46 +96,68 @@ class TestCalibration:
         assert rate == pytest.approx(0.01, abs=0.005)
 
 
-class TestDetectors:
-    def _noncoherent_setup(self, cfg):
-        signals = linksim._build_signals(cfg)
-        return signals, {k: v for k, v in signals.candidates.items()}
+def decide_one(received, signals, threshold) -> int:
+    """Outcome code of one received grid (tones, rx)."""
+    return int(linksim._decide(received[None, ...], signals.detector, threshold)[0])
 
+
+class TestDetectors:
     def test_noiseless_ack_detected(self):
-        cfg = SimConfig(scheme="noncoherent")
-        signals, candidates = self._noncoherent_setup(cfg)
+        signals = linksim._build_signals(SimConfig(scheme="noncoherent"))
         rng = np.random.default_rng(0)
         gains = rng.normal(size=(10, 2)) + 1j * rng.normal(size=(10, 2))
         tone_gain = np.repeat(gains, 12, axis=0)
-        received = tone_gain * candidates[ACK][:, None]
-        assert detect_noncoherent(received, candidates, threshold=1.0) == ACK
+        received = tone_gain * signals.tx[ACK][:, None]
+        assert decide_one(received, signals, threshold=1.0) == ACK
 
     def test_zero_input_is_dtx(self):
-        cfg = SimConfig(scheme="noncoherent")
-        _, candidates = self._noncoherent_setup(cfg)
+        signals = linksim._build_signals(SimConfig(scheme="noncoherent"))
         received = np.zeros((120, 2), dtype=complex)
-        assert detect_noncoherent(received, candidates, threshold=1e-6) == DTX
+        assert decide_one(received, signals, threshold=1e-6) == DTX
 
     def test_noiseless_nack_detected(self):
-        cfg = SimConfig(scheme="single-rb-noncoherent")
-        _, candidates = self._noncoherent_setup(cfg)
-        received = 0.7 * candidates[NACK][:, None] * np.ones((1, 2))
-        assert detect_noncoherent(received, candidates, threshold=1e-3) == NACK
+        signals = linksim._build_signals(SimConfig(scheme="single-rb-noncoherent"))
+        received = 0.7 * signals.tx[NACK][:, None] * np.ones((1, 2))
+        assert decide_one(received, signals, threshold=1e-3) == NACK
 
     def test_coherent_noiseless_ack(self):
-        cfg = SimConfig(scheme="coherent")
-        signals = linksim._build_signals(cfg)
+        signals = linksim._build_signals(SimConfig(scheme="coherent"))
         rng = np.random.default_rng(1)
         gains = rng.normal(size=(10, 2)) + 1j * rng.normal(size=(10, 2))
         tone_gain = np.repeat(gains, 12, axis=0)
-        received = tone_gain * signals.tx_values(ACK)[:, None]
-        assert detect_coherent(received, signals.layout, threshold=1e-6) == ACK
+        received = tone_gain * signals.tx[ACK][:, None]
+        assert decide_one(received, signals, threshold=1e-6) == ACK
 
     def test_coherent_zero_input_is_dtx(self):
-        cfg = SimConfig(scheme="coherent")
-        signals = linksim._build_signals(cfg)
+        signals = linksim._build_signals(SimConfig(scheme="coherent"))
         received = np.zeros((120, 2), dtype=complex)
-        assert detect_coherent(received, signals.layout, threshold=1e-9) == DTX
+        assert decide_one(received, signals, threshold=1e-9) == DTX
+
+    def test_tie_goes_to_nack_in_decisions_and_to_ack_in_claims(self):
+        class Tied:
+            def scores(self, received):
+                return np.ones((len(received), 2)), np.full(len(received), 5.0)
+
+        received = np.zeros((3, 12, 2), dtype=complex)
+        assert linksim._decide(received, Tied(), 1.0).tolist() == [NACK] * 3
+        assert linksim._decide(received, Tied(), 6.0).tolist() == [DTX] * 3
+        assert linksim._ack_claim_statistic(received, Tied()).tolist() == [5.0] * 3
+
+
+class TestDtxNull:
+    """The calibrated threshold against the analytic noise-only law of the
+    non-coherent detector with per-block combining (``perfbench/checks.py``)."""
+
+    @pytest.mark.parametrize("scheme", ["noncoherent", "single-rb-noncoherent"])
+    def test_calibrated_threshold_matches_analytic_null(self, sim_gate_reports, scheme):
+        report = sim_gate_reports[(scheme, "iid_per_rb")]
+        cfg = report.config
+        shape = checks.null_shape(checks.report_dict(report))
+        n = cfg.calibration_trials
+        lo, hi = checks.wilson_interval(round(n * cfg.dtx_target), n)
+        assert lo <= checks.null_false_ack(report.threshold, *shape) <= hi
+        # The interval has the power to reject a threshold 20 % off.
+        assert not lo <= checks.null_false_ack(1.2 * report.threshold, *shape) <= hi
 
 
 class TestRunSim:
@@ -163,7 +197,7 @@ class TestRunSim:
                         calibration_trials=20_000, n_trials=2000,
                         snr_grid_db=(-8.0, -4.0, 0.0))
         interlace_report = run_sim(cfg)
-        single_report = run_sim(single_rb_config(cfg))
+        single_report = run_sim(replace(cfg, scheme="single-rb-noncoherent"))
         for a, b in zip(interlace_report.points, single_report.points):
             assert abs(a.ack_miss - b.ack_miss) <= a.ci_miss + b.ci_miss
 
@@ -172,7 +206,7 @@ class TestRunSim:
                         calibration_trials=20_000, n_trials=2000,
                         snr_grid_db=(-6.0, -2.0))
         interlace_report = run_sim(cfg)
-        single_report = run_sim(single_rb_config(cfg))
+        single_report = run_sim(replace(cfg, scheme="single-rb-noncoherent"))
         for a, b in zip(interlace_report.points, single_report.points):
             assert a.ack_miss < b.ack_miss
 
