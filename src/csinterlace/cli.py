@@ -477,7 +477,8 @@ FIGURES = {
 @click.option("--out-dir", type=click.Path(path_type=Path), default=Path("reproduction"))
 @click.option("--trials", default=2000, show_default=True, type=click.IntRange(min=1),
               help="Trials per SNR point for the sim pipelines.")
-@click.option("--seed", default=1, show_default=True)
+@click.option("--seed", default=1, show_default=True, type=click.IntRange(0, 2**64 - 1),
+              help="RNG seed of the sim pipelines.")
 @click.pass_context
 def reproduce(ctx, figure, out_dir, trials, seed):
     """Run one reporting pipeline; exit nonzero if its embedded checks fail."""

@@ -19,7 +19,9 @@ score is at least the NACK score, to fix the DTX-to-ACK rate.
 
 Randomness is counter-based: every trial owns a Philox stream keyed by
 (rng_seed, snr index, hypothesis, trial index), so results are bit-identical
-regardless of how trials are batched or distributed.
+regardless of how trials are batched or distributed.  A batch re-keys one
+bit generator per trial rather than building one, which gives each trial
+the same stream as a fresh generator on its key.
 
 Energy normalization: ``equal_total`` gives every scheme the same total
 symbol energy as the reference interlace (single-block schemes then put ten
@@ -63,6 +65,7 @@ _HYP_NACK = 3
 _HYP_VALIDATE = 4
 
 _CHUNK = 4096
+_SEED_LIMIT = 1 << 64
 _TRIAL_LIMIT = 1 << 40
 _SNR_LIMIT = 1 << 16
 
@@ -96,8 +99,12 @@ class SimConfig:
             raise ValueError(f"unknown channel {self.channel!r}")
         if not 0 < self.dtx_target < 1:
             raise ValueError("dtx_target must lie strictly between 0 and 1")
-        # Trial indices and SNR indices are 40- and 16-bit fields of the
-        # per-trial RNG key; larger values would alias earlier streams.
+        # The seed is one 64-bit word of the per-trial RNG key, and trial
+        # and SNR indices are 40- and 16-bit fields of the other; values
+        # outside would alias other streams.
+        seed = self.rng_seed
+        if not isinstance(seed, (int, np.integer)) or not 0 <= seed < _SEED_LIMIT:
+            raise ValueError("rng_seed must be an integer in [0, 2**64)")
         for name in ("n_trials", "calibration_trials"):
             if not 1 <= getattr(self, name) < _TRIAL_LIMIT:
                 raise ValueError(f"{name} must lie in [1, 2**40)")
@@ -241,21 +248,6 @@ def _tone_amplitude(cfg: SimConfig, signals: _SchemeSignals, snr_db: float) -> f
     return float(np.sqrt(es))
 
 
-def _trial_rng(seed: int, snr_idx: int, hyp: int, trial: int) -> np.random.Generator:
-    word = (
-        (np.uint64(snr_idx & 0xFFFF) << np.uint64(48))
-        | (np.uint64(hyp & 0xFF) << np.uint64(40))
-        | np.uint64(trial & 0xFFFFFFFFFF)
-    )
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), word], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    flat = rng.standard_normal(2 * int(np.prod(shape)))
-    return (flat[0::2] + 1j * flat[1::2]).reshape(shape) / np.sqrt(2.0)
-
-
 def _received_batch(
     cfg: SimConfig,
     signals: _SchemeSignals,
@@ -266,23 +258,47 @@ def _received_batch(
     sent: int | None,
 ) -> np.ndarray:
     """Received occupied-tone grid for a batch of trials: (B, tones, rx).
-    ``sent`` is NACK or ACK, or None for noise only."""
-    n_tones = signals.tx.shape[1]
-    out = np.empty((len(trials), n_tones, cfg.n_rx), dtype=complex)
-    tone_block = np.repeat(np.arange(signals.n_blocks), cfg.n_sc)
-    tx = None if sent is None else signals.tx[sent]
-    n_gain_groups = 1 if cfg.channel == "flat" else signals.n_blocks
+    ``sent`` is NACK or ACK, or None for noise only.
+
+    Each trial's stream gives first the fading gains (one per block and
+    antenna, or one per antenna on a flat channel), then the noise of every
+    tone and antenna; each complex value is a (re, im) pair of standard
+    normals scaled by 1/sqrt(2).
+    """
+    n_trials, n_tones = len(trials), signals.tx.shape[1]
+    out = np.empty((n_trials, n_tones, cfg.n_rx), dtype=complex)
+    # The normals are drawn straight into float64 views, whose consecutive
+    # (re, im) pairs are the complex values.  The noise is the largest array
+    # of a batch, and a separate buffer of normals with complex temporaries
+    # would raise the simulator's peak memory by about a sixth.
+    noise = out.view(np.float64)
+    gains = None
+    if sent is not None:
+        n_groups = 1 if cfg.channel == "flat" else signals.n_blocks
+        gains = np.empty((n_trials, n_groups, 2 * cfg.n_rx))
+    # One bit generator, re-keyed per trial: a fresh key with the counter at
+    # zero and an empty output buffer is the state a new Philox(key=...)
+    # starts in, so every trial keeps its own stream.
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    key = np.array([cfg.rng_seed, 0], dtype=np.uint64)
+    state["state"] = {"counter": np.zeros(4, dtype=np.uint64), "key": key}
+    stream = (snr_idx << 48) | (hyp << 40)
     for row, trial in enumerate(trials):
-        rng = _trial_rng(cfg.rng_seed, snr_idx, hyp, trial)
-        if tx is None:
-            out[row] = _complex_normal(rng, (n_tones, cfg.n_rx))
-            continue
-        gains = _complex_normal(rng, (n_gain_groups, cfg.n_rx))
-        per_block = gains if n_gain_groups > 1 else np.broadcast_to(
-            gains, (signals.n_blocks, cfg.n_rx)
-        )
-        noise = _complex_normal(rng, (n_tones, cfg.n_rx))
-        out[row] = amp * per_block[tone_block] * tx[:, None] + noise
+        key[1] = stream | trial
+        bitgen.state = state
+        if gains is not None:
+            gen.standard_normal(out=gains[row])
+        gen.standard_normal(out=noise[row])
+    scale = 1.0 / np.sqrt(2.0)
+    noise *= scale
+    if gains is None:
+        return out
+    gains *= scale
+    tx = signals.tx[sent].reshape(n_groups, -1)
+    grid = out.reshape(n_trials, n_groups, -1, cfg.n_rx)  # a view: tones by gain group
+    grid += (amp * gains.view(complex))[:, :, None, :] * tx[None, :, :, None]
     return out
 
 
@@ -352,6 +368,8 @@ def calibrate_dtx_threshold(cfg: SimConfig, target: float | None = None) -> floa
 
 def validate_dtx_rate(cfg: SimConfig, threshold: float, n_trials: int) -> float:
     """Fresh-stream noise-only ACK rate at a given threshold."""
+    if not 1 <= n_trials < _TRIAL_LIMIT:
+        raise ValueError("n_trials must lie in [1, 2**40)")
     stats = _noise_claims(cfg, _HYP_VALIDATE, n_trials)
     return int(np.sum(stats >= threshold)) / n_trials
 

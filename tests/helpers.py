@@ -5,9 +5,12 @@ polynomials are evaluated by direct summation so they can vouch for the
 upsample/convolve/pad implementations, spectra are synthesized by an
 O(N^2) loop to vouch for the FFT path, and the pair library is enumerated
 from the full table of all canonical autocorrelation keys, with no spectral
-filter, to vouch for the filtered enumeration.  ``EXPECTED`` holds the
-output digests that ``perfbench/expected.json`` records for the benchmark,
-and :func:`load_bench_checks` imports the benchmark's ``checks.py``.
+filter, to vouch for the filtered enumeration.  Link-simulation grids are
+rebuilt trial by trial from a fresh Philox generator per trial and explicit
+loops over blocks, antennas and tones, to vouch for the batched draws.
+``EXPECTED`` holds the output digests that ``perfbench/expected.json``
+records for the benchmark, and :func:`load_bench_checks` imports the
+benchmark's ``checks.py``.
 """
 
 import hashlib
@@ -154,3 +157,48 @@ def reference_mate_ranks(length: int) -> tuple[np.ndarray, np.ndarray]:
     fa[swap], fb[swap] = fb[swap], fa[swap].copy()
     order = np.lexsort((fb, fa))
     return fa[order], fb[order]
+
+
+def _trial_rng(seed: int, snr_idx: int, hyp: int, trial: int) -> np.random.Generator:
+    """A fresh generator on the link simulator's per-trial key: the seed,
+    then (snr index, hypothesis, trial index) packed into 16/8/40 bits."""
+    word = (
+        (np.uint64(snr_idx & 0xFFFF) << np.uint64(48))
+        | (np.uint64(hyp & 0xFF) << np.uint64(40))
+        | np.uint64(trial & 0xFFFFFFFFFF)
+    )
+    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), word], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Unit-power complex Gaussians from consecutive (re, im) normal pairs."""
+    flat = rng.standard_normal(2 * int(np.prod(shape)))
+    return (flat[0::2] + 1j * flat[1::2]).reshape(shape) / np.sqrt(2.0)
+
+
+def received_grids_oracle(seed, channel, tx, n_blocks, n_rx, snr_idx, hyp, trials, amp, sent):
+    """Received grids (trials, tones, rx), one trial at a time: noise only
+    when ``sent`` is None, else the gains (one per block and antenna under
+    ``iid_per_rb``, one per antenna for the whole grid under ``flat``) drawn
+    before the noise, and ``amp * gain * tx[sent][tone] + noise`` per tone."""
+    n_tones = tx.shape[1]
+    n_sc = n_tones // n_blocks
+    out = np.empty((len(trials), n_tones, n_rx), dtype=complex)
+    for row, trial in enumerate(trials):
+        rng = _trial_rng(seed, snr_idx, hyp, trial)
+        if sent is None:
+            out[row] = _complex_normal(rng, (n_tones, n_rx))
+            continue
+        gains = _complex_normal(rng, (n_blocks if channel == "iid_per_rb" else 1, n_rx))
+        noise = _complex_normal(rng, (n_tones, n_rx))
+        for block in range(n_blocks):
+            gain = gains[block] if channel == "iid_per_rb" else gains[0]
+            for ant in range(n_rx):
+                for tone in range(block * n_sc, (block + 1) * n_sc):
+                    # A one-element slice, so that the complex product takes
+                    # numpy's array kernel, which may fuse multiply-adds where
+                    # scalar arithmetic rounds twice.
+                    signal = amp * gain[ant] * tx[sent, tone : tone + 1]
+                    out[row, tone, ant] = signal[0] + noise[tone, ant]
+    return out

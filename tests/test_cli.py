@@ -152,6 +152,8 @@ class TestSimulateLink:
     @pytest.mark.parametrize("args, field", [
         (["--snr-from", "10", "--snr-to", "-10"], "snr_grid_db"),
         (["--calibration-trials", "0"], "calibration_trials"),
+        (["--seed", "-1"], "rng_seed"),
+        (["--seed", str(2**64)], "rng_seed"),
     ])
     def test_invalid_config_is_a_click_error(self, runner, tmp_path, args, field):
         out = tmp_path / "link.csv"
@@ -242,6 +244,15 @@ class TestReproduce:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)  # not a traceback
         assert "Invalid value for '--trials'" in result.output
+        assert list(tmp_path.glob("*.csv")) == []
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_rng_key_is_a_usage_error(self, runner, tmp_path, seed):
+        result = runner.invoke(main, ["reproduce", "sim-noncoherent", "--trials", "10",
+                                      "--seed", str(seed), "--out-dir", str(tmp_path)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert "Invalid value for '--seed'" in result.output
         assert list(tmp_path.glob("*.csv")) == []
 
     def test_manifest_records_figure_and_params(self, reproduce_xcorr):

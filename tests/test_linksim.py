@@ -14,7 +14,7 @@ from csinterlace.linksim import (
     run_sim,
     validate_dtx_rate,
 )
-from helpers import load_bench_checks
+from helpers import load_bench_checks, received_grids_oracle
 
 checks = load_bench_checks()
 
@@ -50,6 +50,15 @@ class TestSimConfig:
         SimConfig(**{field: 2**40 - 1})  # constructing runs no trials
         with pytest.raises(ValueError, match=field):
             SimConfig(**{field: 2**40})
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5, 1.5])
+    def test_seed_outside_rng_key_names_field(self, seed):
+        with pytest.raises(ValueError, match="rng_seed"):
+            SimConfig(rng_seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_range_ends_accepted(self, seed):
+        assert SimConfig(rng_seed=seed).rng_seed == seed
 
     def test_snr_grid_beyond_rng_key_names_field(self):
         SimConfig(snr_grid_db=(0.0,) * 2**16)
@@ -88,6 +97,12 @@ class TestCalibration:
         cfg = SimConfig(calibration_trials=1000)
         with pytest.raises(CalibrationError):
             calibrate_dtx_threshold(cfg, target=-0.1)
+
+    @pytest.mark.parametrize("n_trials", [0, 2**40])
+    def test_validation_trial_count_names_field(self, n_trials):
+        cfg = SimConfig(scheme="single-rb-noncoherent")
+        with pytest.raises(ValueError, match="n_trials"):
+            validate_dtx_rate(cfg, 1.0, n_trials)
 
     def test_coherent_detector_calibrates(self):
         cfg = SimConfig(scheme="single-rb-coherent", calibration_trials=20_000)
@@ -142,6 +157,31 @@ class TestDetectors:
         assert linksim._decide(received, Tied(), 1.0).tolist() == [NACK] * 3
         assert linksim._decide(received, Tied(), 6.0).tolist() == [DTX] * 3
         assert linksim._ack_claim_statistic(received, Tied()).tolist() == [5.0] * 3
+
+
+class TestReceivedBatch:
+    """The batched draws against grids rebuilt trial by trial from a fresh
+    generator per trial, bit for bit, over a batch boundary."""
+
+    @pytest.mark.parametrize("channel", linksim.CHANNELS)
+    @pytest.mark.parametrize("scheme", linksim.SCHEMES)
+    @pytest.mark.parametrize("hyp, sent", [
+        (linksim._HYP_DTX, None), (linksim._HYP_NACK, NACK), (linksim._HYP_ACK, ACK),
+    ])
+    def test_matches_per_trial_oracle(self, scheme, channel, hyp, sent):
+        cfg = SimConfig(scheme=scheme, channel=channel, rng_seed=2**64 - 7)
+        signals = linksim._build_signals(cfg)
+        snr_idx = 3
+        amp = linksim._tone_amplitude(cfg, signals, 4.0)
+        batches = [
+            linksim._received_batch(cfg, signals, snr_idx, hyp, trials, amp, sent)
+            for trials in (range(90, 97), range(97, 110))
+        ]
+        expected = received_grids_oracle(
+            cfg.rng_seed, channel, signals.tx, signals.n_blocks, cfg.n_rx,
+            snr_idx, hyp, range(90, 110), amp, sent,
+        )
+        assert np.array_equal(np.concatenate(batches), expected)
 
 
 class TestDtxNull:
