@@ -44,7 +44,7 @@ from .interlace import (
     zadoff_chu_set,
 )
 from .linksim import SimConfig, run_sim
-from .metrics import ccdf, cm_db, papr_db, peak_xcorr, synthesize
+from .metrics import ccdf, cm_db, papr_db, synthesize, xcorr_matrix
 from .seqcore import sequence_from_json
 
 PAPR_BOUND_DB = 10 * np.log10(2.0)
@@ -190,10 +190,32 @@ _sweep_command("eval-papr", 3, "PAPR",
 _sweep_command("eval-cm", 4, "CM", "Cubic-metric sweep (same rows as eval-papr).")
 
 
+def _read_sequences(path: Path) -> list[np.ndarray]:
+    """The ``sequences`` list of a JSON file, each entry a symbol string or
+    a list of [re, im] pairs, all finite and of one length.  Any malformed
+    entry is a click error naming the file and the entry's index."""
+    try:
+        payload = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise click.ClickException(f"{path}: malformed JSON at line {exc.lineno}: {exc.msg}")
+    if not isinstance(payload, dict) or not isinstance(payload.get("sequences"), list):
+        raise click.ClickException(f"{path}: expected an object with a 'sequences' list")
+    sequences = []
+    for index, entry in enumerate(payload["sequences"]):
+        try:
+            seq = sequence_from_json(entry)
+        except (ValueError, TypeError) as exc:
+            raise click.ClickException(f"{path}: sequence {index}: {exc}")
+        if sequences and seq.size != sequences[0].size:
+            raise click.ClickException(
+                f"{path}: sequence {index} has length {seq.size}, expected {sequences[0].size}")
+        sequences.append(seq)
+    return sequences
+
+
 def _xcorr_members(which: str, cfg: InterlaceConfig, seq_file: Path | None):
     if seq_file is not None:
-        payload = json.loads(seq_file.read_text())
-        members = [sequence_from_json(s) for s in payload["sequences"]]
+        members = _read_sequences(seq_file)
         if len(members) < 2:
             raise click.ClickException(
                 f"{seq_file}: need at least two sequences to correlate, found {len(members)}")
@@ -208,20 +230,18 @@ def _xcorr_members(which: str, cfg: InterlaceConfig, seq_file: Path | None):
 def _write_xcorr(members, n_idft: int, out: Path, ccdf_out: Path | None) -> float:
     """Write the peak cross-correlation of every ordered pair and, if asked,
     its CCDF; return the max rho.  2-D members are compared row by row (per
-    block) and their worst row is kept."""
-    rows = []
-    for i, mi in enumerate(members):
-        for j, mj in enumerate(members):
-            if i != j:
-                rho = max(peak_xcorr(x, y, n_idft)
-                          for x, y in zip(np.atleast_2d(mi), np.atleast_2d(mj)))
-                rows.append((i, j, rho))
+    block) and their worst row is kept.  Only the unordered pairs i < j are
+    computed, a few FFT rows at a time (:func:`xcorr_matrix`); row (j, i)
+    repeats the mirrored value of (i, j)."""
+    rho = xcorr_matrix(members, n_idft)
+    rows = [(i, j, value) for i, row in enumerate(rho.tolist())
+            for j, value in enumerate(row) if i != j]
     _write_csv(out, ["i", "j", "rho"], rows)
     if ccdf_out is not None:
         curve = ccdf(np.array([r[2] for r in rows]), np.linspace(0.0, 1.0, 101))
         _write_csv(ccdf_out, ["threshold", "exceed_prob"],
                    list(zip(curve.thresholds.tolist(), curve.exceed_prob.tolist())))
-    return float(max(r[2] for r in rows))
+    return float(rho.max())
 
 
 @main.command("eval-xcorr")
@@ -345,31 +365,13 @@ def import_sequences(path, out):
     Accepts a JSON object with a ``sequences`` list of symbol strings or
     [re, im] arrays.  Entries must be unimodular and of one shared length.
     """
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise click.ClickException(f"{path}: malformed JSON at line {exc.lineno}: {exc.msg}")
-    if not isinstance(payload, dict) or "sequences" not in payload:
-        raise click.ClickException(f"{path}: expected an object with a 'sequences' list")
-    raw = payload["sequences"]
-    if not raw:
+    sequences = _read_sequences(path)
+    if not sequences:
         raise click.ClickException(f"{path}: 'sequences' list is empty")
-    sequences = []
-    length = None
-    for index, entry in enumerate(raw):
-        try:
-            seq = sequence_from_json(entry)
-        except (ValueError, TypeError) as exc:
-            raise click.ClickException(f"{path}: sequence {index}: {exc}")
+    for index, seq in enumerate(sequences):
         if np.max(np.abs(np.abs(seq) - 1.0)) > 1e-9:
             raise click.ClickException(f"{path}: sequence {index} is not unimodular")
-        if length is None:
-            length = seq.size
-        elif seq.size != length:
-            raise click.ClickException(
-                f"{path}: sequence {index} has length {seq.size}, expected {length}"
-            )
-        sequences.append(seq)
+    length = sequences[0].size
     normalized = {
         "length": length,
         "count": len(sequences),

@@ -285,12 +285,20 @@ def _library_ranks(length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return first, second, members
 
 
-def _proven_pairs(a: np.ndarray, b: np.ndarray) -> list[GolayPair]:
+def _proven_pairs(a: np.ndarray, b: np.ndarray, strings=None) -> list[GolayPair]:
     """Pairs over the rows of ``a`` and ``b``, whose complementarity the
-    caller has proved exactly (key match or re-certification on load)."""
+    caller has proved exactly (key match or re-certification on load).
+
+    ``strings``, if given, are the symbol strings the rows were parsed
+    from; they seed :meth:`GolayPair.as_strings`, since formatting a parsed
+    string gives the string back.
+    """
     a.setflags(write=False)
     b.setflags(write=False)
-    return [GolayPair(x, y, certified=True) for x, y in zip(a, b)]
+    pairs = [GolayPair(x, y, certified=True) for x, y in zip(a, b)]
+    for pair, (text_a, text_b) in zip(pairs, strings or ()):
+        vars(pair)["_strings"] = (text_a, text_b)
+    return pairs
 
 
 def enumerate_gcps(length: int) -> list[GolayPair]:
@@ -380,7 +388,7 @@ def _load_cache(cache_file: Path, length: int) -> list[GolayPair]:
             raise ValueError(f"pair {bad[0]} {strings[bad[0]]} is not complementary")
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"invalid pair cache {cache_file}: {exc}") from exc
-    return _proven_pairs(a, b)
+    return _proven_pairs(a, b, strings)
 
 
 def cached_enumerate_gcps(length: int, cache_dir: str | Path) -> list[GolayPair]:

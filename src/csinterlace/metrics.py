@@ -4,9 +4,13 @@ peak cross-correlation, fractional-shift cross-correlation, CCDF curves.
 Synthesis applies an unnormalized inverse DFT, i.e. the time samples are
 the frequency-domain polynomial evaluated on a dense unit-circle grid.
 Cross-correlation comes in two deliberately independent flavours: the
-FFT-based peak correlation used for reporting, and an explicit
-inner-product sweep over a fractional shift grid used by the set search;
-the two agree analytically and the tests hold them against each other.
+FFT grid peak used for reporting, and an explicit inner-product sweep over
+a fractional shift grid used by the set search; the two agree analytically
+and the tests hold them against each other.  The FFT grid peak has one
+path, :func:`xcorr_matrix`: it transforms the products of the unordered
+pairs i < j only, a few rows per inverse FFT so that the batch stays
+small, and mirrors them into the symmetric matrix; :func:`peak_xcorr` is
+its one-pair form.
 """
 
 from __future__ import annotations
@@ -78,23 +82,65 @@ def cm_db(waveform: Waveform) -> float:
     return float(20.0 * np.log10(rms_cubed) / 1.56)
 
 
-def peak_xcorr(x_i, x_j, n_idft: int = 4096) -> float:
-    """Peak cross-correlation over a dense cyclic-shift grid.
+_XCORR_CHUNK_ROWS = 8  # product rows per inverse FFT; larger batches only add memory
 
-    Computes the element-wise product of ``x_i`` and the conjugate of
-    ``x_j``, takes the maximum modulus of its zero-padded unnormalized
-    inverse DFT, and divides by the sequence length.
+
+def _grid_peaks(stack: np.ndarray, first: np.ndarray, second: np.ndarray,
+                n_idft: int) -> np.ndarray:
+    """Peak cross-correlation of the member pairs ``(first[p], second[p])``.
+
+    ``stack`` is (K, blocks, N).  Each pair's products are transformed row
+    by row and its worst row is kept, in chunks of whole pairs holding at
+    most :data:`_XCORR_CHUNK_ROWS` rows (one pair if it has more blocks).
     """
+    n_idft = int(n_idft)
+    _, blocks, n = stack.shape
+    if n_idft < n:
+        raise ValueError("n_idft must be at least the sequence length")
+    per_chunk = max(1, _XCORR_CHUNK_ROWS // blocks)
+    peaks = np.empty(first.size)
+    for start in range(0, first.size, per_chunk):
+        rows = slice(start, start + per_chunk)
+        products = stack[first[rows]] * np.conj(stack[second[rows]])
+        transform = np.fft.ifft(products, n_idft) * n_idft
+        peaks[rows] = np.abs(transform).reshape(products.shape[0], -1).max(axis=1) / n
+    return peaks
+
+
+def xcorr_matrix(members, n_idft: int = 4096) -> np.ndarray:
+    """Symmetric matrix of peak cross-correlations over a dense cyclic-shift
+    grid, with a zero diagonal.
+
+    ``members`` stacks K equal-length sequences, shaped (K, N), or K block
+    matrices, shaped (K, blocks, N), which are compared block by block with
+    the worst block kept.  Entry (i, j) is the maximum modulus of the
+    zero-padded unnormalized inverse DFT of ``members[i] * conj(members[j])``
+    divided by N.  Only the pairs i < j are transformed; entry (j, i)
+    mirrors (i, j), whose modulus it equals up to rounding.
+    """
+    stack = np.asarray(members, dtype=complex)
+    if stack.ndim == 2:
+        stack = stack[:, None, :]
+    if stack.ndim != 3 or stack.shape[-1] == 0:
+        raise ValueError("members must stack as (K, N) or (K, blocks, N), N >= 1")
+    if not np.all(np.isfinite(stack)):
+        raise ValueError("members contain non-finite values")
+    first, second = np.triu_indices(stack.shape[0], 1)
+    rho = np.zeros((stack.shape[0], stack.shape[0]))
+    rho[first, second] = _grid_peaks(stack, first, second, n_idft)
+    rho[second, first] = rho[first, second]
+    return rho
+
+
+def peak_xcorr(x_i, x_j, n_idft: int = 4096) -> float:
+    """Peak cross-correlation of one pair over a dense cyclic-shift grid:
+    the one-pair form of :func:`xcorr_matrix`."""
     a = as_sequence(x_i)
     b = as_sequence(x_j)
     if a.size != b.size:
         raise ValueError(f"length mismatch: {a.size} vs {b.size}")
-    n_idft = int(n_idft)
-    if n_idft < a.size:
-        raise ValueError("n_idft must be at least the sequence length")
-    product = a * np.conj(b)
-    transform = np.fft.ifft(product, n_idft) * n_idft
-    return float(np.max(np.abs(transform)) / a.size)
+    stack = np.stack([a, b])[:, None, :]
+    return float(_grid_peaks(stack, np.array([0]), np.array([1]), n_idft)[0])
 
 
 @lru_cache(maxsize=32)

@@ -20,6 +20,8 @@ _SYMBOL_TO_VALUE = dict(zip(QUATERNARY_SYMBOLS, QUATERNARY_VALUES))
 
 def parse_quaternary(text: str) -> np.ndarray:
     """Parse a symbol string like ``"+-ij"`` into a complex sequence."""
+    if not isinstance(text, str):
+        raise TypeError(f"expected a symbol string, got {type(text).__name__}")
     if not text:
         raise ValueError("empty sequence string")
     try:
@@ -55,31 +57,11 @@ def as_sequence(a) -> np.ndarray:
     return arr
 
 
-def apac(a, k: int) -> complex:
-    """Aperiodic autocorrelation of ``a`` at integer lag ``k``.
-
-    Exact when the input is quaternary (Gaussian-integer arithmetic).
-    Negative lags follow conjugate symmetry; lags at or beyond the length
-    are exactly zero.
-    """
-    arr = as_sequence(a)
-    n = arr.size
-    k = int(k)
-    if k < 0:
-        return complex(np.conj(apac(arr, -k)))
-    if k >= n:
-        return 0j
-    return complex(np.sum(np.conj(arr[: n - k]) * arr[k:]))
-
-
 def apac_vector(a) -> np.ndarray:
-    """All autocorrelation values for lags 0 .. N-1."""
+    """Aperiodic autocorrelation sum(conj(a[n]) * a[n + k]) for lags
+    k = 0 .. N-1; exact on quaternary input (Gaussian-integer sums)."""
     arr = as_sequence(a)
-    n = arr.size
-    out = np.empty(n, dtype=complex)
-    for k in range(n):
-        out[k] = np.sum(np.conj(arr[: n - k]) * arr[k:])
-    return out
+    return np.correlate(arr, arr, "full")[arr.size - 1:]
 
 
 def _apac_sum_fft(a: np.ndarray, b: np.ndarray) -> np.ndarray:

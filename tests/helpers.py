@@ -2,9 +2,11 @@
 
 These deliberately avoid the library's coefficient-domain code paths:
 polynomials are evaluated by direct summation so they can vouch for the
-upsample/convolve/pad implementations, spectra are synthesized by an
-O(N^2) loop to vouch for the FFT path, and the pair library is enumerated
-from the full table of all canonical autocorrelation keys, with no spectral
+upsample/convolve/pad implementations and the FFT cross-correlation peaks,
+spectra are synthesized by an O(N^2) loop to vouch for the FFT path,
+autocorrelations are summed term by term to vouch for
+``seqcore.apac_vector``, and the pair library is enumerated from the full
+table of all canonical autocorrelation keys, with no spectral
 filter, to vouch for the filtered enumeration.  Link-simulation grids are
 rebuilt trial by trial from a fresh Philox generator per trial and explicit
 loops over blocks, antennas and tones, to vouch for the batched draws.
@@ -44,6 +46,19 @@ def poly_eval(coeffs, z: complex) -> complex:
         total += c * power
         power *= z
     return total
+
+
+def apac(seq, k: int) -> complex:
+    """Aperiodic autocorrelation sum(conj(a[n]) * a[n + k]) at integer lag
+    ``k``, one term at a time; negative lags by conjugate symmetry, zero at
+    and beyond the length.  Exact on quaternary input."""
+    arr = np.asarray(seq, dtype=complex).reshape(-1)
+    if k < 0:
+        return complex(np.conj(apac(arr, -k)))
+    total = 0j
+    for n in range(arr.size - k):
+        total += np.conj(arr[n]) * arr[n + k]
+    return complex(total)
 
 
 def dft_synthesis_oracle(indices, values, n_idft: int) -> np.ndarray:

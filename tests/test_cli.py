@@ -93,6 +93,23 @@ class TestMetricSweeps:
         assert "at least two sequences" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("sequences, message", [
+        (["+-j+", "+-j"], "sequence 1 has length 3, expected 4"),
+        ([[[1.0, 0.0], ["x", 0.0]], "++"], "sequence 0:"),
+        (["++", [[1.0, 0.0], [float("nan"), 0.0]]], "sequence 1: sequence contains non-finite"),
+    ], ids=["unequal-lengths", "non-numeric", "nan"])
+    def test_eval_xcorr_malformed_sequence_is_a_click_error(self, runner, tmp_path,
+                                                             sequences, message):
+        seq_file = tmp_path / "seqs.json"
+        seq_file.write_text(json.dumps({"sequences": sequences}))
+        out = tmp_path / "xc.csv"
+        result = runner.invoke(main, ["eval-xcorr", "--seq-file", str(seq_file),
+                                      "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert f"Error: {seq_file}: {message}" in result.output
+        assert not out.exists()
+
 
 class TestEnumerateAndSearch:
     def test_enumerate_small(self, runner, tmp_path):
@@ -118,6 +135,22 @@ class TestEnumerateAndSearch:
         assert len(calls) == 2 * 208
         assert (json.loads((tmp_path / "cache" / "gcps_len8.json").read_text())
                 == json.loads(out.read_text()))
+
+    def test_warm_cache_formats_no_string(self, runner, tmp_path, monkeypatch):
+        args = ["enumerate-gcps", "--length", "8", "--cache-dir", str(tmp_path / "cache")]
+        cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
+        assert runner.invoke(main, [*args, "--out", str(cold)]).exit_code == 0
+        calls = []
+
+        def counting_format(seq):
+            calls.append(1)
+            return format_quaternary(seq)
+
+        monkeypatch.setattr(golay, "format_quaternary", counting_format)
+        result = runner.invoke(main, [*args, "--out", str(warm)])
+        assert result.exit_code == 0, result.output
+        assert calls == []
+        assert warm.read_bytes() == cold.read_bytes()
 
     def test_search_with_seed_file(self, runner, tmp_path):
         lib = tmp_path / "lib.json"

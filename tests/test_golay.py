@@ -20,13 +20,12 @@ from csinterlace.interlace import SparseSpectrum
 from csinterlace.metrics import synthesize
 from csinterlace.seqcore import (
     QUATERNARY_VALUES,
-    apac,
     format_quaternary,
     is_gcp,
     parse_quaternary,
 )
 
-from helpers import canonical_rank, random_unimodular, reference_mate_ranks
+from helpers import apac, canonical_rank, random_unimodular, reference_mate_ranks
 
 
 def brute_force_canonical_pairs(length):
@@ -262,6 +261,13 @@ class TestCache:
         (tmp_path / "gcps_len4.json").write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="gcps_len4.json"):
             cached_enumerate_gcps(4, tmp_path)
+
+    def test_non_string_entry_raises_naming_it(self, tmp_path):
+        # A dict parses like its keys, "+-", but would not write back as a string.
+        payload = {"length": 2, "count": 1, "pairs": [[{"+": 0, "-": 0}, "++"]]}
+        (tmp_path / "gcps_len2.json").write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="gcps_len2.json"):
+            cached_enumerate_gcps(2, tmp_path)
 
     def test_truncated_file_raises_naming_it(self, tmp_path):
         cache_file = tmp_path / "gcps_len4.json"

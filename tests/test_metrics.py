@@ -12,9 +12,19 @@ from csinterlace.metrics import (
     papr_db,
     peak_xcorr,
     synthesize,
+    xcorr_matrix,
 )
 
-from helpers import dft_synthesis_oracle, random_unimodular
+from helpers import dft_synthesis_oracle, poly_eval, random_unimodular
+
+
+def xcorr_oracle(x, y, n_idft: int) -> float:
+    """Peak over the dense grid and over the rows (blocks) of x * conj(y),
+    by direct evaluation of each row's polynomial at every grid point."""
+    n = np.shape(x)[-1]
+    points = np.exp(2j * np.pi * np.arange(n_idft) / n_idft)
+    return max(abs(poly_eval(row, z)) for row in np.atleast_2d(x * np.conj(y))
+               for z in points) / n
 
 
 class TestSynthesize:
@@ -127,6 +137,43 @@ class TestPeakXcorr:
     def test_transform_size_validation(self):
         with pytest.raises(ValueError):
             peak_xcorr(np.ones(8), np.ones(8), n_idft=4)
+
+
+class TestXcorrMatrix:
+    @pytest.mark.parametrize("shape", [(7, 12), (7, 3, 12), (4, 10, 6)],
+                             ids=["1-D", "3 blocks", "10 blocks"])
+    def test_matches_direct_evaluation(self, shape):
+        # 21 pairs, a multiple of neither the 8-row chunk nor its 2 pairs of
+        # 3 blocks; 10 blocks exceed a chunk, so those go one pair at a time.
+        rng = np.random.default_rng(sum(shape))
+        members = random_unimodular(rng, int(np.prod(shape))).reshape(shape)
+        rho = xcorr_matrix(members, 64)
+        for i in range(shape[0]):
+            for j in range(i + 1, shape[0]):
+                assert rho[i, j] == pytest.approx(xcorr_oracle(members[i], members[j], 64),
+                                                  abs=1e-12)
+
+    def test_symmetric_with_zero_diagonal(self):
+        members = random_unimodular(np.random.default_rng(12), 9 * 12).reshape(9, 12)
+        rho = xcorr_matrix(members)
+        assert np.array_equal(rho, rho.T)
+        assert np.array_equal(np.diag(rho), np.zeros(9))
+
+    def test_peak_xcorr_is_one_entry(self):
+        members = random_unimodular(np.random.default_rng(14), 5 * 12).reshape(5, 12)
+        rho = xcorr_matrix(members)
+        assert peak_xcorr(members[1], members[3]) == pytest.approx(rho[1, 3], abs=1e-15)
+
+    @pytest.mark.parametrize("members", [np.ones(4), np.ones((2, 0)), np.ones((2, 1, 1, 3))])
+    def test_shape_validation(self, members):
+        with pytest.raises(ValueError):
+            xcorr_matrix(members)
+
+    def test_non_finite_rejected(self):
+        members = np.ones((3, 4), dtype=complex)
+        members[1, 2] = np.nan
+        with pytest.raises(ValueError):
+            xcorr_matrix(members)
 
 
 class TestFractionalXcorr:

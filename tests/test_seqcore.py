@@ -5,7 +5,6 @@ from hypothesis.extra.numpy import arrays
 
 from csinterlace import seqcore
 from csinterlace.seqcore import (
-    apac,
     apac_vector,
     convolve,
     cyclic_modulate,
@@ -20,8 +19,9 @@ from csinterlace.seqcore import (
     upsample,
 )
 
-from helpers import poly_eval, random_unimodular, unit_circle_points
+from helpers import apac, poly_eval, random_unimodular, unit_circle_points
 
+QUATERNARY = np.array([1.0, -1.0, 1.0j, -1.0j])
 PLUS_PLUS = parse_quaternary("++")
 PLUS_MINUS = parse_quaternary("+-")
 
@@ -53,7 +53,7 @@ class TestApac:
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
-            apac([], 0)
+            apac_vector([])
 
     @given(complex_sequences, st.integers(min_value=-20, max_value=20))
     def test_conjugate_symmetry(self, seq, k):
@@ -68,6 +68,33 @@ class TestApac:
     def test_lag_zero_is_energy(self):
         seq = np.array([1.0, 2.0j, -3.0])
         assert apac(seq, 0) == pytest.approx(14.0)
+
+
+class TestApacVector:
+    @pytest.mark.parametrize("length", [1, 2, 12, 64, 65])
+    def test_equals_explicit_loop_on_quaternary(self, length):
+        rng = np.random.default_rng(length)
+        seq = QUATERNARY[rng.integers(4, size=length)]
+        expected = np.array([apac(seq, k) for k in range(length)])
+        assert np.array_equal(apac_vector(seq), expected)
+
+    def test_matches_explicit_loop_on_unimodular(self):
+        rng = np.random.default_rng(13)
+        for length in (3, 12, 40, 100):
+            seq = random_unimodular(rng, length)
+            expected = np.array([apac(seq, k) for k in range(length)])
+            assert np.max(np.abs(apac_vector(seq) - expected)) < 1e-12
+
+    def test_float_is_gcp_decisions(self, reference_pairs):
+        # A rotated reference pair goes through the float path of is_gcp;
+        # a 1e-11 error stays within its 1e-9 tolerance and 1e-7 does not.
+        pair = reference_pairs[0]
+        a = pair.a * np.exp(0.3j)
+        b = pair.b * np.exp(-1.1j)
+        for delta, accepted in ((1e-11, True), (1e-7, False)):
+            bent = a.copy()
+            bent[4] += delta
+            assert is_gcp(bent, b, tol=1e-9) is accepted
 
 
 class TestIsGcp:
@@ -233,6 +260,12 @@ class TestSerialization:
     def test_bad_symbol(self):
         with pytest.raises(ValueError):
             parse_quaternary("+x")
+
+    @pytest.mark.parametrize("value", [["+", "-"], {"+": 0}, 12])
+    def test_parse_rejects_non_strings(self, value):
+        # Only a string formats back to itself, which the cache loader relies on.
+        with pytest.raises(TypeError):
+            parse_quaternary(value)
 
     def test_json_roundtrip(self):
         seq = np.array([1.5 - 2j, 0.25j])

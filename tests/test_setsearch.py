@@ -3,8 +3,12 @@ import pytest
 
 from csinterlace.fixtures import reference_set_params
 from csinterlace.golay import GolayPair
-from csinterlace.metrics import fractional_xcorr_max
-from csinterlace.setsearch import SequenceSetPair, build_sets, verify_sets
+from csinterlace.metrics import fractional_xcorr_max, xcorr_matrix
+from csinterlace.setsearch import SequenceSetPair, _continuous_bound, build_sets, verify_sets
+
+from helpers import random_unimodular
+
+DENSE_N_IDFT = 12 * 1024  # 1,024 points per integer shift of a length-12 member
 
 
 class TestBuildSets:
@@ -55,13 +59,40 @@ class TestBuildSets:
 
 class TestVerifySets:
     def test_reference_fixture_verifies(self, reference_pairs):
+        # The fixture claims beta = 0.715 at u = 128; its grid maximum there
+        # is 0.7143984, and the continuous bound 0.7144888 stays below beta,
+        # so the claim holds for every shift.
         beta, u = reference_set_params()
         sets = SequenceSetPair(tuple(reference_pairs), beta, u)
         report = verify_sets(sets)
-        assert report.ok
+        assert report.ok, report.violations
         assert report.size == 30
         assert report.max_xcorr_first <= beta
         assert report.max_xcorr_second <= beta
+        for members in (sets.first_members, sets.second_members):
+            assert xcorr_matrix(members, DENSE_N_IDFT).max() <= beta
+
+    def test_false_grid_certificate_refused(self, reference_pairs):
+        # On the u = 16 grid the fixture peaks at 0.7141007 < 0.7142, but
+        # between the grid points it reaches 0.7143984.
+        sets = SequenceSetPair(tuple(reference_pairs), 0.7142, 16)
+        report = verify_sets(sets)
+        assert max(report.max_xcorr_first, report.max_xcorr_second) <= 0.7142
+        assert xcorr_matrix(sets.first_members, DENSE_N_IDFT).max() > 0.7142
+        assert not report.ok
+        assert any("between its points" in v for v in report.violations)
+
+    @pytest.mark.parametrize("u", [1, 2, 4, 16])
+    def test_continuous_bound_holds_between_grid_points(self, u):
+        rng = np.random.default_rng(u)
+        for length in (5, 12):
+            members = random_unimodular(rng, 6 * length).reshape(6, length)
+            dense = xcorr_matrix(members, 1024 * length)
+            for i in range(6):
+                for j in range(i + 1, 6):
+                    grid = fractional_xcorr_max(members[i], members[j], u)
+                    bound = _continuous_bound(grid, members[i], members[j], u)
+                    assert grid - 1e-12 <= dense[i, j] <= bound + 1e-12
 
     def test_reference_fixture_at_finer_grid(self, reference_pairs):
         beta, _ = reference_set_params()
