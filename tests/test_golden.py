@@ -1,5 +1,6 @@
 """Golden outputs: the pipelines' bytes against the SHA-256 digests that
-``perfbench/expected.json`` records for the benchmark, and the RNG-stream
+``perfbench/expected.json`` records for the benchmark, the bytes of
+``build-interlace`` and ``eval-papr`` for every scheme, and the RNG-stream
 digests of small link-simulation reports.
 
 The pinned sim digests hold only where numpy selects the same SIMD kernels.
@@ -55,3 +56,47 @@ def test_sim_report_matches_rng_stream_digest(sim_gate_reports, key, tmp_path):
     out = tmp_path / "report.csv"
     report.write_csv(out)
     assert sha256(out.read_bytes() + report.threshold.hex().encode()) == SIM_DIGESTS[key]
+
+
+# sha256 of the stdout of ``build-interlace`` with these arguments.
+BUILD_INTERLACE_DIGESTS = {
+    ("--scheme", "noncoherent", "--seq-index", "7"):
+        "f5deef0ef95f7075491ef9c483e7e700757395fc5809d1d1ef28a33e46338823",
+    ("--scheme", "noncoherent-adjacent", "--seq-index", "7"):
+        "bd3976c873da68df6478cc6c1c42f93c12127f553d6a9e27e62f083e0e152b04",
+    ("--scheme", "coherent", "--seq-index", "0"):
+        "e5acd1f31e0f6b4821d7f05a7adfaf763ee24ba7346f05e76489b0d36e459563",
+    ("--scheme", "cycling", "--seq-index", "7"):
+        "c6fd2c377c4eaf1fa586ee112f8dc14e1321a99a2a5525982ea6a7a4810ff5fb",
+    ("--scheme", "zc", "--seq-index", "7"):
+        "9e2ecaffadf45a46a52b12c0383aa7848cc230185edbdb8a0f467a9235d16401",
+    ("--shift", "0.5"): "3341949baa578a440cd5fdece3338cb214994a35eb2f46a0785b7f9c60328efa",
+    ("--scheme", "coherent", "--bits", "2", "--value", "3"):
+        "0b22192ed2cd593a3e259a77ad66fe2eb83cb4ea9b85645a0271f8719f3bbcc6",
+    ("--scheme", "noncoherent-adjacent", "--nnull", "0", "--shift", "3"):
+        "e06d24b0a2dcb39cde962ca6ae08bb0d9687befea3c54486af1c77ccff7ceeea",
+}
+
+
+@pytest.mark.parametrize("args", list(BUILD_INTERLACE_DIGESTS), ids=" ".join)
+def test_build_interlace_matches_pinned_digest(args):
+    result = CliRunner().invoke(main, ["build-interlace", *args])
+    assert result.exit_code == 0, result.output
+    assert sha256(result.stdout.encode()) == BUILD_INTERLACE_DIGESTS[args]
+
+
+# sha256 of the ``eval-papr --nnull 40 --n-idft 2048`` CSV: off the fixture
+# geometry and FFT size, where the ZC set is ranked at 2,048 points.
+EVAL_PAPR_DIGESTS = {
+    "all": "4aa6daed6cf181837624aed7825a144dec543b2cf7ba41b4f550d2a547be518c",
+    "zc": "0ec8ca870558b05b9b5149f29b03db167d0f4ecc2c33364d6fe6410dd1fb3112",
+}
+
+
+@pytest.mark.parametrize("scheme", list(EVAL_PAPR_DIGESTS))
+def test_eval_papr_matches_pinned_digest(scheme, tmp_path):
+    out = tmp_path / "papr.csv"
+    result = CliRunner().invoke(main, ["eval-papr", "--scheme", scheme, "--nnull", "40",
+                                       "--n-idft", "2048", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert sha256(out.read_bytes()) == EVAL_PAPR_DIGESTS[scheme]
