@@ -9,7 +9,7 @@ PAPR / cubic-metric / cross-correlation / detection-error performance.
 __version__ = "0.1.0"
 
 from .golay import ConstructionParams, GolayPair, combine_gcps, enumerate_gcps
-from .interlace import InterlaceConfig, SparseSpectrum, UciPayload
+from .interlace import InterlaceConfig, SparseSpectrum
 from .linksim import SimConfig, SimReport, run_sim
 from .metrics import cm_db, papr_db, peak_xcorr, synthesize
 from .setsearch import SequenceSetPair, build_sets, verify_sets
@@ -22,7 +22,6 @@ __all__ = [
     "enumerate_gcps",
     "InterlaceConfig",
     "SparseSpectrum",
-    "UciPayload",
     "SimConfig",
     "SimReport",
     "run_sim",

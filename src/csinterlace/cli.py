@@ -7,6 +7,10 @@ digests of its input files, so equal manifests imply byte-identical
 outputs.  Numeric CSV fields are printed with 9 significant digits for
 stable diffs.
 
+``build-interlace``, the ``eval-papr``/``eval-cm`` sweeps and ``reproduce
+papr|cm`` read their schemes from :data:`csinterlace.interlace.SCHEMES`:
+its members, resources and builders, and which schemes are proposed.
+
 ``reproduce <figure>`` is a lookup in :data:`FIGURES`, which maps each
 figure to a producer and a tuple of checks.  The producer writes the
 figure's files and returns their data (sweep rows, cross-correlation
@@ -18,32 +22,25 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
 import numpy as np
 
 from . import __version__
-from .fixtures import (
-    load_coherent_example,
-    load_noncoherent_spread,
-    load_reference_pairs,
-    reference_set_params,
-)
+from .fixtures import load_reference_pairs, reference_set_params
 from .golay import GolayPair, cached_enumerate_gcps, enumerate_gcps, library_payload
 from .interlace import (
+    PILOT_PHASE,
+    SCHEMES,
     InterlaceConfig,
-    QPSK_PHASES,
-    SparseSpectrum,
-    UciPayload,
-    build_coherent,
-    build_noncoherent,
-    build_noncoherent_adjacent,
-    cycling_baseline,
+    payload_phase,
     rb_values,
     zadoff_chu_set,
 )
-from .linksim import SimConfig, run_sim
+from .linksim import CHANNELS, SimConfig, run_sim
+from .linksim import SCHEMES as SIM_SCHEMES
 from .metrics import ccdf, cm_db, papr_db, synthesize, xcorr_matrix
 from .seqcore import sequence_from_json
 
@@ -86,22 +83,14 @@ def _geometry_options(command):
     return command
 
 
-def _build_spectrum(
-    scheme: str, cfg: InterlaceConfig, seq_index: int, shift: float, bits: int, value: int
-) -> SparseSpectrum:
-    pairs = load_reference_pairs()
-    pair = pairs[seq_index % len(pairs)]
-    if scheme == "noncoherent":
-        return build_noncoherent(cfg, load_noncoherent_spread(), pair, shift)
-    if scheme == "noncoherent-adjacent":
-        return build_noncoherent_adjacent(cfg, load_noncoherent_spread(), pair, shift)
-    if scheme == "coherent":
-        spread, half = load_coherent_example()
-        payload = UciPayload("coherent", bits, value)
-        return build_coherent(cfg, spread, half, payload.phases())
-    if scheme == "cycling":
-        return cycling_baseline(cfg, pair.a)
-    return zadoff_chu_set(cfg, 30)[seq_index % 30]
+@contextmanager
+def _refuse_bad_input():
+    """Report a ValueError from the library's validation of the command's
+    parameters as a click error rather than a traceback."""
+    try:
+        yield
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from None
 
 
 @click.group()
@@ -111,18 +100,25 @@ def main():
 
 
 @main.command("build-interlace")
-@click.option("--scheme", default="noncoherent",
-              type=click.Choice(["noncoherent", "noncoherent-adjacent", "coherent", "cycling", "zc"]))
+@click.option("--scheme", default="noncoherent", type=click.Choice(list(SCHEMES)))
 @_geometry_options
-@click.option("--seq-index", default=0, show_default=True)
-@click.option("--shift", default=0.0, show_default=True, help="Cyclic-shift resource (non-coherent).")
-@click.option("--bits", default=1, show_default=True)
-@click.option("--value", default=0, show_default=True, help="Payload value (coherent).")
+@click.option("--seq-index", default=0, show_default=True, help="Member of the scheme.")
+@click.option("--shift", default=0.0, show_default=True,
+              help="Cyclic shift; read by noncoherent and noncoherent-adjacent.")
+@click.option("--bits", default=1, show_default=True, help="Payload bits (1, 2); read by coherent.")
+@click.option("--value", default=0, show_default=True, help="Payload value; read by coherent.")
 @click.option("--out", type=click.Path(path_type=Path), default=None)
 def build_interlace(scheme, nrb, nsc, nnull, seq_index, shift, bits, value, out):
     """Emit one frequency-domain interlace as JSON."""
-    cfg = InterlaceConfig(nrb, nsc, nnull)
-    spectrum = _build_spectrum(scheme, cfg, seq_index, shift, bits, value)
+    entry = SCHEMES[scheme]
+    with _refuse_bad_input():
+        cfg = InterlaceConfig(nrb, nsc, nnull)
+        members = entry.members(cfg, DEFAULT_N_IDFT)
+        if not 0 <= seq_index < len(members):
+            raise click.BadParameter(f"{seq_index} is outside [0, {len(members)}) for {scheme}",
+                                     param_hint="'--seq-index'")
+        resource = (PILOT_PHASE, payload_phase(bits, value)) if entry.pilot_tones else shift
+        spectrum = entry.build(cfg, members[seq_index], resource)
     payload = json.dumps(spectrum.to_json_dict(), sort_keys=True)
     if out is None:
         click.echo(payload)
@@ -131,39 +127,18 @@ def build_interlace(scheme, nrb, nsc, nnull, seq_index, shift, bits, value, out)
         _write_manifest(out, [out])
 
 
-_SWEEP_SCHEMES = ("noncoherent", "noncoherent-adjacent", "coherent", "cycling", "zc")
-_PROPOSED_SCHEMES = ("noncoherent", "noncoherent-adjacent", "coherent")
 _SWEEP_HEADER = ["scheme", "seq_index", "selector", "papr_db", "cm_db"]
 
 
-def _sweep_spectra(cfg: InterlaceConfig, scheme: str, n_idft: int):
-    """Yield ``(seq_index, selector, spectrum)`` for every waveform of ``scheme``."""
-    pairs = load_reference_pairs()
-    if scheme in ("noncoherent", "noncoherent-adjacent"):
-        build = build_noncoherent if scheme == "noncoherent" else build_noncoherent_adjacent
-        spread = load_noncoherent_spread()
-        for i, pair in enumerate(pairs):
-            for shift in range(cfg.n_sc):
-                yield i, f"shift={shift}", build(cfg, spread, pair, shift)
-    elif scheme == "coherent":
-        spread, half = load_coherent_example()
-        for w1_idx, w1 in enumerate(QPSK_PHASES):
-            for w2_idx, w2 in enumerate(QPSK_PHASES):
-                yield 0, f"phases={w1_idx}{w2_idx}", build_coherent(cfg, spread, half, (w1, w2))
-    elif scheme == "cycling":
-        for i, pair in enumerate(pairs):
-            yield i, "", cycling_baseline(cfg, pair.a)
-    else:
-        for i, spectrum in enumerate(zadoff_chu_set(cfg, 30, n_idft)):
-            yield i, "", spectrum
-
-
-def _metric_sweep(cfg: InterlaceConfig, schemes: tuple[str, ...], n_idft: int) -> list[tuple]:
+def _metric_sweep(cfg: InterlaceConfig, schemes, n_idft: int) -> list[tuple]:
     rows = []
-    for scheme in schemes:
-        for index, selector, spectrum in _sweep_spectra(cfg, scheme, n_idft):
-            wave = synthesize(spectrum, n_idft)
-            rows.append((scheme, index, selector, papr_db(wave), cm_db(wave)))
+    for name in schemes:
+        scheme = SCHEMES[name]
+        resources = scheme.resources(cfg)
+        for index, member in enumerate(scheme.members(cfg, n_idft)):
+            for selector, resource in resources:
+                wave = synthesize(scheme.build(cfg, member, resource), n_idft)
+                rows.append((name, index, selector, papr_db(wave), cm_db(wave)))
     return rows
 
 
@@ -171,14 +146,14 @@ def _sweep_command(name: str, column: int, label: str, doc: str) -> None:
     """Register ``name`` as a sweep command echoing the worst ``label``."""
 
     @main.command(name, help=doc)
-    @click.option("--scheme", default="all",
-                  type=click.Choice(("all",) + _SWEEP_SCHEMES))
+    @click.option("--scheme", default="all", type=click.Choice(["all", *SCHEMES]))
     @_geometry_options
     @click.option("--n-idft", default=DEFAULT_N_IDFT, show_default=True)
     @click.option("--out", type=click.Path(path_type=Path), required=True)
     def command(scheme, nrb, nsc, nnull, n_idft, out):
-        schemes = _SWEEP_SCHEMES if scheme == "all" else (scheme,)
-        rows = _metric_sweep(InterlaceConfig(nrb, nsc, nnull), schemes, n_idft)
+        schemes = SCHEMES if scheme == "all" else (scheme,)
+        with _refuse_bad_input():
+            rows = _metric_sweep(InterlaceConfig(nrb, nsc, nnull), schemes, n_idft)
         _write_csv(out, _SWEEP_HEADER, rows)
         _write_manifest(out, [out])
         worst = max(r[column] for r in rows)
@@ -213,18 +188,24 @@ def _read_sequences(path: Path) -> list[np.ndarray]:
     return sequences
 
 
+# ``eval-xcorr --set``: the first or second members of the reference pairs,
+# or the ZC set as per-block slices, since the cross-correlation that
+# matters for interference is block by block and every ZC block differs.
+_XCORR_SETS = {
+    "reference-c": lambda cfg: [p.a for p in load_reference_pairs()],
+    "reference-d": lambda cfg: [p.b for p in load_reference_pairs()],
+    "zc": lambda cfg: [rb_values(s, cfg) for s in zadoff_chu_set(cfg, 30)],
+}
+
+
 def _xcorr_members(which: str, cfg: InterlaceConfig, seq_file: Path | None):
-    if seq_file is not None:
-        members = _read_sequences(seq_file)
-        if len(members) < 2:
-            raise click.ClickException(
-                f"{seq_file}: need at least two sequences to correlate, found {len(members)}")
-        return members
-    if which == "zc":
-        # Per-block slices: cross-correlation that matters for interference
-        # is block-by-block, and for this scheme every block differs.
-        return [rb_values(s, cfg) for s in zadoff_chu_set(cfg, 30)]
-    return [p.a if which == "reference-c" else p.b for p in load_reference_pairs()]
+    if seq_file is None:
+        return _XCORR_SETS[which](cfg)
+    members = _read_sequences(seq_file)
+    if len(members) < 2:
+        raise click.ClickException(
+            f"{seq_file}: need at least two sequences to correlate, found {len(members)}")
+    return members
 
 
 def _write_xcorr(members, n_idft: int, out: Path, ccdf_out: Path | None) -> float:
@@ -245,8 +226,7 @@ def _write_xcorr(members, n_idft: int, out: Path, ccdf_out: Path | None) -> floa
 
 
 @main.command("eval-xcorr")
-@click.option("--set", "which", default="reference-c",
-              type=click.Choice(["reference-c", "reference-d", "zc"]))
+@click.option("--set", "which", default="reference-c", type=click.Choice(list(_XCORR_SETS)))
 @click.option("--seq-file", type=click.Path(path_type=Path, exists=True), default=None,
               help="JSON file with a 'sequences' list; overrides --set.")
 @_geometry_options
@@ -255,8 +235,9 @@ def _write_xcorr(members, n_idft: int, out: Path, ccdf_out: Path | None) -> floa
 @click.option("--ccdf-out", type=click.Path(path_type=Path), default=None)
 def eval_xcorr(which, seq_file, nrb, nsc, nnull, n_idft, out, ccdf_out):
     """Pairwise peak cross-correlation matrix and optional CCDF."""
-    members = _xcorr_members(which, InterlaceConfig(nrb, nsc, nnull), seq_file)
-    rho = _write_xcorr(members, n_idft, out, ccdf_out)
+    with _refuse_bad_input():
+        members = _xcorr_members(which, InterlaceConfig(nrb, nsc, nnull), seq_file)
+        rho = _write_xcorr(members, n_idft, out, ccdf_out)
     _write_manifest(out, [out, ccdf_out], [seq_file])
     n = len(members)
     click.echo(f"max rho {rho:.6f} over {n * (n - 1)} ordered pairs")
@@ -326,10 +307,8 @@ def search_sets(beta, u, k_target, length, seed_file, cache_dir, out):
 
 
 @main.command("simulate-link")
-@click.option("--scheme", default="noncoherent",
-              type=click.Choice(["noncoherent", "coherent", "single-rb-noncoherent",
-                                 "single-rb-coherent"]))
-@click.option("--channel", default="iid_per_rb", type=click.Choice(["flat", "iid_per_rb"]))
+@click.option("--scheme", default="noncoherent", type=click.Choice(SIM_SCHEMES))
+@click.option("--channel", default="iid_per_rb", type=click.Choice(CHANNELS))
 @click.option("--snr-from", default=-10.0, show_default=True)
 @click.option("--snr-to", default=10.0, show_default=True)
 @click.option("--snr-step", default=2.0, show_default=True)
@@ -343,13 +322,11 @@ def simulate_link(scheme, channel, snr_from, snr_to, snr_step, trials,
                   calibration_trials, seed, energy_norm, out):
     """Monte-Carlo DTX/ACK/NACK detection rates over an SNR grid."""
     grid = tuple(np.arange(snr_from, snr_to + snr_step / 2, snr_step).tolist())
-    try:
+    with _refuse_bad_input():
         cfg = SimConfig(
             scheme=scheme, channel=channel, snr_grid_db=grid, n_trials=trials,
             calibration_trials=calibration_trials, rng_seed=seed, energy_norm=energy_norm,
         )
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
     report = run_sim(cfg)
     report.write_csv(out)
     _write_manifest(out, [out])
@@ -385,11 +362,11 @@ def import_sequences(path, out):
 
 
 def _produce_sweep(figure: str, out_dir: Path, trials: int, seed: int) -> list[tuple]:
-    rows = _metric_sweep(InterlaceConfig(10, 12, 108), _SWEEP_SCHEMES, DEFAULT_N_IDFT)
+    rows = _metric_sweep(InterlaceConfig(10, 12, 108), SCHEMES, DEFAULT_N_IDFT)
     out = out_dir / f"{figure}.csv"
     _write_csv(out, _SWEEP_HEADER, rows)
     _write_manifest(out, [out])
-    proposed = [r[3] for r in rows if r[0] in _PROPOSED_SCHEMES]
+    proposed = [r[3] for r in rows if SCHEMES[r[0]].proposed]
     click.echo(f"max proposed PAPR {max(proposed):.6f} dB over {len(proposed)} waveforms")
     return rows
 
@@ -397,7 +374,7 @@ def _produce_sweep(figure: str, out_dir: Path, trials: int, seed: int) -> list[t
 def _produce_xcorr(figure: str, out_dir: Path, trials: int, seed: int) -> dict[str, float]:
     cfg = InterlaceConfig(10, 12, 108)
     maxima = {}
-    for which in ("reference-c", "reference-d", "zc"):
+    for which in _XCORR_SETS:
         out = out_dir / f"xcorr_{which}.csv"
         ccdf_out = out_dir / f"xcorr_{which}_ccdf.csv"
         maxima[which] = _write_xcorr(_xcorr_members(which, cfg, None), DEFAULT_N_IDFT,
@@ -426,13 +403,13 @@ def _produce_sim(figure: str, out_dir: Path, trials: int, seed: int) -> list:
 
 
 def _check_papr_bound(rows):
-    worst = max(r[3] for r in rows if r[0] in _PROPOSED_SCHEMES)
+    worst = max(r[3] for r in rows if SCHEMES[r[0]].proposed)
     if worst > PAPR_BOUND_DB + 1e-6:
         yield f"proposed max PAPR {worst:.6f} dB exceeds the 3 dB bound"
 
 
 def _check_cm_below_cycling(rows):
-    worst = max(r[4] for r in rows if r[0] in _PROPOSED_SCHEMES)
+    worst = max(r[4] for r in rows if SCHEMES[r[0]].proposed)
     cycling = max(r[4] for r in rows if r[0] == "cycling")
     if worst >= cycling:
         yield f"proposed CM {worst:.3f} dB is not below cycling {cycling:.3f} dB"

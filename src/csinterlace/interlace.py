@@ -1,4 +1,4 @@
-"""Frequency-domain interlace builders.
+"""Frequency-domain interlace builders and the table of schemes.
 
 An interlace is ``n_rb`` resource blocks of ``n_sc`` tones separated by
 ``n_null`` empty tones.  The non-coherent builder spreads a per-block pair
@@ -7,14 +7,23 @@ coherent builder interleaves two half-block sequences inside every block so
 that fixing one phase coefficient leaves built-in reference tones.  Both are
 instances of the generalized pair construction in :mod:`csinterlace.golay`,
 so every output waveform inherits the 3 dB peak-power bound.
+
+:data:`SCHEMES` maps the name of each scheme (the two constructions, the
+adjacent variant, and the cycling and Zadoff-Chu baselines) to a
+:class:`Scheme`, which the command line and the link simulator read
+rather than branching on names.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import partial
+from typing import Any
 
 import numpy as np
 
+from .fixtures import load_coherent_example, load_noncoherent_spread, load_reference_pairs
 from .golay import ConstructionParams, GolayPair, combine_gcps
 from .seqcore import as_sequence, cyclic_modulate
 
@@ -22,10 +31,6 @@ from .seqcore import as_sequence, cyclic_modulate
 QPSK_PHASES = np.exp(1j * np.pi * np.array([1, 3, -1, -3]) / 4)
 
 PILOT_PHASE = complex(QPSK_PHASES[0])
-
-# Cyclic-shift payload maps: maximal separation inside a user's shift block.
-SHIFT_MAP_1BIT = (0, 6)
-SHIFT_MAP_2BIT = (0, 3, 6, 9)
 
 
 @dataclass(frozen=True)
@@ -131,43 +136,15 @@ def rb_values(spectrum: SparseSpectrum, cfg: InterlaceConfig) -> np.ndarray:
     return spectrum.values.reshape(cfg.n_rb, cfg.n_sc)
 
 
-@dataclass(frozen=True)
-class UciPayload:
-    """Control payload: 1 or 2 information bits plus the user resource.
-
-    Non-coherent transport maps bits to a cyclic shift inside the user's
-    block of shift resources; coherent transport maps them to the data
-    phase coefficient while the pilot coefficient stays fixed.
-    """
-
-    scheme: str
-    bits: int
-    value: int = 0
-    user_shift: int = 0
-
-    def __post_init__(self):
-        if self.scheme not in ("noncoherent", "coherent"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.bits not in (1, 2):
-            raise ValueError("payload carries 1 or 2 bits")
-        if not 0 <= self.value < 2**self.bits:
-            raise ValueError("payload value out of range for bit count")
-
-    def shift(self, n_sc: int = 12) -> int:
-        if self.scheme != "noncoherent":
-            raise ValueError("cyclic shifts apply to the non-coherent scheme")
-        table = SHIFT_MAP_1BIT if self.bits == 1 else SHIFT_MAP_2BIT
-        return (self.user_shift + table[self.value]) % n_sc
-
-    def phases(self) -> tuple[complex, complex]:
-        if self.scheme != "coherent":
-            raise ValueError("phase pairs apply to the coherent scheme")
-        if self.bits == 1:
-            # antipodal points of the alphabet for maximum distance
-            data = complex(QPSK_PHASES[0]) if self.value == 0 else complex(QPSK_PHASES[3])
-        else:
-            data = complex(QPSK_PHASES[self.value])
-        return PILOT_PHASE, data
+def payload_phase(bits: int, value: int) -> complex:
+    """Data phase of a coherent 1- or 2-bit payload; the pilot coefficient
+    stays :data:`PILOT_PHASE`.  One bit takes antipodal points of the
+    alphabet, for maximum distance."""
+    if bits not in (1, 2):
+        raise ValueError("payload carries 1 or 2 bits")
+    if not 0 <= value < 2**bits:
+        raise ValueError("payload value out of range for bit count")
+    return complex(QPSK_PHASES[(0, 3)[value] if bits == 1 else value])
 
 
 def _spectrum_from_pair(pair: GolayPair, cfg: InterlaceConfig) -> SparseSpectrum:
@@ -177,12 +154,9 @@ def _spectrum_from_pair(pair: GolayPair, cfg: InterlaceConfig) -> SparseSpectrum
             f"construction length {coeff.size} does not match grid {cfg.grid_size}"
         )
     support = cfg.support()
-    dense = np.zeros(cfg.grid_size, dtype=complex)
-    dense[: coeff.size] = coeff
-    off_support = np.delete(dense, support)
-    if np.max(np.abs(off_support), initial=0.0) != 0.0:
+    if np.max(np.abs(np.delete(coeff, support)), initial=0.0) != 0.0:
         raise ValueError("construction spilled energy outside the interlace support")
-    return SparseSpectrum(support, dense[support], cfg.grid_size)
+    return SparseSpectrum(support, coeff[support], cfg.grid_size)
 
 
 def noncoherent_pair(
@@ -194,17 +168,20 @@ def noncoherent_pair(
 ) -> GolayPair:
     """Full construction output for the non-coherent interlace.
 
-    The first member is the transmitted spectrum's coefficient sequence;
-    the second is its complementary mate (useful for asserting the pair
-    property).  ``delta`` cyclically modulates both block sequences, which
-    preserves complementarity, so every shift resource keeps the bound.
+    Half the blocks carry the first block sequence and the other half the
+    second, phase-rotated per the spreading pair elements; with
+    ``adjacent`` the two alternate on adjacent blocks.  The first member is
+    the transmitted spectrum's coefficient sequence; the second is its
+    complementary mate (useful for asserting the pair property).
+    ``delta`` cyclically modulates both block sequences, which preserves
+    complementarity, so every shift resource keeps the bound.
     """
     if cfg.n_rb % 2 != 0:
         raise ValueError("non-coherent scheme needs an even block count")
     if spread.length != cfg.n_rb // 2:
-        raise ValueError(f"spreading pair must have length {cfg.n_rb // 2}")
+        raise ValueError(f"spreading pair of length {spread.length} needs {2 * spread.length} RBs")
     if rb_pair.length != cfg.n_sc:
-        raise ValueError(f"block pair must have length {cfg.n_sc}")
+        raise ValueError(f"block pair of length {rb_pair.length} needs as many tones per RB")
     # Modulation keeps the pair complementary; the phasor table is float,
     # so any nonzero shift certifies on the float tolerance path.
     shifted = GolayPair.certify(
@@ -213,41 +190,11 @@ def noncoherent_pair(
         tol=0.0 if float(delta) == 0.0 else 1e-9,
     )
     spacing = cfg.rb_spacing
-    if adjacent:
-        params = ConstructionParams(
-            phase1=PILOT_PHASE, phase2=PILOT_PHASE,
-            step1=2 * spacing, step2=1, offset=spacing,
-        )
-    else:
-        params = ConstructionParams(
-            phase1=PILOT_PHASE, phase2=PILOT_PHASE,
-            step1=spacing, step2=1, offset=spacing * cfg.n_rb // 2,
-        )
-    return combine_gcps(spread, shifted, params)
-
-
-def build_noncoherent(
-    cfg: InterlaceConfig,
-    spread: GolayPair,
-    rb_pair: GolayPair,
-    delta: float = 0.0,
-) -> SparseSpectrum:
-    """Non-coherent interlace: half the blocks carry the first block
-    sequence, the other half the second, phase-rotated per the spreading
-    pair elements."""
-    return _spectrum_from_pair(noncoherent_pair(cfg, spread, rb_pair, delta), cfg)
-
-
-def build_noncoherent_adjacent(
-    cfg: InterlaceConfig,
-    spread: GolayPair,
-    rb_pair: GolayPair,
-    delta: float = 0.0,
-) -> SparseSpectrum:
-    """Variant with the two block sequences on alternating adjacent blocks."""
-    return _spectrum_from_pair(
-        noncoherent_pair(cfg, spread, rb_pair, delta, adjacent=True), cfg
+    step1, offset = (2 * spacing, spacing) if adjacent else (spacing, spacing * cfg.n_rb // 2)
+    params = ConstructionParams(
+        phase1=PILOT_PHASE, phase2=PILOT_PHASE, step1=step1, step2=1, offset=offset
     )
+    return combine_gcps(spread, shifted, params)
 
 
 def coherent_pair(
@@ -256,33 +203,24 @@ def coherent_pair(
     half_pair: GolayPair,
     phases: tuple[complex, complex],
 ) -> GolayPair:
-    """Construction output for the coherent interlace (see builder)."""
-    if cfg.n_sc % 2 != 0:
-        raise ValueError("coherent scheme needs an even block size")
-    if spread.length != cfg.n_rb:
-        raise ValueError(f"spreading pair must have length {cfg.n_rb}")
-    if half_pair.length != cfg.n_sc // 2:
-        raise ValueError(f"half-block pair must have length {cfg.n_sc // 2}")
-    phase1, phase2 = complex(phases[0]), complex(phases[1])
-    params = ConstructionParams(
-        phase1=phase1, phase2=phase2, step1=cfg.rb_spacing, step2=2, offset=1
-    )
-    return combine_gcps(spread, half_pair, params)
-
-
-def build_coherent(
-    cfg: InterlaceConfig,
-    spread: GolayPair,
-    half_pair: GolayPair,
-    phases: tuple[complex, complex],
-) -> SparseSpectrum:
-    """Coherent interlace with built-in reference tones.
+    """Construction output for the coherent interlace with built-in
+    reference tones.
 
     Within block r, even local tones carry phase1 * spread.a[r] * half.a and
     odd local tones carry phase2 * spread.b[r] * half.b; fixing phase1 makes
     the even tones known pilots while phase2 carries one data symbol.
     """
-    return _spectrum_from_pair(coherent_pair(cfg, spread, half_pair, phases), cfg)
+    if cfg.n_sc % 2 != 0:
+        raise ValueError("coherent scheme needs an even block size")
+    if spread.length != cfg.n_rb:
+        raise ValueError(f"spreading pair of length {spread.length} needs {spread.length} RBs")
+    if half_pair.length != cfg.n_sc // 2:
+        raise ValueError(f"half-block pair needs {2 * half_pair.length} tones per RB")
+    phase1, phase2 = complex(phases[0]), complex(phases[1])
+    params = ConstructionParams(
+        phase1=phase1, phase2=phase2, step1=cfg.rb_spacing, step2=2, offset=1
+    )
+    return combine_gcps(spread, half_pair, params)
 
 
 def zc_sequence(root: int, length: int = 113, total: int | None = None) -> np.ndarray:
@@ -319,8 +257,66 @@ def cycling_baseline(cfg: InterlaceConfig, base) -> SparseSpectrum:
     shifted in time by k (progressive per-block modulation)."""
     base = as_sequence(base)
     if base.size != cfg.n_sc:
-        raise ValueError(f"base sequence must have length {cfg.n_sc}")
+        raise ValueError(f"base sequence of length {base.size} needs {base.size} tones per RB")
     values = np.concatenate(
         [cyclic_modulate(base, k) for k in range(cfg.n_rb)]
     )
     return SparseSpectrum(cfg.support(), values, cfg.grid_size)
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """One scheme of :data:`SCHEMES`.
+
+    ``members(cfg, n_idft)``: the reference pairs, the coherent example as
+    one ``(spread, half-block pair)``, or the ZC spectra ranked by PAPR at
+    ``n_idft`` points.  ``build(cfg, member, resource)`` places a member on
+    the interlace with a cyclic shift, a (pilot, data) phase pair, or, for
+    a baseline, no resource.  ``resources(cfg)`` lists a sweep's ``(selector
+    label, resource)`` pairs.  ``one_bit`` holds the NACK and ACK shifts of
+    a one-bit payload or, with ``pilot_tones`` (pilots on the even local
+    tones), its data phases; it is empty for a scheme with no payload.
+    """
+
+    members: Callable[..., Sequence]
+    build: Callable[[InterlaceConfig, Any, Any], SparseSpectrum]
+    resources: Callable[[InterlaceConfig], list[tuple[str, Any]]]
+    proposed: bool
+    one_bit: tuple = ()
+    pilot_tones: bool = False
+
+
+def _reference_pairs(cfg: InterlaceConfig, n_idft: int = 4096):
+    return load_reference_pairs()
+
+
+def _shifts(cfg: InterlaceConfig):
+    return [(f"shift={shift}", shift) for shift in range(cfg.n_sc)]
+
+
+def _no_resource(cfg: InterlaceConfig):
+    return [("", None)]
+
+
+def _noncoherent(cfg: InterlaceConfig, pair: GolayPair, shift, adjacent: bool = False):
+    spread = load_noncoherent_spread()
+    return _spectrum_from_pair(noncoherent_pair(cfg, spread, pair, shift, adjacent), cfg)
+
+
+SCHEMES: dict[str, Scheme] = {
+    # One-bit shifts with maximal separation inside a block of twelve.
+    "noncoherent": Scheme(_reference_pairs, _noncoherent, _shifts, proposed=True, one_bit=(0, 6)),
+    "noncoherent-adjacent": Scheme(_reference_pairs, partial(_noncoherent, adjacent=True),
+                                   _shifts, proposed=True),
+    "coherent": Scheme(
+        lambda cfg, n_idft=4096: (load_coherent_example(),),
+        lambda cfg, example, phases: _spectrum_from_pair(coherent_pair(cfg, *example, phases), cfg),
+        lambda cfg: [(f"phases={i}{j}", (w1, w2)) for i, w1 in enumerate(QPSK_PHASES)
+                     for j, w2 in enumerate(QPSK_PHASES)],
+        proposed=True, one_bit=(PILOT_PHASE, -PILOT_PHASE), pilot_tones=True,
+    ),
+    "cycling": Scheme(_reference_pairs, lambda cfg, pair, _: cycling_baseline(cfg, pair.a),
+                      _no_resource, proposed=False),
+    "zc": Scheme(lambda cfg, n_idft=4096: zadoff_chu_set(cfg, 30, n_idft),
+                 lambda cfg, spectrum, _: spectrum, _no_resource, proposed=False),
+}

@@ -40,18 +40,15 @@ from typing import ClassVar
 
 import numpy as np
 
-from .fixtures import load_coherent_example, load_noncoherent_spread, load_reference_pairs
+from . import interlace
 from .golay import ConstructionParams, GolayPair, combine_gcps
-from .interlace import (
-    PILOT_PHASE,
-    InterlaceConfig,
-    SHIFT_MAP_1BIT,
-    build_coherent,
-    build_noncoherent,
-)
+from .interlace import PILOT_PHASE, InterlaceConfig
 from .seqcore import cyclic_modulate
 
-SCHEMES = ("noncoherent", "coherent", "single-rb-noncoherent", "single-rb-coherent")
+# The interlace schemes that carry a one-bit payload, each also sent on one
+# block of its member (the ``single-rb-`` forms).
+_INTERLACES = tuple(name for name, s in interlace.SCHEMES.items() if s.one_bit)
+SCHEMES = _INTERLACES + tuple(f"single-rb-{name}" for name in _INTERLACES)
 CHANNELS = ("flat", "iid_per_rb")
 
 # Outcome codes; NACK and ACK also index the detectors' score columns.
@@ -85,7 +82,6 @@ class SimConfig:
     rng_seed: int = 1
     calibration_trials: int = 100_000
     energy_norm: str = "equal_total"
-    seq_index: int = 0
     # The geometry of the shipped fixtures: ten blocks of twelve tones
     # spaced 120 apart.
     n_rb: ClassVar[int] = 10
@@ -205,35 +201,37 @@ class _SchemeSignals:
 
 
 def _build_signals(cfg: SimConfig) -> _SchemeSignals:
-    pairs = load_reference_pairs()
-    rb_pair = pairs[cfg.seq_index % len(pairs)]
+    """The NACK and ACK transmissions of member 0 of the scheme, and its
+    detector: the coherent one for a scheme with pilot tones."""
+    name = cfg.scheme.removeprefix("single-rb-")
+    single_rb = name != cfg.scheme
+    scheme = interlace.SCHEMES[name]
     geometry = InterlaceConfig(cfg.n_rb, cfg.n_sc, cfg.n_null)
-    shifts = SHIFT_MAP_1BIT  # payload values 0 and 1: NACK, ACK
+    member = scheme.members(geometry)[0]
     per_block = cfg.channel != "flat"
 
-    if cfg.scheme.endswith("noncoherent"):
-        if cfg.scheme == "noncoherent":
-            spread = load_noncoherent_spread()
-            tx = np.stack([build_noncoherent(geometry, spread, rb_pair, d).values for d in shifts])
+    if not scheme.pilot_tones:
+        if single_rb:
+            tx = np.stack([cyclic_modulate(member.a, d) for d in scheme.one_bit])
         else:
-            tx = np.stack([cyclic_modulate(rb_pair.a, d) for d in shifts])
+            tx = np.stack([scheme.build(geometry, member, d).values for d in scheme.one_bit])
         n_blocks = tx.shape[1] // cfg.n_sc
         templates = tx.reshape(2, n_blocks, cfg.n_sc)
         return _SchemeSignals(tx, n_blocks, _Noncoherent(templates, per_block))
 
-    spread, half = load_coherent_example()
-    if cfg.scheme == "coherent":
-        base = build_coherent(geometry, spread, half, (PILOT_PHASE, 1.0)).values
-    else:  # single-rb-coherent: one block of interleaved pilot/data tones
+    if single_rb:  # one block of interleaved pilot/data tones
+        _, half = member
         unit = GolayPair.certify([1.0], [1.0])
         params = ConstructionParams(
             phase1=PILOT_PHASE, phase2=1.0, step1=1, step2=2, offset=1
         )
         base = combine_gcps(unit, half, params).a
+    else:
+        base = scheme.build(geometry, member, (PILOT_PHASE, 1.0)).values
     # Pilots on the even tones of each block, data on the odd ones.
     pilot_idx, data_idx = np.arange(0, base.size, 2), np.arange(1, base.size, 2)
     n_blocks = base.size // cfg.n_sc
-    phases = np.array([PILOT_PHASE, -PILOT_PHASE])  # NACK, ACK
+    phases = np.array(scheme.one_bit)  # NACK, ACK
     tx = np.tile(base, (2, 1))
     tx[:, data_idx] *= phases[:, None]
     detector = _Coherent(pilot_idx, data_idx, base, phases, n_blocks, per_block)

@@ -1,0 +1,94 @@
+"""The public surface, pinned: ``csinterlace.__all__`` and the public names
+each module binds at its top level, so that every change to the API shows
+in the diff; and the command-line choices against the tables they read."""
+
+import ast
+import importlib
+
+import pytest
+
+import csinterlace
+from csinterlace import interlace, linksim
+from csinterlace.cli import main
+
+ALL = [
+    "__version__", "ConstructionParams", "GolayPair", "combine_gcps", "enumerate_gcps",
+    "InterlaceConfig", "SparseSpectrum", "SimConfig", "SimReport", "run_sim", "cm_db",
+    "papr_db", "peak_xcorr", "synthesize", "SequenceSetPair", "build_sets", "verify_sets",
+]
+
+PUBLIC = {
+    "seqcore": [
+        "QUATERNARY_SYMBOLS", "QUATERNARY_VALUES", "apac_vector", "as_sequence", "convolve",
+        "cyclic_modulate", "format_quaternary", "inner_product", "is_gcp", "is_quaternary",
+        "pad", "parse_quaternary", "reverse_conjugate", "sequence_from_json",
+        "sequence_to_json", "upsample",
+    ],
+    "golay": [
+        "CertificationError", "ConstructionParams", "FLOAT_GCP_TOL", "GolayPair",
+        "MAX_ENUMERATION_LENGTH", "cached_enumerate_gcps", "canonical_pair", "combine_gcps",
+        "enumerate_gcps", "equivalence_orbit", "is_complementary_sequence", "library_payload",
+    ],
+    "interlace": [
+        "InterlaceConfig", "PILOT_PHASE", "QPSK_PHASES", "SCHEMES", "Scheme",
+        "SparseSpectrum", "coherent_pair", "cycling_baseline", "is_valid_interlace",
+        "noncoherent_pair", "payload_phase", "rb_values", "zadoff_chu_set", "zc_sequence",
+    ],
+    "metrics": [
+        "CcdfCurve", "Waveform", "ccdf", "cm_db", "fractional_xcorr_max", "papr_db",
+        "peak_xcorr", "shift_matrix", "synthesize", "xcorr_matrix",
+    ],
+    "setsearch": ["AdmissionRecord", "SequenceSetPair", "VerifyReport", "build_sets",
+                  "verify_sets"],
+    "linksim": [
+        "CHANNELS", "CalibrationError", "PointStats", "SCHEMES", "SimConfig", "SimReport",
+        "calibrate_dtx_threshold", "run_sim", "validate_dtx_rate",
+    ],
+    "fixtures": ["load_coherent_example", "load_noncoherent_spread", "load_reference_pairs",
+                 "reference_set_params"],
+    "cli": [
+        "DEFAULT_N_IDFT", "FIGURES", "PAPR_BOUND_DB", "build_interlace", "enumerate_gcps_cmd",
+        "eval_xcorr", "import_sequences", "main", "reproduce", "search_sets", "simulate_link",
+    ],
+}
+
+
+def top_level_public_names(module) -> list[str]:
+    """Names a module's source binds at its top level (functions, classes,
+    assignments) that do not start with an underscore, sorted."""
+    names = []
+    for node in ast.parse(open(module.__file__).read()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return sorted(n for n in names if not n.startswith("_"))
+
+
+def test_package_all():
+    assert csinterlace.__all__ == ALL
+
+
+@pytest.mark.parametrize("name", list(PUBLIC))
+def test_module_public_names(name):
+    module = importlib.import_module(f"csinterlace.{name}")
+    assert top_level_public_names(module) == PUBLIC[name]
+
+
+def choices(command: str, option: str) -> list[str]:
+    param = next(p for p in main.commands[command].params if p.name == option)
+    return list(param.type.choices)
+
+
+def test_cli_choices_are_the_table_keys():
+    assert list(interlace.SCHEMES) == [
+        "noncoherent", "noncoherent-adjacent", "coherent", "cycling", "zc"]
+    assert choices("build-interlace", "scheme") == list(interlace.SCHEMES)
+    for command in ("eval-papr", "eval-cm"):
+        assert choices(command, "scheme") == ["all", *interlace.SCHEMES]
+    assert linksim.SCHEMES == (
+        "noncoherent", "coherent", "single-rb-noncoherent", "single-rb-coherent")
+    assert choices("simulate-link", "scheme") == list(linksim.SCHEMES)
+    assert choices("simulate-link", "channel") == list(linksim.CHANNELS)

@@ -47,6 +47,46 @@ class TestBuildInterlace:
         values = [complex(re, im) for _, (re, im) in payload["entries"]]
         assert np.allclose(np.abs(values), 1.0)
 
+    @pytest.mark.parametrize("args", [
+        ["--seq-index", "30"], ["--seq-index", "45"], ["--seq-index", "-1"],
+        ["--scheme", "coherent", "--seq-index", "1"], ["--scheme", "zc", "--seq-index", "30"],
+    ], ids=" ".join)
+    def test_seq_index_outside_members_is_a_usage_error(self, runner, tmp_path, args):
+        out = tmp_path / "interlace.json"
+        result = runner.invoke(main, ["build-interlace", *args, "--out", str(out)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert "Invalid value for '--seq-index'" in result.output
+        assert not out.exists()
+
+
+# Command lines whose parameters the library refuses, with the refusal.
+BAD_INPUT = [
+    (["build-interlace", "--nrb", "1"], "n_rb must be >= 2"),
+    (["build-interlace", "--nrb", "9"], "even block count"),
+    (["build-interlace", "--nrb", "8"], "spreading pair of length 5 needs 10 RBs"),
+    (["build-interlace", "--scheme", "coherent", "--nsc", "13"], "even block size"),
+    (["build-interlace", "--nsc", "8"], "block pair of length 12 needs as many tones per RB"),
+    (["build-interlace", "--scheme", "cycling", "--nsc", "8"], "needs 12 tones per RB"),
+    (["build-interlace", "--scheme", "zc", "--nrb", "8"], "120 occupied tones"),
+    (["eval-cm", "--scheme", "zc", "--nrb", "8"], "120 occupied tones"),
+    (["eval-xcorr", "--set", "zc", "--nrb", "8"], "120 occupied tones"),
+    (["build-interlace", "--scheme", "coherent", "--bits", "3"], "1 or 2 bits"),
+    (["build-interlace", "--scheme", "coherent", "--bits", "1", "--value", "2"], "out of range"),
+    (["eval-papr", "--n-idft", "1024"], "n_idft must cover the spectrum grid"),
+    (["eval-xcorr", "--n-idft", "8"], "n_idft must be at least the sequence length"),
+]
+
+
+@pytest.mark.parametrize("args, message", BAD_INPUT, ids=[" ".join(a) for a, _ in BAD_INPUT])
+def test_bad_input_is_a_click_error(runner, tmp_path, args, message):
+    out = tmp_path / "out"
+    result = runner.invoke(main, [*args, "--out", str(out)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+    assert "Error:" in result.output and message in result.output
+    assert not out.exists()
+
 
 class TestMetricSweeps:
     def test_eval_papr_coherent(self, runner, tmp_path):

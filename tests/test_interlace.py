@@ -3,18 +3,16 @@ import pytest
 
 from csinterlace.golay import GolayPair
 from csinterlace.interlace import (
+    SCHEMES,
     InterlaceConfig,
     PILOT_PHASE,
     QPSK_PHASES,
     SparseSpectrum,
-    UciPayload,
-    build_coherent,
-    build_noncoherent,
-    build_noncoherent_adjacent,
     coherent_pair,
     cycling_baseline,
     is_valid_interlace,
     noncoherent_pair,
+    payload_phase,
     rb_values,
     zadoff_chu_set,
     zc_sequence,
@@ -64,8 +62,8 @@ class TestSparseSpectrum:
 
 
 class TestNoncoherentBuilder:
-    def test_lte_support_and_bound(self, lte_config, noncoherent_spread, reference_pairs):
-        spectrum = build_noncoherent(lte_config, noncoherent_spread, reference_pairs[0], 0)
+    def test_lte_support_and_bound(self, lte_config, reference_pairs):
+        spectrum = SCHEMES["noncoherent"].build(lte_config, reference_pairs[0], 0)
         assert is_valid_interlace(spectrum, lte_config)
         assert spectrum.indices.size == 120
         assert papr_db(synthesize(spectrum, 4096)) <= PAPR_BOUND
@@ -74,20 +72,19 @@ class TestNoncoherentBuilder:
         cfg = InterlaceConfig(2, 2, 0)
         spread = GolayPair.from_strings("+", "+")
         rb_pair = GolayPair.from_strings("++", "+-")
-        spectrum = build_noncoherent(cfg, spread, rb_pair, 0)
-        assert np.array_equal(spectrum.indices, np.arange(4))
-        assert np.allclose(spectrum.values, PILOT_PHASE * parse_quaternary("+++-"))
+        pair = noncoherent_pair(cfg, spread, rb_pair, 0)
+        assert np.allclose(pair.a, PILOT_PHASE * parse_quaternary("+++-"))
 
-    def test_shift_modulates_blocks(self, lte_config, noncoherent_spread, reference_pairs):
-        base = build_noncoherent(lte_config, noncoherent_spread, reference_pairs[0], 0)
-        shifted = build_noncoherent(lte_config, noncoherent_spread, reference_pairs[0], 6)
+    def test_shift_modulates_blocks(self, lte_config, reference_pairs):
+        base = SCHEMES["noncoherent"].build(lte_config, reference_pairs[0], 0)
+        shifted = SCHEMES["noncoherent"].build(lte_config, reference_pairs[0], 6)
         assert np.array_equal(base.indices, shifted.indices)
         expected = np.tile(np.exp(2j * np.pi * np.arange(12) * 6 / 12), 10)
         assert np.allclose(shifted.values, base.values * expected)
         assert papr_db(synthesize(shifted, 4096)) <= PAPR_BOUND
 
-    def test_fractional_shift_keeps_bound(self, lte_config, noncoherent_spread, reference_pairs):
-        spectrum = build_noncoherent(lte_config, noncoherent_spread, reference_pairs[1], 3.5)
+    def test_fractional_shift_keeps_bound(self, lte_config, reference_pairs):
+        spectrum = SCHEMES["noncoherent"].build(lte_config, reference_pairs[1], 3.5)
         assert papr_db(synthesize(spectrum, 4096)) <= PAPR_BOUND
 
     def test_pair_mate_is_complementary(self, lte_config, noncoherent_spread, reference_pairs):
@@ -97,26 +94,26 @@ class TestNoncoherentBuilder:
     def test_odd_block_count_rejected(self, noncoherent_spread, reference_pairs):
         cfg = InterlaceConfig(5, 12, 108)
         with pytest.raises(ValueError):
-            build_noncoherent(cfg, noncoherent_spread, reference_pairs[0], 0)
+            noncoherent_pair(cfg, noncoherent_spread, reference_pairs[0], 0)
 
     def test_length_mismatches_rejected(self, lte_config, reference_pairs):
         bad_spread = GolayPair.from_strings("++", "+-")
         with pytest.raises(ValueError):
-            build_noncoherent(lte_config, bad_spread, reference_pairs[0], 0)
+            noncoherent_pair(lte_config, bad_spread, reference_pairs[0], 0)
         with pytest.raises(ValueError):
-            build_noncoherent(lte_config, GolayPair.from_strings("+++ji", "+i-+j"),
-                              GolayPair.from_strings("++", "+-"), 0)
+            noncoherent_pair(lte_config, GolayPair.from_strings("+++ji", "+i-+j"),
+                             GolayPair.from_strings("++", "+-"), 0)
 
 
 class TestAdjacentVariant:
-    def test_same_support_as_standard(self, lte_config, noncoherent_spread, reference_pairs):
-        standard = build_noncoherent(lte_config, noncoherent_spread, reference_pairs[0], 0)
-        adjacent = build_noncoherent_adjacent(lte_config, noncoherent_spread, reference_pairs[0], 0)
+    def test_same_support_as_standard(self, lte_config, reference_pairs):
+        standard = SCHEMES["noncoherent"].build(lte_config, reference_pairs[0], 0)
+        adjacent = SCHEMES["noncoherent-adjacent"].build(lte_config, reference_pairs[0], 0)
         assert np.array_equal(standard.indices, adjacent.indices)
 
-    def test_blocks_alternate(self, lte_config, noncoherent_spread, reference_pairs):
+    def test_blocks_alternate(self, lte_config, reference_pairs):
         pair = reference_pairs[0]
-        spectrum = build_noncoherent_adjacent(lte_config, noncoherent_spread, pair, 0)
+        spectrum = SCHEMES["noncoherent-adjacent"].build(lte_config, pair, 0)
         blocks = rb_values(spectrum, lte_config)
         # even blocks carry phase-rotated copies of the first member,
         # odd blocks of the second: modulus-1 ratios must be constant per block
@@ -125,9 +122,9 @@ class TestAdjacentVariant:
             ratio = blocks[r] / source
             assert np.allclose(ratio, ratio[0])
 
-    def test_bound_over_all_pairs(self, lte_config, noncoherent_spread, reference_pairs):
+    def test_bound_over_all_pairs(self, lte_config, reference_pairs):
         for pair in reference_pairs:
-            spectrum = build_noncoherent_adjacent(lte_config, noncoherent_spread, pair, 0)
+            spectrum = SCHEMES["noncoherent-adjacent"].build(lte_config, pair, 0)
             assert papr_db(synthesize(spectrum, 4096)) <= PAPR_BOUND
 
 
@@ -135,7 +132,7 @@ class TestCoherentBuilder:
     def test_lte_structure(self, lte_config, coherent_example):
         spread, half = coherent_example
         phases = (PILOT_PHASE, complex(QPSK_PHASES[2]))
-        spectrum = build_coherent(lte_config, spread, half, phases)
+        spectrum = SCHEMES["coherent"].build(lte_config, (spread, half), phases)
         assert is_valid_interlace(spectrum, lte_config)
         blocks = rb_values(spectrum, lte_config)
         for r in range(10):
@@ -146,7 +143,7 @@ class TestCoherentBuilder:
         spread, half = coherent_example
         for w1 in QPSK_PHASES:
             for w2 in QPSK_PHASES:
-                spectrum = build_coherent(lte_config, spread, half, (w1, w2))
+                spectrum = SCHEMES["coherent"].build(lte_config, (spread, half), (w1, w2))
                 assert papr_db(synthesize(spectrum, 4096)) <= PAPR_BOUND
 
     def test_mate_complementary(self, lte_config, coherent_example):
@@ -169,9 +166,9 @@ class TestCoherentBuilder:
 
 class TestFlexibility:
     @pytest.mark.parametrize("n_null", [0, 1, 54, 108, 200])
-    def test_any_null_count_keeps_bound(self, n_null, noncoherent_spread, reference_pairs):
+    def test_any_null_count_keeps_bound(self, n_null, reference_pairs):
         cfg = InterlaceConfig(10, 12, n_null)
-        spectrum = build_noncoherent(cfg, noncoherent_spread, reference_pairs[0], 0)
+        spectrum = SCHEMES["noncoherent"].build(cfg, reference_pairs[0], 0)
         assert is_valid_interlace(spectrum, cfg)
         assert papr_db(synthesize(spectrum, 4096)) <= PAPR_BOUND
 
@@ -227,32 +224,23 @@ class TestCyclingBaseline:
 
 
 class TestUciPayload:
-    def test_noncoherent_shift_maps(self):
-        assert UciPayload("noncoherent", 1, 0, user_shift=2).shift() == 2
-        assert UciPayload("noncoherent", 1, 1, user_shift=2).shift() == 8
-        assert UciPayload("noncoherent", 2, 3, user_shift=0).shift() == 9
+    """The data phase of a coherent payload (:func:`payload_phase`)."""
 
     def test_coherent_phases(self):
-        pilot, data = UciPayload("coherent", 1, 1).phases()
-        assert pilot == PILOT_PHASE
+        data = payload_phase(1, 1)
         assert data == pytest.approx(complex(QPSK_PHASES[3]))
-        assert abs(data + UciPayload("coherent", 1, 0).phases()[1]) < 1e-12
+        assert abs(data + payload_phase(1, 0)) < 1e-12
+        assert payload_phase(1, 0) == PILOT_PHASE
 
     def test_two_bit_alphabet(self):
-        seen = {UciPayload("coherent", 2, v).phases()[1] for v in range(4)}
+        seen = {payload_phase(2, v) for v in range(4)}
         assert len(seen) == 4
 
     @pytest.mark.parametrize("kwargs", [
-        {"scheme": "other", "bits": 1},
-        {"scheme": "coherent", "bits": 3},
-        {"scheme": "coherent", "bits": 1, "value": 2},
+        {"bits": 1, "value": -1},
+        {"bits": 3, "value": 0},
+        {"bits": 1, "value": 2},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
-            UciPayload(**kwargs)
-
-    def test_wrong_scheme_accessors(self):
-        with pytest.raises(ValueError):
-            UciPayload("coherent", 1, 0).shift()
-        with pytest.raises(ValueError):
-            UciPayload("noncoherent", 1, 0).phases()
+            payload_phase(**kwargs)

@@ -159,6 +159,27 @@ class TestDetectors:
         assert linksim._ack_claim_statistic(received, Tied()).tolist() == [5.0] * 3
 
 
+class TestOneBitResources:
+    """The NACK and ACK transmissions against the one-bit payload maps,
+    which no digest has to vouch for: a cyclic shift of 6 of 12 tones
+    flips the sign of every odd local tone, and the coherent data phases
+    are antipodal with the pilots untouched."""
+
+    @pytest.mark.parametrize("scheme", ["noncoherent", "single-rb-noncoherent"])
+    def test_ack_is_nack_with_alternating_sign(self, scheme):
+        tx = linksim._build_signals(SimConfig(scheme=scheme)).tx
+        k = np.arange(tx.shape[1]) % SimConfig.n_sc
+        assert np.max(np.abs(tx[ACK] - tx[NACK] * (-1.0) ** k)) < 1e-12
+
+    @pytest.mark.parametrize("scheme", ["coherent", "single-rb-coherent"])
+    def test_coherent_data_phases_antipodal(self, scheme):
+        signals = linksim._build_signals(SimConfig(scheme=scheme))
+        pilots, data = signals.detector.pilot_idx, signals.detector.data_idx
+        assert abs(signals.detector.phases[ACK] + signals.detector.phases[NACK]) < 1e-12
+        assert np.array_equal(signals.tx[ACK][pilots], signals.tx[NACK][pilots])
+        assert np.max(np.abs(signals.tx[ACK][data] + signals.tx[NACK][data])) < 1e-12
+
+
 class TestReceivedBatch:
     """The batched draws against grids rebuilt trial by trial from a fresh
     generator per trial, bit for bit, over a batch boundary."""
