@@ -30,15 +30,14 @@ import numpy as np
 
 from . import __version__
 from .fixtures import load_reference_pairs, reference_set_params
-from .golay import GolayPair, cached_enumerate_gcps, enumerate_gcps, library_payload
-from .interlace import (
-    PILOT_PHASE,
-    SCHEMES,
-    InterlaceConfig,
-    payload_phase,
-    rb_values,
-    zadoff_chu_set,
+from .golay import (
+    MAX_ENUMERATION_LENGTH,
+    GolayPair,
+    cached_enumerate_gcps,
+    enumerate_gcps,
+    library_payload,
 )
+from .interlace import PILOT_PHASE, SCHEMES, InterlaceConfig, payload_phase, rb_values
 from .linksim import CHANNELS, SimConfig, run_sim
 from .linksim import SCHEMES as SIM_SCHEMES
 from .metrics import ccdf, cm_db, papr_db, synthesize, xcorr_matrix
@@ -86,7 +85,7 @@ def _geometry_options(command):
 @contextmanager
 def _refuse_bad_input():
     """Report a ValueError from the library's validation of the command's
-    parameters as a click error rather than a traceback."""
+    parameters or input files as a click error rather than a traceback."""
     try:
         yield
     except ValueError as exc:
@@ -165,18 +164,24 @@ _sweep_command("eval-papr", 3, "PAPR",
 _sweep_command("eval-cm", 4, "CM", "Cubic-metric sweep (same rows as eval-papr).")
 
 
-def _read_sequences(path: Path) -> list[np.ndarray]:
-    """The ``sequences`` list of a JSON file, each entry a symbol string or
-    a list of [re, im] pairs, all finite and of one length.  Any malformed
-    entry is a click error naming the file and the entry's index."""
+def _read_json_list(path: Path, key: str) -> list:
+    """The ``key`` list of the JSON object in ``path``; anything else is a
+    click error naming the file."""
     try:
         payload = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise click.ClickException(f"{path}: malformed JSON at line {exc.lineno}: {exc.msg}")
-    if not isinstance(payload, dict) or not isinstance(payload.get("sequences"), list):
-        raise click.ClickException(f"{path}: expected an object with a 'sequences' list")
+    if not isinstance(payload, dict) or not isinstance(payload.get(key), list):
+        raise click.ClickException(f"{path}: expected an object with a '{key}' list")
+    return payload[key]
+
+
+def _read_sequences(path: Path) -> list[np.ndarray]:
+    """The ``sequences`` list of a JSON file, each entry a symbol string or
+    a list of [re, im] pairs, all finite and of one length.  Any malformed
+    entry is a click error naming the file and the entry's index."""
     sequences = []
-    for index, entry in enumerate(payload["sequences"]):
+    for index, entry in enumerate(_read_json_list(path, "sequences")):
         try:
             seq = sequence_from_json(entry)
         except (ValueError, TypeError) as exc:
@@ -189,18 +194,19 @@ def _read_sequences(path: Path) -> list[np.ndarray]:
 
 
 # ``eval-xcorr --set``: the first or second members of the reference pairs,
-# or the ZC set as per-block slices, since the cross-correlation that
-# matters for interference is block by block and every ZC block differs.
+# or the ZC set of ``SCHEMES["zc"]`` (ranked at the command's ``n_idft``)
+# as per-block slices, since the cross-correlation that matters for
+# interference is block by block and every ZC block differs.
 _XCORR_SETS = {
-    "reference-c": lambda cfg: [p.a for p in load_reference_pairs()],
-    "reference-d": lambda cfg: [p.b for p in load_reference_pairs()],
-    "zc": lambda cfg: [rb_values(s, cfg) for s in zadoff_chu_set(cfg, 30)],
+    "reference-c": lambda cfg, n_idft: [p.a for p in load_reference_pairs()],
+    "reference-d": lambda cfg, n_idft: [p.b for p in load_reference_pairs()],
+    "zc": lambda cfg, n_idft: [rb_values(s, cfg) for s in SCHEMES["zc"].members(cfg, n_idft)],
 }
 
 
-def _xcorr_members(which: str, cfg: InterlaceConfig, seq_file: Path | None):
+def _xcorr_members(which: str, cfg: InterlaceConfig, n_idft: int, seq_file: Path | None):
     if seq_file is None:
-        return _XCORR_SETS[which](cfg)
+        return _XCORR_SETS[which](cfg, n_idft)
     members = _read_sequences(seq_file)
     if len(members) < 2:
         raise click.ClickException(
@@ -236,33 +242,58 @@ def _write_xcorr(members, n_idft: int, out: Path, ccdf_out: Path | None) -> floa
 def eval_xcorr(which, seq_file, nrb, nsc, nnull, n_idft, out, ccdf_out):
     """Pairwise peak cross-correlation matrix and optional CCDF."""
     with _refuse_bad_input():
-        members = _xcorr_members(which, InterlaceConfig(nrb, nsc, nnull), seq_file)
+        members = _xcorr_members(which, InterlaceConfig(nrb, nsc, nnull), n_idft, seq_file)
         rho = _write_xcorr(members, n_idft, out, ccdf_out)
     _write_manifest(out, [out, ccdf_out], [seq_file])
     n = len(members)
     click.echo(f"max rho {rho:.6f} over {n * (n - 1)} ordered pairs")
 
 
+_LENGTH = click.IntRange(1, MAX_ENUMERATION_LENGTH)
+
+
 @main.command("enumerate-gcps")
-@click.option("--length", default=12, show_default=True)
+@click.option("--length", default=12, show_default=True, type=_LENGTH)
 @click.option("--cache-dir", type=click.Path(path_type=Path), default=None)
 @click.option("--out", type=click.Path(path_type=Path), required=True)
 def enumerate_gcps_cmd(length, cache_dir, out):
     """Exhaustively enumerate canonical quaternary pairs of one length."""
-    if cache_dir is not None:
-        pairs = cached_enumerate_gcps(length, cache_dir)
-    else:
-        pairs = enumerate_gcps(length)
+    with _refuse_bad_input():  # a cache file that fails its checks
+        if cache_dir is not None:
+            pairs = cached_enumerate_gcps(length, cache_dir)
+        else:
+            pairs = enumerate_gcps(length)
     out.write_text(json.dumps(library_payload(length, pairs)) + "\n")
     _write_manifest(out, [out])
     click.echo(f"{len(pairs)} pairs of length {length}")
 
 
+def _read_seed_pairs(path: Path) -> list[GolayPair]:
+    """The ``pairs`` list of a pair library file, each entry two symbol
+    strings forming a complementary pair, all of one length.  An entry
+    that is malformed, not complementary or of another length is a click
+    error naming the file and the pair's index."""
+    pairs = []
+    for index, entry in enumerate(_read_json_list(path, "pairs")):
+        try:
+            if not (isinstance(entry, list) and len(entry) == 2):
+                raise ValueError("expected a list of two symbol strings")
+            pair = GolayPair.from_strings(*entry)
+        except (ValueError, TypeError) as exc:
+            raise click.ClickException(f"{path}: pair {index}: {exc}")
+        if pairs and pair.length != pairs[0].length:
+            raise click.ClickException(
+                f"{path}: pair {index} has length {pair.length}, expected {pairs[0].length}")
+        pairs.append(pair)
+    return pairs
+
+
 @main.command("search-sets")
-@click.option("--beta", default=0.715, show_default=True)
-@click.option("--u", default=128, show_default=True)
-@click.option("--k", "k_target", default=30, show_default=True)
-@click.option("--length", default=12, show_default=True)
+@click.option("--beta", default=0.715, show_default=True,
+              type=click.FloatRange(0, 1, min_open=True))
+@click.option("--u", default=128, show_default=True, type=click.IntRange(min=1))
+@click.option("--k", "k_target", default=30, show_default=True, type=click.IntRange(min=1))
+@click.option("--length", default=12, show_default=True, type=_LENGTH)
 @click.option("--seed-file", type=click.Path(path_type=Path, exists=True), default=None,
               help="JSON pair library; defaults to the enumerated library.")
 @click.option("--cache-dir", type=click.Path(path_type=Path), default=Path(".csinterlace-cache"))
@@ -272,10 +303,10 @@ def search_sets(beta, u, k_target, length, seed_file, cache_dir, out):
     from .setsearch import build_sets, verify_sets
 
     if seed_file is not None:
-        payload = json.loads(seed_file.read_text())
-        seeds = [GolayPair.from_strings(sa, sb) for sa, sb in payload["pairs"]]
+        seeds = _read_seed_pairs(seed_file)
     else:
-        seeds = cached_enumerate_gcps(length, cache_dir)
+        with _refuse_bad_input():  # a cache file that fails its checks
+            seeds = cached_enumerate_gcps(length, cache_dir)
     sets = build_sets(seeds, beta, u, k_target)
     report = verify_sets(sets)
     payload = {
@@ -377,8 +408,8 @@ def _produce_xcorr(figure: str, out_dir: Path, trials: int, seed: int) -> dict[s
     for which in _XCORR_SETS:
         out = out_dir / f"xcorr_{which}.csv"
         ccdf_out = out_dir / f"xcorr_{which}_ccdf.csv"
-        maxima[which] = _write_xcorr(_xcorr_members(which, cfg, None), DEFAULT_N_IDFT,
-                                     out, ccdf_out)
+        members = _xcorr_members(which, cfg, DEFAULT_N_IDFT, None)
+        maxima[which] = _write_xcorr(members, DEFAULT_N_IDFT, out, ccdf_out)
         _write_manifest(out, [out, ccdf_out])
     click.echo(" ".join(f"{k}:{v:.4f}" for k, v in maxima.items()))
     return maxima

@@ -25,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from .seqcore import (
-    QUATERNARY_SYMBOLS,
     QUATERNARY_VALUES,
     as_sequence,
     convolve,
@@ -44,24 +43,34 @@ _PSD_SLACK = 1e-6  # far above the ~1e-13 rounding error of a 12-term spectral s
 _PSD_GRIDS = ((8, 0.1), (16, 0.05), (64, 0.0))  # (points, offset in grid steps)
 _PSD_BLOCK = 1 << 20  # head-tail sums tested at once per point of the first grid
 
-FLOAT_GCP_TOL = 1e-9
 
-
-class CertificationError(Exception):
-    """A pair handed to the verifying constructor is not complementary."""
+class CertificationError(ValueError):
+    """The two sequences handed to :class:`GolayPair` are not complementary."""
 
 
 @dataclass(frozen=True, eq=False)
 class GolayPair:
-    """Two equal-length sequences certified complementary.
+    """Two equal-length sequences proved complementary.
 
-    Build instances through :meth:`certify`, which checks the defining
-    autocorrelation cancellation before returning.
+    Constructing a pair checks it: the members are copied, must be of one
+    length and must pass :func:`~csinterlace.seqcore.is_gcp`, or
+    :class:`CertificationError` is raised; they are read-only afterwards.
     """
 
     a: np.ndarray
     b: np.ndarray
-    certified: bool = False
+
+    def __post_init__(self):
+        arr_a = as_sequence(self.a).copy()
+        arr_b = as_sequence(self.b).copy()
+        if arr_a.size != arr_b.size:
+            raise ValueError(f"length mismatch: {arr_a.size} vs {arr_b.size}")
+        if not is_gcp(arr_a, arr_b):
+            raise CertificationError(f"sequences of length {arr_a.size} are not complementary")
+        arr_a.setflags(write=False)
+        arr_b.setflags(write=False)
+        object.__setattr__(self, "a", arr_a)
+        object.__setattr__(self, "b", arr_b)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GolayPair):
@@ -72,31 +81,12 @@ class GolayPair:
         return hash((self.a.tobytes(), self.b.tobytes()))
 
     @classmethod
-    def certify(cls, a, b, tol: float = 0.0) -> "GolayPair":
-        arr_a = as_sequence(a).copy()
-        arr_b = as_sequence(b).copy()
-        if arr_a.size != arr_b.size:
-            raise ValueError(f"length mismatch: {arr_a.size} vs {arr_b.size}")
-        if not is_gcp(arr_a, arr_b, tol):
-            raise CertificationError(
-                f"sequences of length {arr_a.size} are not complementary at tol={tol}"
-            )
-        arr_a.setflags(write=False)
-        arr_b.setflags(write=False)
-        return cls(arr_a, arr_b, certified=True)
-
-    @classmethod
     def from_strings(cls, a: str, b: str) -> "GolayPair":
-        return cls.certify(parse_quaternary(a), parse_quaternary(b))
+        return cls(parse_quaternary(a), parse_quaternary(b))
 
     @property
     def length(self) -> int:
         return self.a.size
-
-    @property
-    def energy(self) -> float:
-        """Total lag-0 energy of both members."""
-        return float(np.sum(np.abs(self.a) ** 2) + np.sum(np.abs(self.b) ** 2))
 
     def as_strings(self) -> tuple[str, str]:
         """Symbol strings of both members, formatted once per pair."""
@@ -141,12 +131,7 @@ def _padded_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def combine_gcps(
-    first: GolayPair,
-    second: GolayPair,
-    params: ConstructionParams,
-    tol: float = FLOAT_GCP_TOL,
-) -> GolayPair:
+def combine_gcps(first: GolayPair, second: GolayPair, params: ConstructionParams) -> GolayPair:
     """Build a longer complementary pair out of two seed pairs.
 
     The output coefficient sequences are
@@ -174,10 +159,10 @@ def combine_gcps(
     g = _padded_sum(
         p.phase1 * convolve(ua, urc_d), pad(-p.phase2 * convolve(ub, urc_c), p.offset)
     )
-    return GolayPair.certify(f, g, tol)
+    return GolayPair(f, g)
 
 
-def equivalence_orbit(pair: GolayPair, tol: float = 0.0) -> list[GolayPair]:
+def equivalence_orbit(pair: GolayPair) -> list[GolayPair]:
     """The eight complementarity-preserving variants of a pair.
 
     Composes three involutions: swapping the members, reversing both
@@ -194,7 +179,7 @@ def equivalence_orbit(pair: GolayPair, tol: float = 0.0) -> list[GolayPair]:
                     a, b = a[::-1], b[::-1]
                 if conj_rev:
                     a, b = reverse_conjugate(a), reverse_conjugate(b)
-                out.append(GolayPair.certify(a, b, tol))
+                out.append(GolayPair(a, b))
     return out
 
 
@@ -287,7 +272,8 @@ def _library_ranks(length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _proven_pairs(a: np.ndarray, b: np.ndarray, strings=None) -> list[GolayPair]:
     """Pairs over the rows of ``a`` and ``b``, whose complementarity the
-    caller has proved exactly (key match or re-certification on load).
+    caller has proved exactly (key match or re-certification on load), so
+    they skip :class:`GolayPair`'s check: the only pairs built unchecked.
 
     ``strings``, if given, are the symbol strings the rows were parsed
     from; they seed :meth:`GolayPair.as_strings`, since formatting a parsed
@@ -295,7 +281,9 @@ def _proven_pairs(a: np.ndarray, b: np.ndarray, strings=None) -> list[GolayPair]
     """
     a.setflags(write=False)
     b.setflags(write=False)
-    pairs = [GolayPair(x, y, certified=True) for x, y in zip(a, b)]
+    pairs = [object.__new__(GolayPair) for _ in range(a.shape[0])]
+    for pair, x, y in zip(pairs, a, b):
+        vars(pair).update(a=x, b=y)  # bypasses __post_init__, the check
     for pair, (text_a, text_b) in zip(pairs, strings or ()):
         vars(pair)["_strings"] = (text_a, text_b)
     return pairs
@@ -313,29 +301,9 @@ def enumerate_gcps(length: int) -> list[GolayPair]:
     """
     length = _check_capacity(length)
     if length == 1:
-        return [GolayPair.certify([1.0], [1.0])]
+        return [GolayPair([1.0], [1.0])]
     first, second, _ = _library_ranks(length)
     return _proven_pairs(_decode(first, length), _decode(second, length))
-
-
-def canonical_pair(a, b) -> tuple[str, str]:
-    """Canonical symbol-string form of a quaternary pair.
-
-    Normalizes each member's global phase (first element to +1) and orders
-    the two sequences lexicographically by symbol code.
-    """
-    arr_a = as_sequence(a)
-    arr_b = as_sequence(b)
-    if not (is_quaternary(arr_a) and is_quaternary(arr_b)):
-        raise ValueError("canonical form is defined for quaternary sequences")
-    norm_a = format_quaternary(arr_a * np.conj(arr_a[0]))
-    norm_b = format_quaternary(arr_b * np.conj(arr_b[0]))
-    key = dict(zip(QUATERNARY_SYMBOLS, range(4)))
-
-    def rank(s: str) -> tuple[int, ...]:
-        return tuple(key[ch] for ch in s)
-
-    return (norm_a, norm_b) if rank(norm_a) <= rank(norm_b) else (norm_b, norm_a)
 
 
 def is_complementary_sequence(a) -> bool:

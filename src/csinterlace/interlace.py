@@ -32,6 +32,9 @@ QPSK_PHASES = np.exp(1j * np.pi * np.array([1, 3, -1, -3]) / 4)
 
 PILOT_PHASE = complex(QPSK_PHASES[0])
 
+# Data phases of a one-bit payload, antipodal for maximum distance.
+_ONE_BIT_PHASES = (PILOT_PHASE, -PILOT_PHASE)
+
 
 @dataclass(frozen=True)
 class InterlaceConfig:
@@ -85,14 +88,6 @@ class SparseSpectrum:
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "values", val)
 
-    def to_dense(self, size: int | None = None) -> np.ndarray:
-        size = self.grid_size if size is None else int(size)
-        if size < self.grid_size:
-            raise ValueError("dense size smaller than grid")
-        out = np.zeros(size, dtype=complex)
-        out[self.indices] = self.values
-        return out
-
     def to_json_dict(self) -> dict:
         return {
             "grid_size": int(self.grid_size),
@@ -101,20 +96,6 @@ class SparseSpectrum:
                 for i, v in zip(self.indices, self.values)
             ],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SparseSpectrum":
-        entries = data["entries"]
-        idx = np.array([e[0] for e in entries], dtype=np.int64)
-        val = np.array([complex(e[1][0], e[1][1]) for e in entries], dtype=complex)
-        return cls(idx, val, int(data["grid_size"]))
-
-    @classmethod
-    def from_dense(cls, dense, grid_size: int | None = None) -> "SparseSpectrum":
-        dense = np.asarray(dense, dtype=complex)
-        idx = np.flatnonzero(dense)
-        size = dense.size if grid_size is None else grid_size
-        return cls(idx, dense[idx], size)
 
 
 def is_valid_interlace(spectrum: SparseSpectrum, cfg: InterlaceConfig) -> bool:
@@ -138,13 +119,13 @@ def rb_values(spectrum: SparseSpectrum, cfg: InterlaceConfig) -> np.ndarray:
 
 def payload_phase(bits: int, value: int) -> complex:
     """Data phase of a coherent 1- or 2-bit payload; the pilot coefficient
-    stays :data:`PILOT_PHASE`.  One bit takes antipodal points of the
-    alphabet, for maximum distance."""
+    stays :data:`PILOT_PHASE`.  One bit takes the antipodal phases
+    ``(PILOT_PHASE, -PILOT_PHASE)`` that the link simulator sends."""
     if bits not in (1, 2):
         raise ValueError("payload carries 1 or 2 bits")
     if not 0 <= value < 2**bits:
         raise ValueError("payload value out of range for bit count")
-    return complex(QPSK_PHASES[(0, 3)[value] if bits == 1 else value])
+    return _ONE_BIT_PHASES[value] if bits == 1 else complex(QPSK_PHASES[value])
 
 
 def _spectrum_from_pair(pair: GolayPair, cfg: InterlaceConfig) -> SparseSpectrum:
@@ -182,13 +163,7 @@ def noncoherent_pair(
         raise ValueError(f"spreading pair of length {spread.length} needs {2 * spread.length} RBs")
     if rb_pair.length != cfg.n_sc:
         raise ValueError(f"block pair of length {rb_pair.length} needs as many tones per RB")
-    # Modulation keeps the pair complementary; the phasor table is float,
-    # so any nonzero shift certifies on the float tolerance path.
-    shifted = GolayPair.certify(
-        cyclic_modulate(rb_pair.a, delta),
-        cyclic_modulate(rb_pair.b, delta),
-        tol=0.0 if float(delta) == 0.0 else 1e-9,
-    )
+    shifted = GolayPair(cyclic_modulate(rb_pair.a, delta), cyclic_modulate(rb_pair.b, delta))
     spacing = cfg.rb_spacing
     step1, offset = (2 * spacing, spacing) if adjacent else (spacing, spacing * cfg.n_rb // 2)
     params = ConstructionParams(
@@ -313,7 +288,7 @@ SCHEMES: dict[str, Scheme] = {
         lambda cfg, example, phases: _spectrum_from_pair(coherent_pair(cfg, *example, phases), cfg),
         lambda cfg: [(f"phases={i}{j}", (w1, w2)) for i, w1 in enumerate(QPSK_PHASES)
                      for j, w2 in enumerate(QPSK_PHASES)],
-        proposed=True, one_bit=(PILOT_PHASE, -PILOT_PHASE), pilot_tones=True,
+        proposed=True, one_bit=_ONE_BIT_PHASES, pilot_tones=True,
     ),
     "cycling": Scheme(_reference_pairs, lambda cfg, pair, _: cycling_baseline(cfg, pair.a),
                       _no_resource, proposed=False),

@@ -59,7 +59,6 @@ _HYP_CALIBRATE = 0
 _HYP_DTX = 1
 _HYP_ACK = 2
 _HYP_NACK = 3
-_HYP_VALIDATE = 4
 
 _CHUNK = 4096
 _SEED_LIMIT = 1 << 64
@@ -221,7 +220,7 @@ def _build_signals(cfg: SimConfig) -> _SchemeSignals:
 
     if single_rb:  # one block of interleaved pilot/data tones
         _, half = member
-        unit = GolayPair.certify([1.0], [1.0])
+        unit = GolayPair([1.0], [1.0])
         params = ConstructionParams(
             phase1=PILOT_PHASE, phase2=1.0, step1=1, step2=2, offset=1
         )
@@ -318,17 +317,6 @@ def _ack_claim_statistic(received: np.ndarray, detector: _Noncoherent | _Coheren
     return np.where(scores[:, ACK] >= scores[:, NACK], energy, -np.inf)
 
 
-def _noise_claims(cfg: SimConfig, hyp: int, n: int) -> np.ndarray:
-    """ACK-claim statistics of ``n`` noise-only trials on stream ``hyp``."""
-    signals = _build_signals(cfg)
-    stats = np.empty(n)
-    for start in range(0, n, _CHUNK):
-        trials = range(start, min(start + _CHUNK, n))
-        batch = _received_batch(cfg, signals, 0, hyp, trials, 0.0, None)
-        stats[trials] = _ack_claim_statistic(batch, signals.detector)
-    return stats
-
-
 def calibrate_dtx_threshold(cfg: SimConfig, target: float | None = None) -> float:
     """Energy threshold whose noise-only ACK-declaration rate hits the
     DTX-to-ACK target.
@@ -345,7 +333,12 @@ def calibrate_dtx_threshold(cfg: SimConfig, target: float | None = None) -> floa
     if not 0 < target <= 1:
         raise CalibrationError("target rate must lie in (0, 1]")
     n = cfg.calibration_trials
-    stats = _noise_claims(cfg, _HYP_CALIBRATE, n)
+    signals = _build_signals(cfg)
+    stats = np.empty(n)
+    for start in range(0, n, _CHUNK):
+        trials = range(start, min(start + _CHUNK, n))
+        batch = _received_batch(cfg, signals, 0, _HYP_CALIBRATE, trials, 0.0, None)
+        stats[trials] = _ack_claim_statistic(batch, signals.detector)
 
     finite = np.sort(stats[np.isfinite(stats)])[::-1]
     max_rate = finite.size / n
@@ -362,14 +355,6 @@ def calibrate_dtx_threshold(cfg: SimConfig, target: float | None = None) -> floa
             f"({n} calibration trials are too few or too degenerate)"
         )
     return threshold
-
-
-def validate_dtx_rate(cfg: SimConfig, threshold: float, n_trials: int) -> float:
-    """Fresh-stream noise-only ACK rate at a given threshold."""
-    if not 1 <= n_trials < _TRIAL_LIMIT:
-        raise ValueError("n_trials must lie in [1, 2**40)")
-    stats = _noise_claims(cfg, _HYP_VALIDATE, n_trials)
-    return int(np.sum(stats >= threshold)) / n_trials
 
 
 def _binomial_ci(p: float, n: int) -> float:

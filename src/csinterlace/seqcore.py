@@ -4,8 +4,9 @@ reverse conjugation) that the pair constructions are built from.
 
 Quaternary sequences over {+1, -1, +1j, -1j} are kept in complex128 arrays.
 All their products and autocorrelation sums are small Gaussian integers,
-which complex128 represents exactly, so complementarity can be tested with
-tolerance 0 (no rounding ever occurs on that path).
+which complex128 represents exactly, so :func:`is_gcp` certifies such
+input by exact cancellation; float input (phase-rotated or modulated
+constructions) must cancel to within 1e-9.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ QUATERNARY_SYMBOLS = "+-ij"
 QUATERNARY_VALUES = np.array([1.0, -1.0, 1.0j, -1.0j], dtype=complex)
 
 _SYMBOL_TO_VALUE = dict(zip(QUATERNARY_SYMBOLS, QUATERNARY_VALUES))
+
+_TOL = 1e-9  # far above the rounding of float autocorrelation sums
 
 
 def parse_quaternary(text: str) -> np.ndarray:
@@ -74,27 +77,29 @@ def _apac_sum_fft(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return acf[:n]
 
 
-def is_gcp(a, b, tol: float = 0.0) -> bool:
+def is_gcp(a, b) -> bool:
     """True iff the autocorrelations of ``a`` and ``b`` cancel at every
     nonzero lag, i.e. the two sequences form a complementary pair.
 
-    ``tol = 0`` demands exact cancellation and is appropriate for
-    quaternary inputs; float constructions should pass ``tol = 1e-9``.
+    The route comes from the input.  When every real and imaginary part of
+    both members is an integer (quaternary input, say), the sums are exact
+    integers, taken directly at any length, and the 1e-9 bound admits only
+    exact cancellation.  Float members are summed directly up to length 64
+    and by FFT above, and must cancel to within 1e-9.
     """
     arr_a = as_sequence(a)
     arr_b = as_sequence(b)
     if arr_a.size != arr_b.size:
         raise ValueError(f"length mismatch: {arr_a.size} vs {arr_b.size}")
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
     n = arr_a.size
     if n == 1:
         return True
-    if tol == 0.0 or n <= 64:
+    parts = (arr_a.real, arr_a.imag, arr_b.real, arr_b.imag)
+    if n <= 64 or all(np.array_equal(x, np.rint(x)) for x in parts):
         sums = apac_vector(arr_a)[1:] + apac_vector(arr_b)[1:]
     else:
         sums = _apac_sum_fft(arr_a, arr_b)[1:]
-    return bool(np.max(np.abs(sums)) <= tol)
+    return bool(np.max(np.abs(sums)) <= _TOL)
 
 
 def upsample(a, k: int) -> np.ndarray:
@@ -143,23 +148,8 @@ def cyclic_modulate(x, delta: float) -> np.ndarray:
     return arr * np.exp(2j * np.pi * np.arange(n) * (float(delta) / n))
 
 
-def inner_product(a, b) -> complex:
-    """Plain inner product sum(conj(a) * b) of equal-length sequences."""
-    arr_a = as_sequence(a)
-    arr_b = as_sequence(b)
-    if arr_a.size != arr_b.size:
-        raise ValueError(f"length mismatch: {arr_a.size} vs {arr_b.size}")
-    return complex(np.sum(np.conj(arr_a) * arr_b))
-
-
-def sequence_to_json(seq) -> list:
-    """Complex sequence as a JSON-ready list of [re, im] pairs."""
-    arr = as_sequence(seq)
-    return [[float(v.real), float(v.imag)] for v in arr]
-
-
 def sequence_from_json(data) -> np.ndarray:
-    """Inverse of :func:`sequence_to_json`; also accepts symbol strings."""
+    """A sequence from JSON: a symbol string or a list of [re, im] pairs."""
     if isinstance(data, str):
         return parse_quaternary(data)
     return as_sequence([complex(re, im) for re, im in data])

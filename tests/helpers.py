@@ -22,6 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
+from csinterlace.seqcore import QUATERNARY_SYMBOLS, as_sequence, format_quaternary, is_quaternary
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 EXPECTED = json.loads((PERFBENCH / "expected.json").read_text())
 
@@ -86,6 +88,27 @@ def canonical_rank(seq) -> int:
     symbol most significant); canonical sequences start with +1."""
     codes = [int(np.flatnonzero(SYMBOL_VALUES == value)[0]) for value in seq[1:]]
     return sum(code * 4 ** (len(codes) - 1 - pos) for pos, code in enumerate(codes))
+
+
+def canonical_pair(a, b) -> tuple[str, str]:
+    """Canonical symbol-string form of a quaternary pair, the key of the
+    brute-force enumeration oracle.
+
+    Normalizes each member's global phase (first element to +1) and orders
+    the two sequences lexicographically by symbol code.
+    """
+    arr_a = as_sequence(a)
+    arr_b = as_sequence(b)
+    if not (is_quaternary(arr_a) and is_quaternary(arr_b)):
+        raise ValueError("canonical form is defined for quaternary sequences")
+    norm_a = format_quaternary(arr_a * np.conj(arr_a[0]))
+    norm_b = format_quaternary(arr_b * np.conj(arr_b[0]))
+    key = dict(zip(QUATERNARY_SYMBOLS, range(4)))
+
+    def rank(s: str) -> tuple[int, ...]:
+        return tuple(key[ch] for ch in s)
+
+    return (norm_a, norm_b) if rank(norm_a) <= rank(norm_b) else (norm_b, norm_a)
 
 
 def _decode_canonical(indices: np.ndarray, length: int) -> np.ndarray:

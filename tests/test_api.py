@@ -1,14 +1,16 @@
-"""The public surface, pinned: ``csinterlace.__all__`` and the public names
-each module binds at its top level, so that every change to the API shows
-in the diff; and the command-line choices against the tables they read."""
+"""The public surface, pinned: ``csinterlace.__all__``, the public names
+each module binds at its top level and the signatures of the certifying
+calls, so that every change to the API shows in the diff; and the
+command-line choices against the tables they read."""
 
 import ast
 import importlib
+import inspect
 
 import pytest
 
 import csinterlace
-from csinterlace import interlace, linksim
+from csinterlace import golay, interlace, linksim, seqcore
 from csinterlace.cli import main
 
 ALL = [
@@ -20,14 +22,13 @@ ALL = [
 PUBLIC = {
     "seqcore": [
         "QUATERNARY_SYMBOLS", "QUATERNARY_VALUES", "apac_vector", "as_sequence", "convolve",
-        "cyclic_modulate", "format_quaternary", "inner_product", "is_gcp", "is_quaternary",
-        "pad", "parse_quaternary", "reverse_conjugate", "sequence_from_json",
-        "sequence_to_json", "upsample",
+        "cyclic_modulate", "format_quaternary", "is_gcp", "is_quaternary", "pad",
+        "parse_quaternary", "reverse_conjugate", "sequence_from_json", "upsample",
     ],
     "golay": [
-        "CertificationError", "ConstructionParams", "FLOAT_GCP_TOL", "GolayPair",
-        "MAX_ENUMERATION_LENGTH", "cached_enumerate_gcps", "canonical_pair", "combine_gcps",
-        "enumerate_gcps", "equivalence_orbit", "is_complementary_sequence", "library_payload",
+        "CertificationError", "ConstructionParams", "GolayPair", "MAX_ENUMERATION_LENGTH",
+        "cached_enumerate_gcps", "combine_gcps", "enumerate_gcps", "equivalence_orbit",
+        "is_complementary_sequence", "library_payload",
     ],
     "interlace": [
         "InterlaceConfig", "PILOT_PHASE", "QPSK_PHASES", "SCHEMES", "Scheme",
@@ -42,7 +43,7 @@ PUBLIC = {
                   "verify_sets"],
     "linksim": [
         "CHANNELS", "CalibrationError", "PointStats", "SCHEMES", "SimConfig", "SimReport",
-        "calibrate_dtx_threshold", "run_sim", "validate_dtx_rate",
+        "calibrate_dtx_threshold", "run_sim",
     ],
     "fixtures": ["load_coherent_example", "load_noncoherent_spread", "load_reference_pairs",
                  "reference_set_params"],
@@ -75,6 +76,21 @@ def test_package_all():
 def test_module_public_names(name):
     module = importlib.import_module(f"csinterlace.{name}")
     assert top_level_public_names(module) == PUBLIC[name]
+
+
+# No certifying call takes a tolerance, and a pair holds no flag.
+SIGNATURES = {
+    seqcore.is_gcp: "(a, b) -> 'bool'",
+    golay.combine_gcps:
+        "(first: 'GolayPair', second: 'GolayPair', params: 'ConstructionParams') -> 'GolayPair'",
+    golay.equivalence_orbit: "(pair: 'GolayPair') -> 'list[GolayPair]'",
+    golay.GolayPair: "(a: 'np.ndarray', b: 'np.ndarray') -> None",
+}
+
+
+@pytest.mark.parametrize("func", list(SIGNATURES), ids=lambda f: f.__name__)
+def test_certifying_signatures(func):
+    assert str(inspect.signature(func)) == SIGNATURES[func]
 
 
 def choices(command: str, option: str) -> list[str]:

@@ -7,8 +7,9 @@ from click.testing import CliRunner
 from csinterlace import golay
 from csinterlace.cli import FIGURES, main
 from csinterlace.fixtures import reference_set_params
-from csinterlace.interlace import SparseSpectrum
+from csinterlace.interlace import SCHEMES, InterlaceConfig, rb_values
 from csinterlace.linksim import PointStats, SimConfig, SimReport
+from csinterlace.metrics import xcorr_matrix
 from csinterlace.seqcore import format_quaternary
 from helpers import EXPECTED, sha256
 
@@ -23,9 +24,11 @@ class TestBuildInterlace:
         result = runner.invoke(main, ["build-interlace", "--scheme", "noncoherent"])
         assert result.exit_code == 0, result.output
         payload = json.loads(result.output)
-        spectrum = SparseSpectrum.from_json_dict(payload)
-        assert spectrum.indices.size == 120
-        assert spectrum.grid_size == 1092
+        assert payload["grid_size"] == 1092
+        indices = [index for index, _ in payload["entries"]]
+        assert indices == InterlaceConfig(10, 12, 108).support().tolist()
+        values = [complex(re, im) for _, (re, im) in payload["entries"]]
+        assert np.allclose(np.abs(values), 1.0)
 
     def test_file_output_with_manifest(self, runner, tmp_path):
         out = tmp_path / "interlace.json"
@@ -88,6 +91,29 @@ def test_bad_input_is_a_click_error(runner, tmp_path, args, message):
     assert not out.exists()
 
 
+# Parameters outside the range the library accepts, refused by click
+# before the command runs.
+OUT_OF_RANGE = [
+    (["enumerate-gcps", "--length", "0"], "--length"),
+    (["enumerate-gcps", "--length", "13"], "--length"),
+    (["search-sets", "--beta", "2"], "--beta"),
+    (["search-sets", "--u", "0"], "--u"),
+    (["search-sets", "--k", "0"], "--k"),
+    (["search-sets", "--length", "13"], "--length"),
+]
+
+
+@pytest.mark.parametrize("args, option", OUT_OF_RANGE, ids=[" ".join(a) for a, _ in OUT_OF_RANGE])
+def test_out_of_range_parameter_is_a_usage_error(runner, tmp_path, args, option):
+    out = tmp_path / "out"
+    result = runner.invoke(main, [*args, "--cache-dir", str(tmp_path / "cache"),
+                                  "--out", str(out)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+    assert f"Invalid value for '{option}'" in result.output
+    assert not out.exists() and not (tmp_path / "cache").exists()
+
+
 class TestMetricSweeps:
     def test_eval_papr_coherent(self, runner, tmp_path):
         out = tmp_path / "papr.csv"
@@ -119,6 +145,21 @@ class TestMetricSweeps:
         assert len(rhos) == 30 * 29
         assert max(rhos) <= 0.715
         assert ccdf_out.exists()
+
+    def test_eval_xcorr_ranks_zc_at_its_fft_size(self, runner, tmp_path):
+        # Ranked at 2,048 points, 8 of the 30 roots differ from the
+        # 4,096-point ranking; eval-xcorr correlates the eval-papr set.
+        cfg = InterlaceConfig(10, 12, 108)
+        out = tmp_path / "xc.csv"
+        result = runner.invoke(main, ["eval-xcorr", "--set", "zc", "--n-idft", "2048",
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+        rho = {(int(i), int(j)): float(value) for i, j, value in rows}
+        for n_idft, same in ((2048, True), (4096, False)):
+            members = [rb_values(s, cfg) for s in SCHEMES["zc"].members(cfg, n_idft)]
+            expected = xcorr_matrix(members, 2048)
+            assert all(abs(value - expected[key]) < 1e-8 for key, value in rho.items()) is same
 
     @pytest.mark.parametrize("sequences", [[], ["+-j+"]])
     def test_eval_xcorr_needs_two_sequences(self, runner, tmp_path, sequences):
@@ -191,6 +232,53 @@ class TestEnumerateAndSearch:
         assert result.exit_code == 0, result.output
         assert calls == []
         assert warm.read_bytes() == cold.read_bytes()
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"pairs": [["+++-", "++-+"], ["++", "++"]]}, "pair 1: sequences of length 2 are not "
+                                                       "complementary"),
+        ({"length": 2, "count": 1}, "expected an object with a 'pairs' list"),
+        ([["++", "+-"]], "expected an object with a 'pairs' list"),
+        ({"pairs": ["+-"]}, "pair 0: expected a list of two symbol strings"),
+        ({"pairs": [["+++-", "++-+"], ["++", "+-"]]}, "pair 1 has length 2, expected 4"),
+    ], ids=["non-complementary", "no-pairs-key", "not-an-object", "not-a-pair", "mixed-lengths"])
+    def test_bad_seed_file_is_a_click_error(self, runner, tmp_path, payload, message):
+        seed_file = tmp_path / "seeds.json"
+        seed_file.write_text(json.dumps(payload))
+        out = tmp_path / "sets.json"
+        result = runner.invoke(main, ["search-sets", "--seed-file", str(seed_file),
+                                      "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert f"Error: {seed_file}: {message}" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["enumerate-gcps", "search-sets"])
+    def test_bad_cache_file_is_a_click_error(self, runner, tmp_path, command):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / "gcps_len4.json").write_text(
+            json.dumps({"length": 4, "count": 1, "pairs": [["++++", "++++"]]}))
+        out = tmp_path / "out.json"
+        result = runner.invoke(main, [command, "--length", "4", "--cache-dir", str(cache),
+                                      "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert "Error: invalid pair cache" in result.output and "gcps_len4.json" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("beta, verified", [("0.715", True), ("0.7142", False)])
+    def test_coarse_grid_certificate_is_refined(self, runner, enumerate_12_dir, tmp_path,
+                                                beta, verified):
+        # On the u = 16 grid the Bernstein bound of the library's set
+        # exceeds 0.715; on the refined grid it certifies 0.715, while its
+        # true maximum 0.7143984 still exceeds 0.7142.
+        out = tmp_path / "sets.json"
+        result = runner.invoke(main, ["search-sets", "--u", "16", "--beta", beta,
+                                      "--cache-dir", str(enumerate_12_dir / "cache"),
+                                      "--out", str(out)])
+        assert result.exit_code == (0 if verified else 1), result.output
+        payload = json.loads(out.read_text())
+        assert payload["admitted"] == 30 and payload["verified"] is verified
 
     def test_search_with_seed_file(self, runner, tmp_path):
         lib = tmp_path / "lib.json"

@@ -10,7 +10,6 @@ from csinterlace.golay import (
     ConstructionParams,
     GolayPair,
     cached_enumerate_gcps,
-    canonical_pair,
     combine_gcps,
     enumerate_gcps,
     equivalence_orbit,
@@ -20,12 +19,13 @@ from csinterlace.interlace import SparseSpectrum
 from csinterlace.metrics import synthesize
 from csinterlace.seqcore import (
     QUATERNARY_VALUES,
+    apac_vector,
     format_quaternary,
     is_gcp,
     parse_quaternary,
 )
 
-from helpers import apac, canonical_rank, random_unimodular, reference_mate_ranks
+from helpers import apac, canonical_pair, canonical_rank, random_unimodular, reference_mate_ranks
 
 
 def brute_force_canonical_pairs(length):
@@ -37,28 +37,51 @@ def brute_force_canonical_pairs(length):
     found = set()
     for i, a in enumerate(seqs):
         for j in range(i, len(seqs)):
-            if is_gcp(a, seqs[j], 0.0):
+            if is_gcp(a, seqs[j]):
                 found.add(canonical_pair(a, seqs[j]))
     return found
 
 
 class TestGolayPair:
     def test_certify_accepts_pair(self):
-        pair = GolayPair.from_strings("++", "+-")
-        assert pair.certified and pair.length == 2 and pair.energy == 4
+        pair = GolayPair(parse_quaternary("++"), parse_quaternary("+-"))
+        assert pair.length == 2 and pair == GolayPair.from_strings("++", "+-")
 
     def test_certify_rejects_non_pair(self):
         with pytest.raises(CertificationError):
             GolayPair.from_strings("++", "++")
+        a = parse_quaternary("++")
+        for non_mate in ("++", "+i", "--"):
+            with pytest.raises(CertificationError, match="not complementary"):
+                GolayPair(a, parse_quaternary(non_mate))
+        assert issubclass(CertificationError, ValueError)  # a click error at the CLI
+
+    def test_no_unchecked_public_constructor(self):
+        # The fields (a, b) are pinned by tests/test_api.py.
+        assert not hasattr(GolayPair, "certify")
+
+    def test_float_pair_checked(self, reference_pairs):
+        pair = reference_pairs[0]
+        assert GolayPair(pair.a * np.exp(0.3j), pair.b).length == 12
+        bent = pair.a * np.exp(0.3j)
+        bent[4] += 1e-7
+        with pytest.raises(CertificationError):
+            GolayPair(bent, pair.b)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            GolayPair.certify([1, 1], [1])
+            GolayPair([1, 1], [1])
 
     def test_members_immutable(self):
         pair = GolayPair.from_strings("++", "+-")
         with pytest.raises(ValueError):
             pair.a[0] = 5.0
+
+    def test_members_are_copies(self):
+        a, b = parse_quaternary("++"), parse_quaternary("+-")
+        pair = GolayPair(a, b)
+        a[1] = -1.0
+        assert pair.as_strings() == ("++", "+-")
 
     def test_value_equality(self):
         assert GolayPair.from_strings("++", "+-") == GolayPair.from_strings("++", "+-")
@@ -92,7 +115,7 @@ class TestCombineGcps:
         assert np.allclose(out.a, parse_quaternary("+++-"))
         # mate is reverse-conjugated d followed by negated reverse-conjugated c
         assert np.allclose(out.b, parse_quaternary("-+--"))
-        assert is_gcp(out.a, out.b, 0.0)
+        assert is_gcp(out.a, out.b)
 
     def test_interleaving_special_case(self):
         spread = GolayPair.from_strings("++", "+-")
@@ -109,13 +132,13 @@ class TestCombineGcps:
         support = np.flatnonzero(out.a)
         expected = (120 * np.arange(10)[:, None] + np.arange(12)[None, :]).reshape(-1)
         assert np.array_equal(support, expected)
-        assert is_gcp(out.a, out.b, 1e-9)
+        assert is_gcp(out.a, out.b)
 
     def test_overlapping_supports_allowed(self, small_libraries):
         first = small_libraries[2][0]
         second = small_libraries[4][0]
         out = combine_gcps(first, second, ConstructionParams(step1=1, step2=1, offset=0))
-        assert out.certified
+        assert is_gcp(out.a, out.b)
 
     def test_random_closure(self, small_libraries):
         rng = np.random.default_rng(42)
@@ -131,7 +154,7 @@ class TestCombineGcps:
                 offset=int(rng.integers(0, 65)),
             )
             out = combine_gcps(first, second, params)  # certifies internally
-            assert out.certified
+            assert is_gcp(out.a, out.b)
 
     def test_exact_when_phases_are_gaussian_units(self, small_libraries):
         first = small_libraries[3][0]
@@ -139,9 +162,11 @@ class TestCombineGcps:
         out = combine_gcps(
             first, second,
             ConstructionParams(phase1=1j, phase2=-1.0, step1=3, step2=1, offset=2),
-            tol=0.0,
         )
-        assert out.certified
+        # Gaussian-integer coefficients, so the check cancelled exactly.
+        both = np.concatenate([out.a, out.b])
+        assert np.array_equal(both, np.round(both))
+        assert not np.any(apac_vector(out.a)[1:] + apac_vector(out.b)[1:])
 
     def test_peak_power_bound(self, small_libraries):
         rng = np.random.default_rng(9)
@@ -156,7 +181,8 @@ class TestCombineGcps:
             ef, eg = apac(out.a, 0).real, apac(out.b, 0).real
             if abs(ef - eg) > 1e-9:
                 continue
-            spectrum = SparseSpectrum.from_dense(out.a)
+            support = np.flatnonzero(out.a)
+            spectrum = SparseSpectrum(support, out.a[support], out.a.size)
             peak = synthesize(spectrum, 4096).peak_power
             assert peak <= ef + eg + 1e-6
 
@@ -165,7 +191,7 @@ class TestEquivalenceOrbit:
     def test_orbit_size_and_certification(self):
         orbit = equivalence_orbit(GolayPair.from_strings("++", "+-"))
         assert len(orbit) == 8
-        assert all(p.certified for p in orbit)
+        assert all(is_gcp(p.a, p.b) for p in orbit)
 
     def test_orbit_contains_identity(self, reference_pairs):
         pair = reference_pairs[0]
@@ -175,7 +201,7 @@ class TestEquivalenceOrbit:
     def test_orbit_of_reference_pair_all_certified(self, reference_pairs):
         orbit = equivalence_orbit(reference_pairs[0])
         assert len(orbit) == 8
-        assert all(is_gcp(p.a, p.b, 0.0) for p in orbit)
+        assert all(is_gcp(p.a, p.b) for p in orbit)
 
     def test_orbit_closure(self, reference_pairs):
         pair = reference_pairs[4]
@@ -206,7 +232,7 @@ class TestEnumeration:
         assert len(got) == 16
 
     def test_all_outputs_certified(self):
-        assert all(p.certified for p in enumerate_gcps(4))
+        assert all(is_gcp(p.a, p.b) for p in enumerate_gcps(4))
 
     def test_capacity_error(self):
         with pytest.raises(ValueError):
@@ -279,7 +305,7 @@ class TestCache:
     def test_loaded_pairs_are_complementary_and_immutable(self, tmp_path):
         cached_enumerate_gcps(6, tmp_path)
         pairs = cached_enumerate_gcps(6, tmp_path)
-        assert len(pairs) == 64 and all(is_gcp(p.a, p.b, 0.0) for p in pairs)
+        assert len(pairs) == 64 and all(is_gcp(p.a, p.b) for p in pairs)
         with pytest.raises(ValueError):
             pairs[0].a[0] = -1.0
 

@@ -73,6 +73,9 @@ BUILD_INTERLACE_DIGESTS = {
     ("--shift", "0.5"): "3341949baa578a440cd5fdece3338cb214994a35eb2f46a0785b7f9c60328efa",
     ("--scheme", "coherent", "--bits", "2", "--value", "3"):
         "0b22192ed2cd593a3e259a77ad66fe2eb83cb4ea9b85645a0271f8719f3bbcc6",
+    # The one-bit ACK phase is -PILOT_PHASE, the phase the link simulator sends.
+    ("--scheme", "coherent", "--bits", "1", "--value", "1"):
+        "b32c90005ebc1fc6b257dcf4d9483e6856b8016403f40061a9873aa95066ee04",
     ("--scheme", "noncoherent-adjacent", "--nnull", "0", "--shift", "3"):
         "e06d24b0a2dcb39cde962ca6ae08bb0d9687befea3c54486af1c77ccff7ceeea",
 }

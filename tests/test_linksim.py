@@ -12,7 +12,6 @@ from csinterlace.linksim import (
     SimConfig,
     calibrate_dtx_threshold,
     run_sim,
-    validate_dtx_rate,
 )
 from helpers import load_bench_checks, received_grids_oracle
 
@@ -83,9 +82,10 @@ class TestCalibration:
         assert threshold > np.max(stats[np.isfinite(stats)])
 
     def test_default_target_hits_one_percent(self):
-        cfg = SimConfig(scheme="single-rb-noncoherent", calibration_trials=50_000)
-        threshold = calibrate_dtx_threshold(cfg)
-        rate = validate_dtx_rate(cfg, threshold, 50_000)
+        # The DTX trials of run_sim draw on a stream calibration never saw.
+        cfg = SimConfig(scheme="single-rb-noncoherent", calibration_trials=50_000,
+                        n_trials=50_000, snr_grid_db=(0.0,))
+        rate = run_sim(cfg).points[0].dtx_to_ack
         assert rate == pytest.approx(0.01, abs=0.003)
 
     def test_quantization_limited_target_raises(self):
@@ -98,16 +98,10 @@ class TestCalibration:
         with pytest.raises(CalibrationError):
             calibrate_dtx_threshold(cfg, target=-0.1)
 
-    @pytest.mark.parametrize("n_trials", [0, 2**40])
-    def test_validation_trial_count_names_field(self, n_trials):
-        cfg = SimConfig(scheme="single-rb-noncoherent")
-        with pytest.raises(ValueError, match="n_trials"):
-            validate_dtx_rate(cfg, 1.0, n_trials)
-
     def test_coherent_detector_calibrates(self):
-        cfg = SimConfig(scheme="single-rb-coherent", calibration_trials=20_000)
-        threshold = calibrate_dtx_threshold(cfg)
-        rate = validate_dtx_rate(cfg, threshold, 20_000)
+        cfg = SimConfig(scheme="single-rb-coherent", calibration_trials=20_000,
+                        n_trials=20_000, snr_grid_db=(0.0,))
+        rate = run_sim(cfg).points[0].dtx_to_ack
         assert rate == pytest.approx(0.01, abs=0.005)
 
 

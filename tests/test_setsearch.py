@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from csinterlace import golay
 from csinterlace.fixtures import reference_set_params
-from csinterlace.golay import GolayPair
 from csinterlace.metrics import fractional_xcorr_max, xcorr_matrix
 from csinterlace.setsearch import SequenceSetPair, _continuous_bound, build_sets, verify_sets
 
@@ -81,6 +81,21 @@ class TestVerifySets:
         assert xcorr_matrix(sets.first_members, DENSE_N_IDFT).max() > 0.7142
         assert not report.ok
         assert any("between its points" in v for v in report.violations)
+
+    @pytest.mark.parametrize("u", [4, 16])
+    def test_true_certificate_on_coarse_grid_refined(self, reference_pairs, u):
+        # The u = 16 bound of the grid maximum 0.7141007 is 0.71996 > 0.715;
+        # the pairs re-evaluated on the denser grid certify 0.715, and the
+        # report keeps the maximum of the coarse grid, below 0.7143984.
+        report = verify_sets(SequenceSetPair(tuple(reference_pairs), 0.715, u))
+        assert report.ok, report.violations
+        assert max(report.max_xcorr_first, report.max_xcorr_second) < 0.71415
+
+    def test_non_complementary_pair_flagged(self, reference_pairs):
+        a, b = np.array([reference_pairs[0].a]), np.array([reference_pairs[1].b])
+        (tampered,) = golay._proven_pairs(a, b)  # unchecked, as pairs proved elsewhere
+        sets = SequenceSetPair((tampered, *reference_pairs[2:]), 0.715, 128)
+        assert verify_sets(sets).violations[0] == "pair 0 is not complementary"
 
     @pytest.mark.parametrize("u", [1, 2, 4, 16])
     def test_continuous_bound_holds_between_grid_points(self, u):
