@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .golay import ConstructionParams, GolayPair, combine_gcps, enumerate_gcps
 from .interlace import InterlaceConfig, SparseSpectrum
 from .linksim import SimConfig, SimReport, run_sim
-from .metrics import cm_db, papr_db, peak_xcorr, synthesize
+from .metrics import cm_db, papr_db, synthesize
 from .setsearch import SequenceSetPair, build_sets, verify_sets
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "run_sim",
     "cm_db",
     "papr_db",
-    "peak_xcorr",
     "synthesize",
     "SequenceSetPair",
     "build_sets",

@@ -38,7 +38,7 @@ from .golay import (
     library_payload,
 )
 from .interlace import PILOT_PHASE, SCHEMES, InterlaceConfig, payload_phase, rb_values
-from .linksim import CHANNELS, SimConfig, run_sim
+from .linksim import _SNR_LIMIT, CHANNELS, CalibrationError, SimConfig, run_sim
 from .linksim import SCHEMES as SIM_SCHEMES
 from .metrics import ccdf, cm_db, papr_db, synthesize, xcorr_matrix
 from .seqcore import sequence_from_json
@@ -225,9 +225,9 @@ def _write_xcorr(members, n_idft: int, out: Path, ccdf_out: Path | None) -> floa
             for j, value in enumerate(row) if i != j]
     _write_csv(out, ["i", "j", "rho"], rows)
     if ccdf_out is not None:
-        curve = ccdf(np.array([r[2] for r in rows]), np.linspace(0.0, 1.0, 101))
+        thresholds, exceed_prob = ccdf([r[2] for r in rows], np.linspace(0.0, 1.0, 101))
         _write_csv(ccdf_out, ["threshold", "exceed_prob"],
-                   list(zip(curve.thresholds.tolist(), curve.exceed_prob.tolist())))
+                   list(zip(thresholds.tolist(), exceed_prob.tolist())))
     return float(rho.max())
 
 
@@ -337,12 +337,25 @@ def search_sets(beta, u, k_target, length, seed_file, cache_dir, out):
         raise click.ClickException("verification failed: " + "; ".join(report.violations))
 
 
+def _finite(ctx, param, value):
+    if not np.isfinite(value):
+        raise click.BadParameter(f"{value} is not finite")
+    return value
+
+
+def _snr_point_count(snr_from: float, snr_to: float, snr_step: float) -> float:
+    """Length of the ``simulate-link`` SNR grid, counted as ``np.arange``
+    counts it but without building it: infinite if the span overflows."""
+    return float(np.ceil((snr_to + snr_step / 2 - snr_from) / snr_step))
+
+
 @main.command("simulate-link")
 @click.option("--scheme", default="noncoherent", type=click.Choice(SIM_SCHEMES))
 @click.option("--channel", default="iid_per_rb", type=click.Choice(CHANNELS))
-@click.option("--snr-from", default=-10.0, show_default=True)
-@click.option("--snr-to", default=10.0, show_default=True)
-@click.option("--snr-step", default=2.0, show_default=True)
+@click.option("--snr-from", default=-10.0, show_default=True, callback=_finite)
+@click.option("--snr-to", default=10.0, show_default=True, callback=_finite)
+@click.option("--snr-step", default=2.0, show_default=True, callback=_finite,
+              type=click.FloatRange(0, min_open=True))
 @click.option("--trials", default=10_000, show_default=True)
 @click.option("--calibration-trials", default=100_000, show_default=True)
 @click.option("--seed", default=1, show_default=True)
@@ -352,13 +365,18 @@ def search_sets(beta, u, k_target, length, seed_file, cache_dir, out):
 def simulate_link(scheme, channel, snr_from, snr_to, snr_step, trials,
                   calibration_trials, seed, energy_norm, out):
     """Monte-Carlo DTX/ACK/NACK detection rates over an SNR grid."""
+    if _snr_point_count(snr_from, snr_to, snr_step) > _SNR_LIMIT:  # refused before allocating
+        raise click.BadParameter(f"more than {_SNR_LIMIT} SNR points", param_hint="'--snr-step'")
     grid = tuple(np.arange(snr_from, snr_to + snr_step / 2, snr_step).tolist())
     with _refuse_bad_input():
         cfg = SimConfig(
             scheme=scheme, channel=channel, snr_grid_db=grid, n_trials=trials,
             calibration_trials=calibration_trials, rng_seed=seed, energy_norm=energy_norm,
         )
-    report = run_sim(cfg)
+    try:
+        report = run_sim(cfg)
+    except CalibrationError as exc:  # too few trials to realize the target
+        raise click.BadParameter(str(exc), param_hint="'--calibration-trials'") from None
     report.write_csv(out)
     _write_manifest(out, [out])
     click.echo(f"threshold {report.threshold:.6g}; wrote {len(report.points)} SNR points")

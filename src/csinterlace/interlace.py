@@ -98,13 +98,6 @@ class SparseSpectrum:
         }
 
 
-def is_valid_interlace(spectrum: SparseSpectrum, cfg: InterlaceConfig) -> bool:
-    """Occupied tones form exactly the configured block pattern."""
-    return spectrum.grid_size == cfg.grid_size and np.array_equal(
-        spectrum.indices, cfg.support()
-    )
-
-
 def rb_values(spectrum: SparseSpectrum, cfg: InterlaceConfig) -> np.ndarray:
     """Occupied values reshaped to one row per resource block.
 
@@ -112,7 +105,7 @@ def rb_values(spectrum: SparseSpectrum, cfg: InterlaceConfig) -> np.ndarray:
     neighbouring cell interferes on the same blocks), so metrics sweep the
     rows of this matrix.
     """
-    if not is_valid_interlace(spectrum, cfg):
+    if spectrum.grid_size != cfg.grid_size or not np.array_equal(spectrum.indices, cfg.support()):
         raise ValueError("spectrum does not occupy the configured interlace")
     return spectrum.values.reshape(cfg.n_rb, cfg.n_sc)
 
@@ -198,33 +191,33 @@ def coherent_pair(
     return combine_gcps(spread, half_pair, params)
 
 
-def zc_sequence(root: int, length: int = 113, total: int | None = None) -> np.ndarray:
-    """Zadoff-Chu sequence of odd-prime length, cyclically extended."""
-    if not 1 <= root < length:
-        raise ValueError("root must be in 1..length-1")
-    n = np.arange(total if total is not None else length)
-    return np.exp(-1j * np.pi * root * ((n % length) * ((n % length) + 1)) / length)
+_ZC_LENGTH = 113  # odd prime of the Zadoff-Chu baseline
+_ZC_SET_SIZE = 30  # roots of the baseline set, ranked by PAPR
 
 
-def zadoff_chu_set(
-    cfg: InterlaceConfig, set_size: int, n_idft: int = 4096
-) -> list[SparseSpectrum]:
-    """Baseline set: the ``set_size`` lowest-PAPR roots of the length-113
-    Zadoff-Chu family, cyclically padded onto the interlace tones."""
+def zc_sequence(root: int, total: int) -> np.ndarray:
+    """Length-113 Zadoff-Chu sequence, cyclically extended to ``total``."""
+    if not 1 <= root < _ZC_LENGTH:
+        raise ValueError(f"root must be in 1..{_ZC_LENGTH - 1}")
+    n = np.arange(total) % _ZC_LENGTH
+    return np.exp(-1j * np.pi * root * (n * (n + 1)) / _ZC_LENGTH)
+
+
+def zadoff_chu_set(cfg: InterlaceConfig, n_idft: int = 4096) -> list[SparseSpectrum]:
+    """Baseline set: the 30 lowest-PAPR roots of the length-113 Zadoff-Chu
+    family, cyclically padded onto the interlace tones."""
     from .metrics import papr_db, synthesize  # local import to avoid a cycle
 
     total = cfg.n_rb * cfg.n_sc
     if total != 120:
         raise ValueError("the length-113 baseline maps onto 120 occupied tones")
-    if not 1 <= set_size <= 112:
-        raise ValueError("set_size must be within the 112 available roots")
     support = cfg.support()
     scored = []
-    for root in range(1, 113):
-        spectrum = SparseSpectrum(support, zc_sequence(root, 113, total), cfg.grid_size)
+    for root in range(1, _ZC_LENGTH):
+        spectrum = SparseSpectrum(support, zc_sequence(root, total), cfg.grid_size)
         scored.append((papr_db(synthesize(spectrum, n_idft)), root, spectrum))
     scored.sort(key=lambda item: (item[0], item[1]))
-    return [spectrum for _, _, spectrum in scored[:set_size]]
+    return [spectrum for _, _, spectrum in scored[:_ZC_SET_SIZE]]
 
 
 def cycling_baseline(cfg: InterlaceConfig, base) -> SparseSpectrum:
@@ -292,6 +285,6 @@ SCHEMES: dict[str, Scheme] = {
     ),
     "cycling": Scheme(_reference_pairs, lambda cfg, pair, _: cycling_baseline(cfg, pair.a),
                       _no_resource, proposed=False),
-    "zc": Scheme(lambda cfg, n_idft=4096: zadoff_chu_set(cfg, 30, n_idft),
+    "zc": Scheme(zadoff_chu_set,
                  lambda cfg, spectrum, _: spectrum, _no_resource, proposed=False),
 }

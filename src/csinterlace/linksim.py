@@ -2,7 +2,8 @@
 
 Per trial, one OFDM symbol carrying DTX (nothing), ACK, or NACK passes
 through flat or per-block-independent Rayleigh fading with per-tone complex
-Gaussian noise and two receive antennas.  Outcomes are the integer codes
+Gaussian noise and two receive antennas; as in the paper, the antenna count
+and the 1 % DTX-to-ACK target are fixed.  Outcomes are the integer codes
 ``NACK, ACK, DTX = 0, 1, 2``.
 
 Each scheme has one of two detectors, and both answer one call,
@@ -34,7 +35,7 @@ fading, independent per-block combining when blocks fade independently.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import ClassVar
 
@@ -67,7 +68,7 @@ _SNR_LIMIT = 1 << 16
 
 
 class CalibrationError(Exception):
-    """Requested false-alarm rate cannot be realized by the trial budget."""
+    """The DTX-to-ACK target cannot be realized by the calibration trials."""
 
 
 @dataclass(frozen=True)
@@ -75,25 +76,23 @@ class SimConfig:
     scheme: str = "noncoherent"
     channel: str = "iid_per_rb"
     snr_grid_db: tuple[float, ...] = tuple(float(s) for s in range(-10, 12, 2))
-    n_rx: int = 2
-    dtx_target: float = 0.01
     n_trials: int = 10_000
     rng_seed: int = 1
     calibration_trials: int = 100_000
     energy_norm: str = "equal_total"
-    # The geometry of the shipped fixtures: ten blocks of twelve tones
-    # spaced 120 apart.
+    # The geometry of the shipped fixtures (ten blocks of twelve tones
+    # spaced 120 apart) and the paper's receive antennas and DTX-to-ACK target.
     n_rb: ClassVar[int] = 10
     n_sc: ClassVar[int] = 12
     n_null: ClassVar[int] = 108
+    n_rx: ClassVar[int] = 2
+    dtx_target: ClassVar[float] = 0.01
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.channel not in CHANNELS:
             raise ValueError(f"unknown channel {self.channel!r}")
-        if not 0 < self.dtx_target < 1:
-            raise ValueError("dtx_target must lie strictly between 0 and 1")
         # The seed is one 64-bit word of the per-trial RNG key, and trial
         # and SNR indices are 40- and 16-bit fields of the other; values
         # outside would alias other streams.
@@ -105,10 +104,10 @@ class SimConfig:
                 raise ValueError(f"{name} must lie in [1, 2**40)")
         if not 1 <= len(self.snr_grid_db) <= _SNR_LIMIT:
             raise ValueError("snr_grid_db must hold between 1 and 2**16 SNR points")
+        if not np.all(np.isfinite(self.snr_grid_db)):
+            raise ValueError("snr_grid_db must hold finite SNR points")
         if self.energy_norm not in ("equal_total", "per_tone"):
             raise ValueError("energy_norm must be equal_total or per_tone")
-        if self.n_rx < 1:
-            raise ValueError("need at least one receive antenna")
 
 
 @dataclass(frozen=True)
@@ -129,19 +128,11 @@ class SimReport:
     points: tuple[PointStats, ...]
 
     def write_csv(self, path: str | Path) -> None:
+        """One row per point, a column per :class:`PointStats` field."""
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
-            writer.writerow(
-                ["snr_db", "dtx_to_ack", "nack_to_ack", "ack_miss", "ci_dtx", "ci_nack", "ci_miss"]
-            )
-            for p in self.points:
-                writer.writerow(
-                    [
-                        f"{p.snr_db:.9g}", f"{p.dtx_to_ack:.9g}", f"{p.nack_to_ack:.9g}",
-                        f"{p.ack_miss:.9g}", f"{p.ci_dtx:.9g}", f"{p.ci_nack:.9g}",
-                        f"{p.ci_miss:.9g}",
-                    ]
-                )
+            writer.writerow([f.name for f in fields(PointStats)])
+            writer.writerows([f"{v:.9g}" for v in astuple(p)] for p in self.points)
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,21 +308,19 @@ def _ack_claim_statistic(received: np.ndarray, detector: _Noncoherent | _Coheren
     return np.where(scores[:, ACK] >= scores[:, NACK], energy, -np.inf)
 
 
-def calibrate_dtx_threshold(cfg: SimConfig, target: float | None = None) -> float:
+def calibrate_dtx_threshold(cfg: SimConfig) -> float:
     """Energy threshold whose noise-only ACK-declaration rate hits the
-    DTX-to-ACK target.
+    DTX-to-ACK target :attr:`SimConfig.dtx_target`.
 
     Thresholds sit between adjacent order statistics of the noise-only
     statistic, found by bisecting the sorted sample (the declaration rate
-    is monotone in the threshold).  Targets at or above the achievable
-    maximum return 0.0 (declare whenever ACK wins); targets below the
-    sample resolution return a threshold above the observed maximum.
+    is monotone in the threshold).  A target at or above the achievable
+    maximum returns 0.0 (declare whenever ACK wins); a target below the
+    sample resolution returns a threshold above the observed maximum.
     Raises :class:`CalibrationError` when the achieved rate misses the
     target by more than 10 % relative.
     """
-    target = cfg.dtx_target if target is None else float(target)
-    if not 0 < target <= 1:
-        raise CalibrationError("target rate must lie in (0, 1]")
+    target = cfg.dtx_target
     n = cfg.calibration_trials
     signals = _build_signals(cfg)
     stats = np.empty(n)
@@ -381,18 +370,7 @@ def run_sim(cfg: SimConfig) -> SimReport:
                 batch = _received_batch(cfg, signals, snr_idx, hyp, trials, amp, sent)
                 tally += np.bincount(_decide(batch, signals.detector, threshold), minlength=3)
             acks[hyp] = int(tally[ACK])
-        dtx_to_ack = acks[_HYP_DTX] / n
-        nack_to_ack = acks[_HYP_NACK] / n
-        ack_miss = (n - acks[_HYP_ACK]) / n
-        points.append(
-            PointStats(
-                snr_db=float(snr_db),
-                dtx_to_ack=dtx_to_ack,
-                nack_to_ack=nack_to_ack,
-                ack_miss=ack_miss,
-                ci_dtx=_binomial_ci(dtx_to_ack, n),
-                ci_nack=_binomial_ci(nack_to_ack, n),
-                ci_miss=_binomial_ci(ack_miss, n),
-            )
-        )
+        # DTX-to-ACK, NACK-to-ACK and ACK miss, then their interval half-widths.
+        rates = (acks[_HYP_DTX] / n, acks[_HYP_NACK] / n, (n - acks[_HYP_ACK]) / n)
+        points.append(PointStats(float(snr_db), *rates, *(_binomial_ci(r, n) for r in rates)))
     return SimReport(config=cfg, threshold=threshold, points=tuple(points))

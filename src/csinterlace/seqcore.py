@@ -52,7 +52,7 @@ def as_sequence(a) -> np.ndarray:
     """Coerce to a nonempty 1-D complex array with finite entries."""
     arr = np.asarray(a, dtype=complex)
     if arr.ndim != 1:
-        arr = arr.reshape(-1)
+        raise ValueError(f"sequence must be 1-D, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError("sequence must be nonempty")
     if not np.all(np.isfinite(arr)):

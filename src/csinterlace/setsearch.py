@@ -46,14 +46,6 @@ class SequenceSetPair:
     def size(self) -> int:
         return len(self.pairs)
 
-    @property
-    def first_members(self) -> list[np.ndarray]:
-        return [p.a for p in self.pairs]
-
-    @property
-    def second_members(self) -> list[np.ndarray]:
-        return [p.b for p in self.pairs]
-
 
 @dataclass(frozen=True)
 class VerifyReport:
@@ -111,18 +103,16 @@ def build_sets(
         for orbit_index, candidate in enumerate(equivalence_orbit(seed)):
             if len(admitted) >= k_target:
                 break
-            members_a = np.array(first_rows) if first_rows else np.empty((0, candidate.length))
-            members_b = np.array(second_rows) if second_rows else np.empty((0, candidate.length))
-            ok_a, worst_a = _passes(candidate.a, members_a, u, beta)
+            ok_a, worst_a = _passes(candidate.a, np.array(first_rows), u, beta)
             if ok_a:
-                ok_b, worst_b = _passes(candidate.b, members_b, u, beta)
+                ok_b, worst_b = _passes(candidate.b, np.array(second_rows), u, beta)
             else:
                 ok_b, worst_b = False, 0.0
             worst = max(worst_a, worst_b)
             if ok_a and ok_b:
                 admitted.append(candidate)
-                first_rows.append(np.asarray(candidate.a, dtype=complex))
-                second_rows.append(np.asarray(candidate.b, dtype=complex))
+                first_rows.append(candidate.a)
+                second_rows.append(candidate.b)
             log.append(AdmissionRecord(seed_index, orbit_index, ok_a and ok_b, worst))
 
     return SequenceSetPair(tuple(admitted), float(beta), int(u), tuple(log))
@@ -140,8 +130,8 @@ def verify_sets(sets: SequenceSetPair) -> VerifyReport:
     violations = [f"pair {i} is not complementary"
                   for i, pair in enumerate(sets.pairs) if not is_gcp(pair.a, pair.b)]
 
-    max_first = _pairwise_max(sets.first_members, sets.u, sets.beta, "first", violations)
-    max_second = _pairwise_max(sets.second_members, sets.u, sets.beta, "second", violations)
+    max_first = _pairwise_max([p.a for p in sets.pairs], sets.u, sets.beta, "first", violations)
+    max_second = _pairwise_max([p.b for p in sets.pairs], sets.u, sets.beta, "second", violations)
     return VerifyReport(
         ok=not violations,
         size=sets.size,

@@ -16,7 +16,7 @@ from csinterlace.cli import main
 ALL = [
     "__version__", "ConstructionParams", "GolayPair", "combine_gcps", "enumerate_gcps",
     "InterlaceConfig", "SparseSpectrum", "SimConfig", "SimReport", "run_sim", "cm_db",
-    "papr_db", "peak_xcorr", "synthesize", "SequenceSetPair", "build_sets", "verify_sets",
+    "papr_db", "synthesize", "SequenceSetPair", "build_sets", "verify_sets",
 ]
 
 PUBLIC = {
@@ -32,12 +32,12 @@ PUBLIC = {
     ],
     "interlace": [
         "InterlaceConfig", "PILOT_PHASE", "QPSK_PHASES", "SCHEMES", "Scheme",
-        "SparseSpectrum", "coherent_pair", "cycling_baseline", "is_valid_interlace",
-        "noncoherent_pair", "payload_phase", "rb_values", "zadoff_chu_set", "zc_sequence",
+        "SparseSpectrum", "coherent_pair", "cycling_baseline", "noncoherent_pair",
+        "payload_phase", "rb_values", "zadoff_chu_set", "zc_sequence",
     ],
     "metrics": [
-        "CcdfCurve", "Waveform", "ccdf", "cm_db", "fractional_xcorr_max", "papr_db",
-        "peak_xcorr", "shift_matrix", "synthesize", "xcorr_matrix",
+        "ccdf", "cm_db", "fractional_xcorr_max", "papr_db", "shift_matrix", "synthesize",
+        "xcorr_matrix",
     ],
     "setsearch": ["AdmissionRecord", "SequenceSetPair", "VerifyReport", "build_sets",
                   "verify_sets"],

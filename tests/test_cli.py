@@ -1,10 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from csinterlace import golay
+from csinterlace import cli, golay
 from csinterlace.cli import FIGURES, main
 from csinterlace.fixtures import reference_set_params
 from csinterlace.interlace import SCHEMES, InterlaceConfig, rb_values
@@ -323,6 +324,68 @@ class TestSimulateLink:
         assert isinstance(result.exception, SystemExit)  # not a traceback
         assert "Error:" in result.output and field in result.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("args, option", [
+        (["--snr-step", "0"], "--snr-step"),
+        (["--snr-step", "-2"], "--snr-step"),
+        (["--snr-step", "nan"], "--snr-step"),
+        (["--snr-from", "nan"], "--snr-from"),
+        (["--snr-to", "inf"], "--snr-to"),
+        (["--snr-from", "-inf"], "--snr-from"),
+        (["--snr-from", "0", "--snr-to", "65536", "--snr-step", "1"], "--snr-step"),
+    ])
+    def test_bad_snr_grid_is_a_usage_error(self, runner, tmp_path, args, option):
+        out = tmp_path / "link.csv"
+        result = runner.invoke(main, ["simulate-link", "--trials", "10", *args, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert f"'{option}'" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("snr_from, snr_to, snr_step, count", [
+        (-10.0, 10.0, 2.0, 11), (0.0, 0.0, 1.0, 1), (0.0, 65535.0, 1.0, 65536),
+        (0.0, 65536.0, 1.0, 65537), (10.0, -10.0, 2.0, -9), (0.0, 1e12, 1e-3, 1e15 + 1),
+        (-1e308, 1e308, 1.0, float("inf")),
+    ])
+    def test_snr_point_count(self, snr_from, snr_to, snr_step, count):
+        # Counted without building the grid; checked against numpy only
+        # where the grid is small.
+        assert cli._snr_point_count(snr_from, snr_to, snr_step) == count
+        if 0 <= count <= 65537:
+            grid = np.arange(snr_from, snr_to + snr_step / 2, snr_step)
+            assert grid.size == count
+
+    def test_too_few_calibration_trials_is_a_usage_error(self, runner, tmp_path):
+        # 1 % of 150 noise-only trials rounds to 2 claims: 1.33 %, too far off.
+        out = tmp_path / "link.csv"
+        result = runner.invoke(main, ["simulate-link", "--scheme", "single-rb-noncoherent",
+                                      "--trials", "10", "--calibration-trials", "150",
+                                      "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert "'--calibration-trials'" in result.output and "0.013333" in result.output
+        assert not out.exists()
+
+    def test_every_config_field_is_an_option(self, runner, tmp_path, monkeypatch):
+        # Every option set away from its default must move every SimConfig
+        # field away from its default; a field no option reaches is a
+        # setting only the library can change.
+        seen = []
+
+        def capture(cfg):
+            seen.append(cfg)
+            raise RuntimeError("stop before simulating")
+
+        monkeypatch.setattr(cli, "run_sim", capture)
+        runner.invoke(main, [
+            "simulate-link", "--scheme", "coherent", "--channel", "flat",
+            "--snr-from", "0", "--snr-to", "1", "--snr-step", "1", "--trials", "7",
+            "--calibration-trials", "9", "--seed", "5", "--energy-norm", "per_tone",
+            "--out", str(tmp_path / "link.csv"),
+        ])
+        default = SimConfig()
+        assert [f.name for f in dataclasses.fields(SimConfig)
+                if getattr(seen[0], f.name) == getattr(default, f.name)] == []
 
 
 class TestImportSequences:

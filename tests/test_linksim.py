@@ -24,17 +24,19 @@ class TestSimConfig:
     @pytest.mark.parametrize("kwargs", [
         {"scheme": "bogus"},
         {"channel": "rician"},
-        {"dtx_target": 0.0},
-        {"dtx_target": 1.0},
         {"n_trials": 0},
         {"energy_norm": "other"},
-        {"n_rx": 0},
+        {"snr_grid_db": (float("nan"), 0.0)},
+        {"snr_grid_db": (0.0, float("inf"))},
+        {"snr_grid_db": (-float("inf"),)},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
 
-    @pytest.mark.parametrize("field, value", [("calibration_trials", 0), ("snr_grid_db", ())])
+    @pytest.mark.parametrize("field, value", [
+        ("calibration_trials", 0), ("snr_grid_db", ()), ("snr_grid_db", (float("nan"), 0.0)),
+    ])
     def test_boundary_error_names_field(self, field, value):
         with pytest.raises(ValueError, match=field):
             SimConfig(**{field: value})
@@ -43,6 +45,12 @@ class TestSimConfig:
         assert (SimConfig.n_rb, SimConfig.n_sc, SimConfig.n_null) == (10, 12, 108)
         with pytest.raises(TypeError, match="n_rb"):
             SimConfig(n_rb=8)
+
+    @pytest.mark.parametrize("field, value", [("n_rx", 2), ("dtx_target", 0.01)])
+    def test_link_model_is_fixed(self, field, value):
+        assert getattr(SimConfig(), field) == getattr(SimConfig, field) == value
+        with pytest.raises(TypeError, match=field):
+            SimConfig(**{field: value})
 
     @pytest.mark.parametrize("field", ["n_trials", "calibration_trials"])
     def test_trial_count_beyond_rng_key_names_field(self, field):
@@ -66,20 +74,33 @@ class TestSimConfig:
 
 
 class TestCalibration:
-    def test_target_one_returns_zero_threshold(self):
-        cfg = SimConfig(scheme="single-rb-noncoherent", calibration_trials=2000)
-        assert calibrate_dtx_threshold(cfg, target=1.0) == 0.0
+    """Each branch of the calibration at the fixed 1 % target, reached
+    through the trial count and the seed."""
 
-    def test_tiny_target_above_observed_max(self):
-        cfg = SimConfig(scheme="single-rb-noncoherent", calibration_trials=2000)
-        threshold = calibrate_dtx_threshold(cfg, target=1e-9)
-        # contract: the threshold clears every statistic seen during calibration
+    @staticmethod
+    def claim_statistics(cfg):
         signals = linksim._build_signals(cfg)
         batch = linksim._received_batch(
-            cfg, signals, 0, linksim._HYP_CALIBRATE, range(2000), 0.0, None
+            cfg, signals, 0, linksim._HYP_CALIBRATE, range(cfg.calibration_trials), 0.0, None
         )
-        stats = linksim._ack_claim_statistic(batch, signals.detector)
-        assert threshold > np.max(stats[np.isfinite(stats)])
+        return linksim._ack_claim_statistic(batch, signals.detector)
+
+    def test_target_one_returns_zero_threshold(self):
+        # The one trial at seed 1 claims no ACK, so the target is at or above
+        # the achievable rate 0: declare whenever ACK wins.
+        cfg = SimConfig(scheme="single-rb-noncoherent", calibration_trials=1, rng_seed=1)
+        assert not np.isfinite(self.claim_statistics(cfg)).any()
+        assert calibrate_dtx_threshold(cfg) == 0.0
+
+    def test_tiny_target_above_observed_max(self):
+        # 1 % of at most 49 trials rounds to no claim, so the threshold clears
+        # every statistic seen during calibration.
+        for trials, seed in ((1, 2), (40, 1)):
+            cfg = SimConfig(scheme="single-rb-noncoherent", calibration_trials=trials,
+                            rng_seed=seed)
+            stats = self.claim_statistics(cfg)
+            assert np.isfinite(stats).any()
+            assert calibrate_dtx_threshold(cfg) > np.max(stats[np.isfinite(stats)])
 
     def test_default_target_hits_one_percent(self):
         # The DTX trials of run_sim draw on a stream calibration never saw.
@@ -89,14 +110,10 @@ class TestCalibration:
         assert rate == pytest.approx(0.01, abs=0.003)
 
     def test_quantization_limited_target_raises(self):
-        cfg = SimConfig(scheme="single-rb-noncoherent", calibration_trials=1000)
-        with pytest.raises(CalibrationError):
-            calibrate_dtx_threshold(cfg, target=0.0012)
-
-    def test_invalid_target(self):
-        cfg = SimConfig(calibration_trials=1000)
-        with pytest.raises(CalibrationError):
-            calibrate_dtx_threshold(cfg, target=-0.1)
+        # 1 % of 150 trials rounds to 2 claims, a rate of 1.33 %.
+        cfg = SimConfig(scheme="single-rb-noncoherent", calibration_trials=150)
+        with pytest.raises(CalibrationError, match="0.013333"):
+            calibrate_dtx_threshold(cfg)
 
     def test_coherent_detector_calibrates(self):
         cfg = SimConfig(scheme="single-rb-coherent", calibration_trials=20_000,

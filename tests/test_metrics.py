@@ -2,15 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csinterlace.interlace import InterlaceConfig, SparseSpectrum, rb_values, zadoff_chu_set
+from csinterlace.interlace import SparseSpectrum, rb_values, zadoff_chu_set
 from csinterlace.metrics import (
-    CcdfCurve,
-    Waveform,
     ccdf,
     cm_db,
     fractional_xcorr_max,
     papr_db,
-    peak_xcorr,
     synthesize,
     xcorr_matrix,
 )
@@ -31,14 +28,15 @@ class TestSynthesize:
     def test_single_tone_constant_modulus(self):
         spectrum = SparseSpectrum(np.array([3]), np.array([1.0 + 0j]), 8)
         wave = synthesize(spectrum, 64)
-        assert np.allclose(np.abs(wave.samples), 1.0)
+        assert np.allclose(np.abs(wave), 1.0)
         assert papr_db(wave) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_tone_beat(self):
         spectrum = SparseSpectrum(np.array([0, 1]), np.array([1.0, 1.0]), 4)
         wave = synthesize(spectrum, 256)
-        assert wave.peak_power == pytest.approx(4.0, rel=1e-9)
-        assert wave.mean_power == pytest.approx(2.0, rel=1e-12)
+        power = np.abs(wave) ** 2
+        assert np.max(power) == pytest.approx(4.0, rel=1e-9)
+        assert np.mean(power) == pytest.approx(2.0, rel=1e-12)
         assert papr_db(wave) == pytest.approx(10 * np.log10(2.0), abs=1e-9)
 
     def test_matches_direct_evaluation(self):
@@ -48,7 +46,7 @@ class TestSynthesize:
         spectrum = SparseSpectrum(idx, vals, 50)
         wave = synthesize(spectrum, 64)
         oracle = dft_synthesis_oracle(idx, vals, 64)
-        assert np.max(np.abs(wave.samples - oracle)) < 1e-9
+        assert np.max(np.abs(wave - oracle)) < 1e-9
 
     def test_parseval(self):
         rng = np.random.default_rng(23)
@@ -56,7 +54,7 @@ class TestSynthesize:
         vals = rng.normal(size=12) + 1j * rng.normal(size=12)
         spectrum = SparseSpectrum(idx, vals, 100)
         wave = synthesize(spectrum, 128)
-        sample_energy = np.sum(np.abs(wave.samples) ** 2)
+        sample_energy = np.sum(np.abs(wave) ** 2)
         spectrum_energy = 128 * np.sum(np.abs(vals) ** 2)
         assert sample_energy == pytest.approx(spectrum_energy, rel=1e-9)
 
@@ -68,10 +66,17 @@ class TestSynthesize:
             synthesize(spectrum, 130)
 
 
+@pytest.mark.parametrize("metric", [papr_db, cm_db])
+@pytest.mark.parametrize("samples", [np.ones(0), np.ones((2, 4))], ids=["empty", "2-D"])
+def test_metric_rejects_non_waveform(metric, samples):
+    with pytest.raises(ValueError, match="nonempty 1-D"):
+        metric(samples)
+
+
 class TestPapr:
     def test_zero_waveform_rejected(self):
         with pytest.raises(ValueError):
-            papr_db(Waveform(np.zeros(8, dtype=complex)))
+            papr_db(np.zeros(8, dtype=complex))
 
     @given(st.floats(min_value=0.01, max_value=100.0),
            st.floats(min_value=0.0, max_value=2 * np.pi))
@@ -79,8 +84,8 @@ class TestPapr:
     def test_scale_and_phase_invariance(self, scale, angle):
         rng = np.random.default_rng(5)
         samples = rng.normal(size=64) + 1j * rng.normal(size=64)
-        base = papr_db(Waveform(samples))
-        transformed = papr_db(Waveform(scale * np.exp(1j * angle) * samples))
+        base = papr_db(samples)
+        transformed = papr_db(scale * np.exp(1j * angle) * samples)
         assert transformed == pytest.approx(base, abs=1e-9)
 
 
@@ -92,51 +97,41 @@ class TestCubicMetric:
     def test_scaling_invariance(self):
         rng = np.random.default_rng(31)
         samples = rng.normal(size=128) + 1j * rng.normal(size=128)
-        assert cm_db(Waveform(3.7 * samples)) == pytest.approx(
-            cm_db(Waveform(samples)), abs=1e-12
-        )
+        assert cm_db(3.7 * samples) == pytest.approx(cm_db(samples), abs=1e-12)
 
     def test_zero_power_rejected(self):
         with pytest.raises(ValueError):
-            cm_db(Waveform(np.zeros(4, dtype=complex)))
+            cm_db(np.zeros(4, dtype=complex))
 
 
 class TestPeakXcorr:
+    """The peak of one pair: an off-diagonal entry of :func:`xcorr_matrix`."""
+
     def test_self_correlation_unity(self):
         x = random_unimodular(np.random.default_rng(2), 12)
-        assert peak_xcorr(x, x) == pytest.approx(1.0, rel=1e-12)
+        assert xcorr_matrix([x, x])[0, 1] == pytest.approx(1.0, rel=1e-12)
 
     def test_symmetry(self):
         rng = np.random.default_rng(3)
         x = random_unimodular(rng, 12)
         y = random_unimodular(rng, 12)
-        assert peak_xcorr(x, y) == pytest.approx(peak_xcorr(y, x), abs=1e-12)
+        assert xcorr_matrix([x, y])[0, 1] == pytest.approx(xcorr_matrix([y, x])[0, 1], abs=1e-12)
 
     def test_reference_set_bound(self, reference_pairs):
-        members = [p.a for p in reference_pairs]
-        worst = max(
-            peak_xcorr(members[i], members[j])
-            for i in range(30) for j in range(30) if i != j
-        )
-        assert worst <= 0.715
+        assert xcorr_matrix([p.a for p in reference_pairs]).max() <= 0.715
 
     def test_zc_set_reaches_high_correlation(self, lte_config):
-        spectra = zadoff_chu_set(lte_config, 30)
-        blocks = [rb_values(s, lte_config) for s in spectra]
-        worst = 0.0
-        for i in range(30):
-            for j in range(i + 1, 30):
-                for r in range(10):
-                    worst = max(worst, peak_xcorr(blocks[i][r], blocks[j][r]))
-        assert 0.92 <= worst <= 0.98
+        # Block by block: the worst of the ten blocks of every pair.
+        blocks = [rb_values(s, lte_config) for s in zadoff_chu_set(lte_config)]
+        assert 0.92 <= xcorr_matrix(blocks).max() <= 0.98
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            peak_xcorr(np.ones(4), np.ones(5))
+            xcorr_matrix([np.ones(4), np.ones(5)])
 
     def test_transform_size_validation(self):
         with pytest.raises(ValueError):
-            peak_xcorr(np.ones(8), np.ones(8), n_idft=4)
+            xcorr_matrix([np.ones(8), np.ones(8)], n_idft=4)
 
 
 class TestXcorrMatrix:
@@ -158,11 +153,6 @@ class TestXcorrMatrix:
         rho = xcorr_matrix(members)
         assert np.array_equal(rho, rho.T)
         assert np.array_equal(np.diag(rho), np.zeros(9))
-
-    def test_peak_xcorr_is_one_entry(self):
-        members = random_unimodular(np.random.default_rng(14), 5 * 12).reshape(5, 12)
-        rho = xcorr_matrix(members)
-        assert peak_xcorr(members[1], members[3]) == pytest.approx(rho[1, 3], abs=1e-15)
 
     @pytest.mark.parametrize("members", [np.ones(4), np.ones((2, 0)), np.ones((2, 1, 1, 3))])
     def test_shape_validation(self, members):
@@ -190,7 +180,7 @@ class TestFractionalXcorr:
             y = random_unimodular(rng, 12)
             u = int(rng.integers(2, 64))
             explicit = fractional_xcorr_max(x, y, u)
-            fft_route = peak_xcorr(x, y, 12 * u)
+            fft_route = xcorr_matrix([x, y], 12 * u)[0, 1]
             assert explicit == pytest.approx(fft_route, abs=1e-9)
 
     def test_grid_refinement_monotone(self, reference_pairs):
@@ -211,22 +201,19 @@ class TestFractionalXcorr:
 
 class TestCcdf:
     def test_all_values_above_threshold(self):
-        curve = ccdf([2.0, 2.0, 2.0], [1.9])
-        assert curve.exceed_prob[0] == 1.0
+        _, exceed_prob = ccdf([2.0, 2.0, 2.0], [1.9])
+        assert exceed_prob[0] == 1.0
 
     def test_threshold_above_max(self):
-        curve = ccdf([1.0, 2.0], [5.0])
-        assert curve.exceed_prob[0] == 0.0
+        _, exceed_prob = ccdf([1.0, 2.0], [5.0])
+        assert exceed_prob[0] == 0.0
 
     def test_monotone_output(self):
         rng = np.random.default_rng(8)
-        curve = ccdf(rng.normal(size=500), np.linspace(-3, 3, 20))
-        assert np.all(np.diff(curve.exceed_prob) <= 0)
+        thresholds, exceed_prob = ccdf(rng.normal(size=500), np.linspace(3, -3, 20))
+        assert np.all(np.diff(thresholds) > 0)
+        assert np.all(np.diff(exceed_prob) <= 0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ccdf([], [0.0])
-
-    def test_curve_validation(self):
-        with pytest.raises(ValueError):
-            CcdfCurve(np.array([0.0, 1.0]), np.array([0.2, 0.8]))

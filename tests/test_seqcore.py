@@ -109,6 +109,13 @@ class TestIsGcp:
         with pytest.raises(ValueError):
             is_gcp(PLUS_PLUS, parse_quaternary("+"))
 
+    @pytest.mark.parametrize("a, b", [([[1, 1]], [[1, -1]]), (1.0, 1.0)],
+                             ids=["2-D", "0-D"])
+    def test_members_must_be_1d(self, a, b):
+        # Refused, not flattened into a pair of sequences.
+        with pytest.raises(ValueError, match="1-D"):
+            is_gcp(a, b)
+
     def test_energy_sum_for_unimodular_pair(self, reference_pairs):
         pair = reference_pairs[3]
         assert apac(pair.a, 0) + apac(pair.b, 0) == pair.a.size + pair.b.size

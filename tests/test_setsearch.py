@@ -69,7 +69,7 @@ class TestVerifySets:
         assert report.size == 30
         assert report.max_xcorr_first <= beta
         assert report.max_xcorr_second <= beta
-        for members in (sets.first_members, sets.second_members):
+        for members in ([p.a for p in sets.pairs], [p.b for p in sets.pairs]):
             assert xcorr_matrix(members, DENSE_N_IDFT).max() <= beta
 
     def test_false_grid_certificate_refused(self, reference_pairs):
@@ -78,7 +78,7 @@ class TestVerifySets:
         sets = SequenceSetPair(tuple(reference_pairs), 0.7142, 16)
         report = verify_sets(sets)
         assert max(report.max_xcorr_first, report.max_xcorr_second) <= 0.7142
-        assert xcorr_matrix(sets.first_members, DENSE_N_IDFT).max() > 0.7142
+        assert xcorr_matrix([p.a for p in sets.pairs], DENSE_N_IDFT).max() > 0.7142
         assert not report.ok
         assert any("between its points" in v for v in report.violations)
 
