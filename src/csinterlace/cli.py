@@ -288,8 +288,14 @@ def _read_seed_pairs(path: Path) -> list[GolayPair]:
     return pairs
 
 
+def _finite(ctx, param, value):
+    if not np.isfinite(value):
+        raise click.BadParameter(f"{value} is not finite")
+    return value
+
+
 @main.command("search-sets")
-@click.option("--beta", default=0.715, show_default=True,
+@click.option("--beta", default=0.715, show_default=True, callback=_finite,
               type=click.FloatRange(0, 1, min_open=True))
 @click.option("--u", default=128, show_default=True, type=click.IntRange(min=1))
 @click.option("--k", "k_target", default=30, show_default=True, type=click.IntRange(min=1))
@@ -335,12 +341,6 @@ def search_sets(beta, u, k_target, length, seed_file, cache_dir, out):
     )
     if not report.ok:
         raise click.ClickException("verification failed: " + "; ".join(report.violations))
-
-
-def _finite(ctx, param, value):
-    if not np.isfinite(value):
-        raise click.BadParameter(f"{value} is not finite")
-    return value
 
 
 def _snr_point_count(snr_from: float, snr_to: float, snr_step: float) -> float:

@@ -6,35 +6,44 @@ Gaussian noise and two receive antennas; as in the paper, the antenna count
 and the 1 % DTX-to-ACK target are fixed.  Outcomes are the integer codes
 ``NACK, ACK, DTX = 0, 1, 2``.
 
-Each scheme has one of two detectors, and both answer one call,
-``scores(received) -> (scores, energy)``: for a batch of received grids
-(B, tones, rx) it gives the NACK and ACK scores (B, 2), in that order, and
-an energy (B,).  The non-coherent detector correlates the grid with the NACK
-and ACK spectra, and its energy is the larger correlation; the coherent one
-estimates the channel from the built-in pilot tones, combines the data
-tones with maximum-ratio weights into a soft symbol z, scores z against the
-two payload phases, and its energy is |z|².  A decision is the better score
-(NACK on a tie), or DTX below an energy threshold; the threshold is
-calibrated on noise-only trials, where a trial claims ACK when the ACK
-score is at least the NACK score, to fix the DTX-to-ACK rate.
+The detectors see the received grid only through two statistics per block
+and antenna, which the simulator draws in place of the grid (the
+sufficient-statistic reduction).  With gain g and unit-power tone noise,
+non-coherent: the correlations with the NACK and ACK transmissions,
+independent CN(amp·n_sc·g·[that one sent], n_sc) as the two are orthogonal
+with energy n_sc in every block; coherent, over the n_p = n_sc/2 pilot and
+data tones: the mean of received/reference, CN(amp·g, 1/n_p), and the sum
+of received·conj(reference), CN(n_p·amp·g·φ, n_p) for payload phase φ, as
+the reference tones have unit modulus.  ``_build_signals`` checks both.
 
-Randomness is counter-based: every trial owns a Philox stream keyed by
-(rng_seed, snr index, hypothesis, trial index), so results are bit-identical
-regardless of how trials are batched or distributed.  A batch re-keys one
-bit generator per trial rather than building one, which gives each trial
-the same stream as a fresh generator on its key.
+``scores(stats) -> (scores, energy)`` gives NACK and ACK scores (2, B) and
+an energy (B,).  The non-coherent detector adds the squared correlations
+per block (iid fading) or squares their sums over the blocks (flat), and
+its energy is the larger score; the coherent one estimates the channel by
+the pilot mean of each block (iid) or of the grid (flat), combines the data
+sums with maximum-ratio weights into one soft symbol z, scores z against
+the two payload phases, and its energy is |z|².  A decision is the better
+score (NACK on a tie), or DTX below an energy threshold set on noise-only
+trials, where a trial claims ACK when the ACK score is at least the NACK
+score, to fix the DTX-to-ACK rate.
+
+Randomness is counter-based (Salmon et al., SC'11): each block of
+``_KEY_BLOCK`` trials is drawn whole from a Philox stream keyed by
+(rng_seed, snr index, hypothesis, key-block index), so no trial depends on
+batching or on the trial count.  The statistics use real +, - and × only,
+correctly rounded in every SIMD kernel, and sum blocks and antennas in a
+fixed order, so reports do not depend on the CPU's kernels.
 
 Energy normalization: ``equal_total`` gives every scheme the same total
 symbol energy as the reference interlace (single-block schemes then put ten
-times the power on each tone), which is the fair-transmit-power comparison;
-``per_tone`` matches per-tone energy instead.  The receiver matches its
-combining to the channel correlation: coherent-across-blocks for flat
-fading, independent per-block combining when blocks fade independently.
+times the power on each tone), the fair-transmit-power comparison;
+``per_tone`` matches per-tone energy instead.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import ClassVar
@@ -52,16 +61,15 @@ _INTERLACES = tuple(name for name, s in interlace.SCHEMES.items() if s.one_bit)
 SCHEMES = _INTERLACES + tuple(f"single-rb-{name}" for name in _INTERLACES)
 CHANNELS = ("flat", "iid_per_rb")
 
-# Outcome codes; NACK and ACK also index the detectors' score columns.
+# Outcome codes; NACK and ACK also index the detectors' score rows.
 NACK, ACK, DTX = 0, 1, 2
 
-# Hypothesis stream identifiers baked into the per-trial RNG keys.
-_HYP_CALIBRATE = 0
-_HYP_DTX = 1
-_HYP_ACK = 2
-_HYP_NACK = 3
+# Hypothesis stream identifiers baked into the RNG keys.
+_HYP_CALIBRATE, _HYP_DTX, _HYP_ACK, _HYP_NACK = range(4)
 
-_CHUNK = 4096
+_KEY_BLOCK = 1000  # trials per random stream
+_CHUNK = 4000  # trials per batch, rounded up to whole key blocks
+_ROUNDING = 1e-12  # relative, in the checks that the statistics' law rests on
 _SEED_LIMIT = 1 << 64
 _TRIAL_LIMIT = 1 << 40
 _SNR_LIMIT = 1 << 16
@@ -93,9 +101,9 @@ class SimConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.channel not in CHANNELS:
             raise ValueError(f"unknown channel {self.channel!r}")
-        # The seed is one 64-bit word of the per-trial RNG key, and trial
-        # and SNR indices are 40- and 16-bit fields of the other; values
-        # outside would alias other streams.
+        # The seed is one 64-bit word of the RNG key, and key-block and SNR
+        # indices are 40- and 16-bit fields of the other; values outside
+        # would alias other streams.
         seed = self.rng_seed
         if not isinstance(seed, (int, np.integer)) or not 0 <= seed < _SEED_LIMIT:
             raise ValueError("rng_seed must be an integer in [0, 2**64)")
@@ -135,52 +143,52 @@ class SimReport:
             writer.writerows([f"{v:.9g}" for v in astuple(p)] for p in self.points)
 
 
+def _ordered_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the first axis, one slice at a time in index order, so that
+    the bits do not depend on the reduction kernel numpy picks."""
+    total = x[0].copy()
+    for part in x[1:]:
+        total += part
+    return total
+
+
 @dataclass(frozen=True, eq=False)
 class _Noncoherent:
-    """Correlates the received grid with the NACK and ACK spectra."""
+    """Adds the squared NACK and ACK correlations of every block (iid
+    fading), or squares their sums over the blocks (flat)."""
 
-    templates: np.ndarray  # (2, blocks, n_sc) in NACK, ACK order
-    per_block: bool  # add block energies (iid fading) or block correlations (flat)
+    per_block: bool
 
-    def scores(self, received: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        _, n_blocks, n_sc = self.templates.shape
-        blocks = received.reshape(received.shape[0], n_blocks, n_sc, received.shape[2])
-        corr = np.einsum("bksa,cks->bcka", blocks, np.conj(self.templates))
-        if self.per_block:
-            scores = np.sum(np.abs(corr) ** 2, axis=(2, 3))
-        else:
-            scores = np.sum(np.abs(np.sum(corr, axis=2)) ** 2, axis=2)
-        return scores, np.max(scores, axis=1)
+    def scores(self, stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        re, im = stats  # (blocks, rx, 2, B): the NACK and ACK correlations
+        if not self.per_block:
+            re, im = _ordered_sum(re), _ordered_sum(im)
+        power = re * re + im * im
+        scores = _ordered_sum(power.reshape(-1, *power.shape[-2:]))
+        return scores, np.maximum(scores[NACK], scores[ACK])
 
 
 @dataclass(frozen=True, eq=False)
 class _Coherent:
-    """Least-squares channel estimates from the pilot tones, maximum-ratio
-    combining of the data tones into one soft symbol z, scored against the
-    NACK and ACK payload phases."""
+    """Channel estimates from the pilot means, maximum-ratio combining of the
+    data sums into one soft symbol z, scored against the NACK and ACK
+    payload phases."""
 
-    pilot_idx: np.ndarray  # even tones of each block
-    data_idx: np.ndarray  # odd tones of each block
-    reference: np.ndarray  # (tones,) transmitted values without the payload phase
     phases: np.ndarray  # (2,) payload phases in NACK, ACK order
-    n_blocks: int
     per_block: bool  # one estimate per block (iid fading) or one for the grid (flat)
 
-    def scores(self, received: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # Index arrays, not slices: the gathered arrays' memory layout fixes
-        # the summation order of the reductions below, and with it the bits.
-        b, _, n_rx = received.shape
-        pilots = received[:, self.pilot_idx, :] * np.conj(self.reference[self.pilot_idx])[:, None]
-        if self.per_block:
-            estimates = pilots.reshape(b, self.n_blocks, -1, n_rx).mean(axis=2)
-        else:
-            estimates = np.broadcast_to(
-                pilots.mean(axis=1)[:, None, :], (b, self.n_blocks, n_rx)
-            )
-        data = received[:, self.data_idx, :] * np.conj(self.reference[self.data_idx])[:, None]
-        soft_block = data.reshape(b, self.n_blocks, -1, n_rx).sum(axis=2)
-        z = np.sum(np.conj(estimates) * soft_block, axis=(1, 2))
-        return np.real(z[:, None] * np.conj(self.phases)), np.abs(z) ** 2
+    def scores(self, stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # Pilot means (the channel estimates) and data sums, (blocks, rx, B) each.
+        (est_re, data_re), (est_im, data_im) = stats.transpose(0, 3, 1, 2, 4)
+        if not self.per_block:  # the mean over every pilot of the grid
+            est_re, est_im = _ordered_sum(est_re) / len(est_re), _ordered_sum(est_im) / len(est_im)
+        n_trials = stats.shape[-1]
+        # z = sum of conj(estimate) * data over blocks and antennas.
+        z_re = _ordered_sum((est_re * data_re + est_im * data_im).reshape(-1, n_trials))
+        z_im = _ordered_sum((est_re * data_im - est_im * data_re).reshape(-1, n_trials))
+        # Re(z * conj(phase)) per phase, and |z|^2.
+        scores = self.phases.real[:, None] * z_re + self.phases.imag[:, None] * z_im
+        return scores, z_re * z_re + z_im * z_im
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,11 +196,16 @@ class _SchemeSignals:
     tx: np.ndarray  # (2, tones): NACK and ACK values on the occupied tones
     n_blocks: int
     detector: _Noncoherent | _Coherent
+    # Statistic r of a trial sending s: CN(amp * gain * mean[s, r], noise_std[r] ** 2).
+    mean: np.ndarray  # (2, 2) complex
+    noise_std: np.ndarray  # (2,)
 
 
 def _build_signals(cfg: SimConfig) -> _SchemeSignals:
-    """The NACK and ACK transmissions of member 0 of the scheme, and its
-    detector: the coherent one for a scheme with pilot tones."""
+    """The NACK and ACK transmissions of member 0 of the scheme, its
+    detector (the coherent one for a scheme with pilot tones) and the law
+    of the detector's statistics; ``ValueError`` if the scheme breaks what
+    that law rests on."""
     name = cfg.scheme.removeprefix("single-rb-")
     single_rb = name != cfg.scheme
     scheme = interlace.SCHEMES[name]
@@ -207,135 +220,118 @@ def _build_signals(cfg: SimConfig) -> _SchemeSignals:
             tx = np.stack([scheme.build(geometry, member, d).values for d in scheme.one_bit])
         n_blocks = tx.shape[1] // cfg.n_sc
         templates = tx.reshape(2, n_blocks, cfg.n_sc)
-        return _SchemeSignals(tx, n_blocks, _Noncoherent(templates, per_block))
+        gram = np.einsum("cks,dks->kcd", templates, np.conj(templates))
+        if np.max(np.abs(gram - cfg.n_sc * np.eye(2))) > _ROUNDING * cfg.n_sc:
+            raise ValueError(f"{cfg.scheme}: NACK and ACK are not orthogonal with energy "
+                             f"{cfg.n_sc} in every block")
+        return _SchemeSignals(tx, n_blocks, _Noncoherent(per_block),
+                              cfg.n_sc * np.eye(2, dtype=complex), np.full(2, np.sqrt(cfg.n_sc)))
 
     if single_rb:  # one block of interleaved pilot/data tones
         _, half = member
         unit = GolayPair([1.0], [1.0])
-        params = ConstructionParams(
-            phase1=PILOT_PHASE, phase2=1.0, step1=1, step2=2, offset=1
-        )
+        params = ConstructionParams(phase1=PILOT_PHASE, phase2=1.0, step1=1, step2=2, offset=1)
         base = combine_gcps(unit, half, params).a
     else:
         base = scheme.build(geometry, member, (PILOT_PHASE, 1.0)).values
+    if np.max(np.abs(np.abs(base) - 1.0)) > _ROUNDING:
+        raise ValueError(f"{cfg.scheme}: the reference tones are not of unit modulus")
     # Pilots on the even tones of each block, data on the odd ones.
-    pilot_idx, data_idx = np.arange(0, base.size, 2), np.arange(1, base.size, 2)
-    n_blocks = base.size // cfg.n_sc
     phases = np.array(scheme.one_bit)  # NACK, ACK
     tx = np.tile(base, (2, 1))
-    tx[:, data_idx] *= phases[:, None]
-    detector = _Coherent(pilot_idx, data_idx, base, phases, n_blocks, per_block)
-    return _SchemeSignals(tx, n_blocks, detector)
+    tx[:, 1::2] *= phases[:, None]
+    n_p = cfg.n_sc // 2
+    mean = np.stack([np.ones(2), n_p * phases], axis=1)  # pilot mean, data sum
+    noise_std = np.array([1.0 / np.sqrt(n_p), np.sqrt(n_p)])
+    return _SchemeSignals(tx, base.size // cfg.n_sc, _Coherent(phases, per_block), mean, noise_std)
 
 
 def _tone_amplitude(cfg: SimConfig, signals: _SchemeSignals, snr_db: float) -> float:
     es = 10.0 ** (snr_db / 10.0)
     if cfg.energy_norm == "equal_total":
-        reference_tones = cfg.n_rb * cfg.n_sc
-        es *= reference_tones / signals.tx.shape[1]
+        es *= cfg.n_rb * cfg.n_sc / signals.tx.shape[1]  # the reference interlace's tones
     return float(np.sqrt(es))
 
 
-def _received_batch(
-    cfg: SimConfig,
-    signals: _SchemeSignals,
-    snr_idx: int,
-    hyp: int,
-    trials: range,
-    amp: float,
-    sent: int | None,
-) -> np.ndarray:
-    """Received occupied-tone grid for a batch of trials: (B, tones, rx).
-    ``sent`` is NACK or ACK, or None for noise only.
+def _batches(n: int) -> list[range]:
+    step = -(-_CHUNK // _KEY_BLOCK) * _KEY_BLOCK  # _CHUNK trials in whole key blocks
+    return [range(start, min(start + step, n)) for start in range(0, n, step)]
 
-    Each trial's stream gives first the fading gains (one per block and
-    antenna, or one per antenna on a flat channel), then the noise of every
-    tone and antenna; each complex value is a (re, im) pair of standard
-    normals scaled by 1/sqrt(2).
+
+def _draw_statistics(cfg: SimConfig, signals: _SchemeSignals, snr_idx: int, hyp: int,
+                     trials: range, amp: float, sent: int | None) -> np.ndarray:
+    """Detector statistics (re/im, block, rx, row, trial) of a range of
+    trials; ``sent`` is NACK or ACK, or None for noise only.
+
+    A key block's stream gives the gains of all its trials (per block and
+    antenna, or per antenna on a flat channel), then the noise, real parts
+    before imaginary ones, each a standard normal scaled by 1/sqrt(2).
     """
-    n_trials, n_tones = len(trials), signals.tx.shape[1]
-    out = np.empty((n_trials, n_tones, cfg.n_rx), dtype=complex)
-    # The normals are drawn straight into float64 views, whose consecutive
-    # (re, im) pairs are the complex values.  The noise is the largest array
-    # of a batch, and a separate buffer of normals with complex temporaries
-    # would raise the simulator's peak memory by about a sixth.
-    noise = out.view(np.float64)
-    gains = None
-    if sent is not None:
-        n_groups = 1 if cfg.channel == "flat" else signals.n_blocks
-        gains = np.empty((n_trials, n_groups, 2 * cfg.n_rx))
-    # One bit generator, re-keyed per trial: a fresh key with the counter at
-    # zero and an empty output buffer is the state a new Philox(key=...)
-    # starts in, so every trial keeps its own stream.
-    bitgen = np.random.Philox(0)
-    gen = np.random.Generator(bitgen)
-    state = bitgen.state
+    groups = 1 if cfg.channel == "flat" else signals.n_blocks
+    shape = (signals.n_blocks, cfg.n_rx, 2, _KEY_BLOCK)
+    noise_scale = (signals.noise_std / np.sqrt(2.0))[:, None]
+    mean_re, mean_im = signals.mean.real[:, :, None], signals.mean.imag[:, :, None]
     key = np.array([cfg.rng_seed, 0], dtype=np.uint64)
-    state["state"] = {"counter": np.zeros(4, dtype=np.uint64), "key": key}
     stream = (snr_idx << 48) | (hyp << 40)
-    for row, trial in enumerate(trials):
-        key[1] = stream | trial
-        bitgen.state = state
-        if gains is not None:
-            gen.standard_normal(out=gains[row])
-        gen.standard_normal(out=noise[row])
-    scale = 1.0 / np.sqrt(2.0)
-    noise *= scale
-    if gains is None:
-        return out
-    gains *= scale
-    tx = signals.tx[sent].reshape(n_groups, -1)
-    grid = out.reshape(n_trials, n_groups, -1, cfg.n_rx)  # a view: tones by gain group
-    grid += (amp * gains.view(complex))[:, :, None, :] * tx[None, :, :, None]
-    return out
+    blocks = []
+    for block in range(trials.start // _KEY_BLOCK, -(-trials.stop // _KEY_BLOCK)):
+        key[1] = stream | block
+        gen = np.random.Generator(np.random.Philox(key=key))
+        if sent is not None:
+            gains = gen.standard_normal((2, groups, cfg.n_rx, 1, _KEY_BLOCK))
+            gains *= amp / np.sqrt(2.0)
+        stats = gen.standard_normal((2, *shape))
+        stats *= noise_scale
+        if sent is not None:  # amp * gain * mean[sent], in real arithmetic
+            g_re, g_im = gains
+            stats[0] += mean_re[sent] * g_re - mean_im[sent] * g_im
+            stats[1] += mean_re[sent] * g_im + mean_im[sent] * g_re
+        blocks.append(stats)
+    offset = trials.start % _KEY_BLOCK
+    return np.concatenate(blocks, axis=-1)[..., offset : offset + len(trials)]
 
 
-def _decide(
-    received: np.ndarray, detector: _Noncoherent | _Coherent, threshold: float
-) -> np.ndarray:
-    """Outcome codes (B,) of a received batch: the better scoring of NACK and
-    ACK (NACK on a tie), or DTX where the energy is below the threshold."""
-    scores, energy = detector.scores(received)
-    codes = np.argmax(scores, axis=1)
+def _decide(stats: np.ndarray, detector: _Noncoherent | _Coherent, threshold: float) -> np.ndarray:
+    """Outcome codes (B,) of a batch of statistics: the better scoring of
+    NACK and ACK (NACK on a tie), or DTX where the energy is below the
+    threshold."""
+    scores, energy = detector.scores(stats)
+    codes = np.argmax(scores, axis=0)
     codes[energy < threshold] = DTX
     return codes
 
 
-def _ack_claim_statistic(received: np.ndarray, detector: _Noncoherent | _Coherent) -> np.ndarray:
+def _ack_claim_statistic(stats: np.ndarray, detector: _Noncoherent | _Coherent) -> np.ndarray:
     """Per-trial energy, masked to -inf where NACK outscores ACK (ACK wins a
     tie); the statistic that threshold calibration ranks."""
-    scores, energy = detector.scores(received)
-    return np.where(scores[:, ACK] >= scores[:, NACK], energy, -np.inf)
+    scores, energy = detector.scores(stats)
+    return np.where(scores[ACK] >= scores[NACK], energy, -np.inf)
 
 
 def calibrate_dtx_threshold(cfg: SimConfig) -> float:
     """Energy threshold whose noise-only ACK-declaration rate hits the
     DTX-to-ACK target :attr:`SimConfig.dtx_target`.
 
-    Thresholds sit between adjacent order statistics of the noise-only
-    statistic, found by bisecting the sorted sample (the declaration rate
-    is monotone in the threshold).  A target at or above the achievable
-    maximum returns 0.0 (declare whenever ACK wins); a target below the
-    sample resolution returns a threshold above the observed maximum.
-    Raises :class:`CalibrationError` when the achieved rate misses the
-    target by more than 10 % relative.
+    The threshold sits midway between the k-th and (k+1)-th largest
+    noise-only statistics, k the target share of the calibration trials
+    (the declaration rate is monotone in the threshold).  Raises
+    :class:`CalibrationError` when k is 0 or not below the number of ACK
+    claims, or when the achieved rate misses the target by more than 10 %
+    relative.
     """
     target = cfg.dtx_target
     n = cfg.calibration_trials
     signals = _build_signals(cfg)
     stats = np.empty(n)
-    for start in range(0, n, _CHUNK):
-        trials = range(start, min(start + _CHUNK, n))
-        batch = _received_batch(cfg, signals, 0, _HYP_CALIBRATE, trials, 0.0, None)
+    for trials in _batches(n):
+        batch = _draw_statistics(cfg, signals, 0, _HYP_CALIBRATE, trials, 0.0, None)
         stats[trials] = _ack_claim_statistic(batch, signals.detector)
 
     finite = np.sort(stats[np.isfinite(stats)])[::-1]
-    max_rate = finite.size / n
-    if target >= max_rate:
-        return 0.0
     k = int(round(n * target))
-    if k == 0:
-        return float(np.nextafter(finite[0], np.inf))
+    if not 0 < k < finite.size:
+        raise CalibrationError(f"target {target:.6f} of {n} calibration trials is {k} of their "
+                               f"{finite.size} ACK claims; a threshold needs 1 to all but one")
     threshold = float((finite[k - 1] + finite[k]) / 2.0)
     achieved = float(np.mean(stats >= threshold))
     if abs(achieved - target) > 0.1 * target:
@@ -347,14 +343,19 @@ def calibrate_dtx_threshold(cfg: SimConfig) -> float:
 
 
 def _binomial_ci(p: float, n: int) -> float:
-    return float(1.96 * np.sqrt(max(p * (1.0 - p), 0.0) / n))
+    """Half-width of the 95 % Wilson interval of a rate p over n trials, on
+    its wider side: unlike the Wald interval, not 0 at a rate of 0 or 1."""
+    z2 = 1.96**2
+    centre = (p + z2 / (2 * n)) / (1 + z2 / n)
+    half = math.sqrt(z2 * p * (1 - p) / n + z2 * z2 / (4 * n * n)) / (1 + z2 / n)
+    return half + abs(centre - p)
 
 
 def run_sim(cfg: SimConfig) -> SimReport:
     """Calibrate, then sweep the SNR grid with DTX/ACK/NACK transmissions.
 
     Deterministic for a fixed ``rng_seed`` independent of batching; every
-    rate comes with a 95 % binomial confidence half-width.
+    rate comes with a 95 % Wilson confidence half-width.
     """
     signals = _build_signals(cfg)
     threshold = calibrate_dtx_threshold(cfg)
@@ -365,10 +366,9 @@ def run_sim(cfg: SimConfig) -> SimReport:
         acks = {}  # hypothesis -> trials decided ACK
         for hyp, sent in ((_HYP_DTX, None), (_HYP_ACK, ACK), (_HYP_NACK, NACK)):
             tally = np.zeros(3, dtype=np.int64)
-            for start in range(0, n, _CHUNK):
-                trials = range(start, min(start + _CHUNK, n))
-                batch = _received_batch(cfg, signals, snr_idx, hyp, trials, amp, sent)
-                tally += np.bincount(_decide(batch, signals.detector, threshold), minlength=3)
+            for trials in _batches(n):
+                stats = _draw_statistics(cfg, signals, snr_idx, hyp, trials, amp, sent)
+                tally += np.bincount(_decide(stats, signals.detector, threshold), minlength=3)
             acks[hyp] = int(tally[ACK])
         # DTX-to-ACK, NACK-to-ACK and ACK miss, then their interval half-widths.
         rates = (acks[_HYP_DTX] / n, acks[_HYP_NACK] / n, (n - acks[_HYP_ACK]) / n)

@@ -7,7 +7,7 @@ from csinterlace import fixtures
 from csinterlace.cli import main
 from csinterlace.golay import enumerate_gcps
 from csinterlace.interlace import InterlaceConfig
-from csinterlace.linksim import SimConfig, run_sim
+from helpers import SIM_GATE_CONFIGS, sim_gate_report
 
 
 @pytest.fixture(scope="session")
@@ -78,23 +78,8 @@ def reproduce_xcorr(tmp_path_factory):
     return _reproduce(tmp_path_factory, "xcorr")
 
 
-# (scheme, channel) of the small link-simulation reports pinned by digest.
-# Both channels for each interlace; one for each single-block scheme, whose
-# flat and iid reports coincide because one block fades as one gain.
-SIM_GATE_CONFIGS = (
-    ("noncoherent", "flat"), ("noncoherent", "iid_per_rb"),
-    ("coherent", "flat"), ("coherent", "iid_per_rb"),
-    ("single-rb-noncoherent", "iid_per_rb"), ("single-rb-coherent", "iid_per_rb"),
-)
-
-
 @pytest.fixture(scope="session")
 def sim_gate_reports():
-    """``run_sim`` reports keyed by (scheme, channel), run once per session:
-    200 trials per point, 2,000 calibration trials, SNR -10/0/6 dB, seed 3."""
-    return {
-        (scheme, channel): run_sim(SimConfig(
-            scheme=scheme, channel=channel, n_trials=200, calibration_trials=2000,
-            snr_grid_db=(-10.0, 0.0, 6.0), rng_seed=3))
-        for scheme, channel in SIM_GATE_CONFIGS
-    }
+    """The :func:`helpers.sim_gate_report` reports keyed by (scheme,
+    channel), run once per session."""
+    return {key: sim_gate_report(*key) for key in SIM_GATE_CONFIGS}

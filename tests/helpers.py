@@ -7,9 +7,12 @@ spectra are synthesized by an O(N^2) loop to vouch for the FFT path,
 autocorrelations are summed term by term to vouch for
 ``seqcore.apac_vector``, and the pair library is enumerated from the full
 table of all canonical autocorrelation keys, with no spectral
-filter, to vouch for the filtered enumeration.  Link-simulation grids are
-rebuilt trial by trial from a fresh Philox generator per trial and explicit
-loops over blocks, antennas and tones, to vouch for the batched draws.
+filter, to vouch for the filtered enumeration.  The link simulator draws
+only its detectors' statistics; full received grids are built here trial
+by trial, with explicit loops over blocks, antennas and tones, and a scalar
+reference receiver scores them, to vouch for the detectors on the grids'
+projection onto the statistics; the same projection of the grid model
+gives the statistics' covariance, to vouch for the draws.
 ``EXPECTED`` holds the output digests that ``perfbench/expected.json``
 records for the benchmark, and :func:`load_bench_checks` imports the
 benchmark's ``checks.py``.
@@ -22,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from csinterlace.linksim import SimConfig, run_sim
 from csinterlace.seqcore import QUATERNARY_SYMBOLS, as_sequence, format_quaternary, is_quaternary
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -198,8 +202,8 @@ def reference_mate_ranks(length: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _trial_rng(seed: int, snr_idx: int, hyp: int, trial: int) -> np.random.Generator:
-    """A fresh generator on the link simulator's per-trial key: the seed,
-    then (snr index, hypothesis, trial index) packed into 16/8/40 bits."""
+    """A fresh generator per trial, keyed by the seed, then (snr index,
+    hypothesis, trial index) packed into 16/8/40 bits."""
     word = (
         (np.uint64(snr_idx & 0xFFFF) << np.uint64(48))
         | (np.uint64(hyp & 0xFF) << np.uint64(40))
@@ -234,9 +238,143 @@ def received_grids_oracle(seed, channel, tx, n_blocks, n_rx, snr_idx, hyp, trial
             gain = gains[block] if channel == "iid_per_rb" else gains[0]
             for ant in range(n_rx):
                 for tone in range(block * n_sc, (block + 1) * n_sc):
-                    # A one-element slice, so that the complex product takes
-                    # numpy's array kernel, which may fuse multiply-adds where
-                    # scalar arithmetic rounds twice.
-                    signal = amp * gain[ant] * tx[sent, tone : tone + 1]
-                    out[row, tone, ant] = signal[0] + noise[tone, ant]
+                    out[row, tone, ant] = amp * gain[ant] * tx[sent, tone] + noise[tone, ant]
     return out
+
+
+NACK, ACK = 0, 1  # rows of ``tx`` and columns of the reference scores
+
+
+def reference_receiver(grids, tx, n_blocks, coherent, per_block):
+    """NACK and ACK scores (trials, 2) and energies (trials,) of received
+    grids (trials, tones, rx), one trial, block, antenna and tone at a time.
+
+    Non-coherent: each block of each antenna is correlated with the NACK
+    and ACK transmissions ``tx``; the energies of the correlations are added
+    (``per_block``) or the correlations are first added over the blocks;
+    the energy is the larger score.  Coherent: the even local tones of a
+    block are pilots, the odd ones data.  The least-squares channel
+    estimate of an antenna is the mean of received/sent over the pilots of
+    its block (``per_block``) or of the whole grid; the score of a
+    hypothesis is the real part of the maximum-ratio combination of the
+    data tones against that hypothesis' data values, and the energy is the
+    squared magnitude of the same combination, which the unit-modulus
+    payload phase does not change.
+    """
+    n_trials, n_tones, n_rx = grids.shape
+    n_sc = n_tones // n_blocks
+    scores = np.empty((n_trials, 2))
+    energy = np.empty(n_trials)
+    for t in range(n_trials):
+        r = [[complex(grids[t, tone, ant]) for ant in range(n_rx)] for tone in range(n_tones)]
+        x = [[complex(tx[c, tone]) for tone in range(n_tones)] for c in (NACK, ACK)]
+        if not coherent:
+            for c in (NACK, ACK):
+                corr = [[0j] * n_rx for _ in range(n_blocks)]
+                for k in range(n_blocks):
+                    for a in range(n_rx):
+                        for tone in range(k * n_sc, (k + 1) * n_sc):
+                            corr[k][a] += r[tone][a] * x[c][tone].conjugate()
+                score = 0.0
+                for a in range(n_rx):
+                    if per_block:
+                        for k in range(n_blocks):
+                            score += abs(corr[k][a]) ** 2
+                    else:
+                        combined = 0j
+                        for k in range(n_blocks):
+                            combined += corr[k][a]
+                        score += abs(combined) ** 2
+                scores[t, c] = score
+            energy[t] = max(scores[t])
+            continue
+        pilots = [[tone for tone in range(k * n_sc, (k + 1) * n_sc) if (tone - k * n_sc) % 2 == 0]
+                  for k in range(n_blocks)]
+        data = [[tone for tone in range(k * n_sc, (k + 1) * n_sc) if (tone - k * n_sc) % 2 == 1]
+                for k in range(n_blocks)]
+        estimate = [[0j] * n_rx for _ in range(n_blocks)]
+        for a in range(n_rx):
+            for k in range(n_blocks):
+                used = pilots[k] if per_block else [p for block in pilots for p in block]
+                total = 0j
+                for tone in used:
+                    total += r[tone][a] / x[NACK][tone]
+                estimate[k][a] = total / len(used)
+        combined = [0j, 0j]
+        for c in (NACK, ACK):
+            for k in range(n_blocks):
+                for a in range(n_rx):
+                    for tone in data[k]:
+                        combined[c] += (estimate[k][a].conjugate() * r[tone][a]
+                                        * x[c][tone].conjugate())
+            scores[t, c] = combined[c].real
+        energy[t] = abs(combined[NACK]) ** 2
+    return scores, energy
+
+
+def project_statistics(grids, tx, n_blocks, phases=None):
+    """Received grids (trials, tones, rx) projected onto the link
+    simulator's detector statistics, in its layout (re/im, block, rx, row,
+    trial).  Non-coherent (no ``phases``): the correlations of each block
+    with ``tx[NACK]`` and ``tx[ACK]``.  Coherent: the mean of
+    received·conj(reference) over the even local tones of each block and
+    its sum over the odd ones, the reference being ``tx[NACK]`` with the
+    NACK payload phase taken off its data tones."""
+    n_trials, _, n_rx = grids.shape
+    blocks = grids.reshape(n_trials, n_blocks, -1, n_rx)
+    if phases is None:
+        rows = np.einsum("bksa,cks->kacb", blocks, np.conj(tx.reshape(2, n_blocks, -1)))
+    else:
+        reference = tx[NACK].copy()
+        reference[1::2] *= np.conj(phases[NACK])
+        derotated = blocks * np.conj(reference.reshape(n_blocks, -1))[None, :, :, None]
+        rows = np.stack([derotated[:, :, 0::2].mean(axis=2), derotated[:, :, 1::2].sum(axis=2)])
+        rows = rows.transpose(2, 3, 0, 1)
+    return np.stack([rows.real, rows.imag])
+
+
+def statistics_covariance(tx, n_blocks, n_rx, phases, flat, amp, sent):
+    """E[s s^H] of one trial's complex statistics s, flattened from (block,
+    rx, row), under the grid model: unit-power white noise on every tone and
+    antenna, plus ``amp * gain * tx[sent]`` (unless ``sent`` is None) with
+    independent unit-power gains per block and antenna, or per antenna when
+    ``flat``.  The statistics are linear in the grid, so every independent
+    unit-power term adds the outer product of its projection."""
+    n_tones = tx.shape[1]
+    n_sc = n_tones // n_blocks
+    terms = list(np.eye(n_tones * n_rx, dtype=complex).reshape(-1, n_tones, n_rx))
+    if sent is not None:
+        for group in range(1 if flat else n_blocks):
+            tones = slice(None) if flat else slice(group * n_sc, (group + 1) * n_sc)
+            for ant in range(n_rx):
+                grid = np.zeros((n_tones, n_rx), dtype=complex)
+                grid[tones, ant] = amp * tx[sent, tones]
+                terms.append(grid)
+    stats = project_statistics(np.array(terms), tx, n_blocks, phases)
+    projected = (stats[0] + 1j * stats[1]).reshape(-1, len(terms))
+    return projected @ projected.conj().T
+
+
+# (scheme, channel) of the small link-simulation reports pinned by digest.
+# Both channels for each interlace; one for each single-block scheme, whose
+# flat and iid reports coincide because one block fades as one gain.
+SIM_GATE_CONFIGS = (
+    ("noncoherent", "flat"), ("noncoherent", "iid_per_rb"),
+    ("coherent", "flat"), ("coherent", "iid_per_rb"),
+    ("single-rb-noncoherent", "iid_per_rb"), ("single-rb-coherent", "iid_per_rb"),
+)
+
+
+def sim_gate_report(scheme, channel):
+    """``run_sim`` with 200 trials per point, 2,000 calibration trials,
+    SNR -10/0/6 dB and seed 3."""
+    return run_sim(SimConfig(scheme=scheme, channel=channel, n_trials=200,
+                             calibration_trials=2000, snr_grid_db=(-10.0, 0.0, 6.0), rng_seed=3))
+
+
+def sim_report_digest(report, directory) -> str:
+    """sha256 of ``SimReport.write_csv`` bytes followed by ``threshold.hex()``,
+    the CSV written into ``directory``."""
+    out = Path(directory) / "report.csv"
+    report.write_csv(out)
+    return sha256(out.read_bytes() + report.threshold.hex().encode())

@@ -98,6 +98,7 @@ OUT_OF_RANGE = [
     (["enumerate-gcps", "--length", "0"], "--length"),
     (["enumerate-gcps", "--length", "13"], "--length"),
     (["search-sets", "--beta", "2"], "--beta"),
+    (["search-sets", "--beta", "nan"], "--beta"),
     (["search-sets", "--u", "0"], "--u"),
     (["search-sets", "--k", "0"], "--k"),
     (["search-sets", "--length", "13"], "--length"),
@@ -364,6 +365,18 @@ class TestSimulateLink:
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)  # not a traceback
         assert "'--calibration-trials'" in result.output and "0.013333" in result.output
+        assert not out.exists()
+
+    def test_calibration_without_a_claim_to_place_is_a_usage_error(self, runner, tmp_path):
+        # 1 % of one noise-only trial rounds to no claim: no threshold
+        # realizes the target, and none may be reported as if it did.
+        out = tmp_path / "link.csv"
+        result = runner.invoke(main, ["simulate-link", "--trials", "2000",
+                                      "--calibration-trials", "1", "--snr-from", "0",
+                                      "--snr-to", "0", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert "'--calibration-trials'" in result.output
         assert not out.exists()
 
     def test_every_config_field_is_an_option(self, runner, tmp_path, monkeypatch):

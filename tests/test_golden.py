@@ -3,21 +3,25 @@
 ``build-interlace`` and ``eval-papr`` for every scheme, and the RNG-stream
 digests of small link-simulation reports.
 
-The pinned sim digests hold only where numpy selects the same SIMD kernels.
-Fused and unfused complex products differ in the last bit: with numpy's
-x86-64-v2 kernels (no AVX2/FMA, e.g. ``NPY_DISABLE_CPU_FEATURES="X86_V3
-X86_V4 AVX512_ICL AVX512_SPR"``) the two non-coherent digests fail while
-the trial-by-trial oracle of ``test_linksim.TestReceivedBatch`` still
-passes, so a sim digest failure on another CPU need not be a bug.
+The link simulator forms its statistics with real +, - and × only and sums
+small axes in a fixed order, so its pinned digests do not depend on the
+SIMD kernels numpy selects: they are checked again in a subprocess under
+numpy's x86-64-v2 baseline kernels (no AVX2, FMA or AVX-512).
 """
 
 import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import csinterlace
 from csinterlace.cli import main
-from helpers import EXPECTED, sha256
+from helpers import EXPECTED, sha256, sim_report_digest
 
 
 def test_enumerate_12_cold_matches_recorded_digest(enumerate_12_output):
@@ -35,27 +39,52 @@ def test_enumerate_12_warm_cache_matches_recorded_digest(enumerate_12_dir, tmp_p
     assert sha256(out.read_bytes()) == EXPECTED["sha256"]["enumerate-gcps-12.json"]
 
 
-# sha256 of ``SimReport.write_csv`` bytes followed by ``threshold.hex()``.
-# Only a change that declares a new random stream may change these.
+# ``helpers.sim_report_digest`` of ``helpers.sim_gate_report``.  Only a
+# change that declares a new random stream may change these.
 SIM_DIGESTS = {
-    ("noncoherent", "flat"): "47e5d9ed03079c4fa1768cd951a0bdb1b84f10ae31a952d80777ca201133b80b",
+    ("noncoherent", "flat"): "fb5789d24b6b787ba3e5e3210f3bb6809f64d8ceba08af35b20db6270ec13c59",
     ("noncoherent", "iid_per_rb"):
-        "c8f4f045370d944d879a23d32bba1d5258fb009ee21cc2db00ac3a308d1e06d9",
-    ("coherent", "flat"): "ba0d2a84bab4c7802e45c930e3c0a9f76d3fbe11378cc9863781c4e0fa45bbb8",
-    ("coherent", "iid_per_rb"): "409065654631d12b56dea11449ecc637755b3f1812eccf29f6ecffd5bb8827f9",
+        "6d85b5a62e64435cb4c2b4c756b8e49e845998bc4a77bd3b735a3ce2311790db",
+    ("coherent", "flat"): "d0439319305aecede99124bd3a7b426a9d354eab06366d664554d0f8c5bb31a2",
+    ("coherent", "iid_per_rb"): "6b2820e2072b1477cbd7b6976c08e6a1112736639aed114fb7142af240614d5d",
     ("single-rb-noncoherent", "iid_per_rb"):
-        "b5439a04673d3dec669e35dd3ab008b7351dd705ebd1019dd29ca31cbf26c9d2",
+        "26e19990f4bf4218361c7d52027a00f490cb8a07fac318b94a58fac74ce0874f",
     ("single-rb-coherent", "iid_per_rb"):
-        "c934c242576a1bd1f7de29171512e5e2ad910dfe376f0cc61a7891410a0e0c47",
+        "18546ab1d23903dcb289058699f13315edd972fbebe09243a56f28d47b58bc75",
 }
 
 
 @pytest.mark.parametrize("key", list(SIM_DIGESTS), ids="/".join)
 def test_sim_report_matches_rng_stream_digest(sim_gate_reports, key, tmp_path):
-    report = sim_gate_reports[key]
-    out = tmp_path / "report.csv"
-    report.write_csv(out)
-    assert sha256(out.read_bytes() + report.threshold.hex().encode()) == SIM_DIGESTS[key]
+    assert sim_report_digest(sim_gate_reports[key], tmp_path) == SIM_DIGESTS[key]
+
+
+BASELINE_KERNELS = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+
+_DIGESTS_SCRIPT = """
+import json, tempfile
+from numpy._core._multiarray_umath import __cpu_features__
+from helpers import SIM_GATE_CONFIGS, sim_gate_report, sim_report_digest
+with tempfile.TemporaryDirectory() as tmp:
+    digests = {"/".join(key): sim_report_digest(sim_gate_report(*key), tmp)
+               for key in SIM_GATE_CONFIGS}
+enabled = [f for f in %r.split() if __cpu_features__.get(f)]
+print(json.dumps({"digests": digests, "enabled": enabled}))
+""" % BASELINE_KERNELS
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="the baseline kernels are named for x86-64")
+def test_sim_digests_hold_under_baseline_kernels():
+    paths = [str(Path(csinterlace.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=BASELINE_KERNELS,
+               PYTHONPATH=os.pathsep.join(paths))
+    result = subprocess.run([sys.executable, "-c", _DIGESTS_SCRIPT], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    payload = json.loads(result.stdout)
+    assert payload["enabled"] == []  # the kernels were switched off
+    assert payload["digests"] == {"/".join(key): d for key, d in SIM_DIGESTS.items()}
 
 
 # sha256 of the stdout of ``build-interlace`` with these arguments.

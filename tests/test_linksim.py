@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from csinterlace import linksim
+from csinterlace import interlace, linksim
+from csinterlace.interlace import SparseSpectrum
 from csinterlace.linksim import (
     ACK,
     CalibrationError,
@@ -13,7 +14,13 @@ from csinterlace.linksim import (
     calibrate_dtx_threshold,
     run_sim,
 )
-from helpers import load_bench_checks, received_grids_oracle
+from helpers import (
+    load_bench_checks,
+    project_statistics,
+    received_grids_oracle,
+    reference_receiver,
+    statistics_covariance,
+)
 
 checks = load_bench_checks()
 
@@ -80,27 +87,34 @@ class TestCalibration:
     @staticmethod
     def claim_statistics(cfg):
         signals = linksim._build_signals(cfg)
-        batch = linksim._received_batch(
+        stats = linksim._draw_statistics(
             cfg, signals, 0, linksim._HYP_CALIBRATE, range(cfg.calibration_trials), 0.0, None
         )
-        return linksim._ack_claim_statistic(batch, signals.detector)
+        return linksim._ack_claim_statistic(stats, signals.detector)
 
-    def test_target_one_returns_zero_threshold(self):
-        # The one trial at seed 1 claims no ACK, so the target is at or above
-        # the achievable rate 0: declare whenever ACK wins.
-        cfg = SimConfig(scheme="single-rb-noncoherent", calibration_trials=1, rng_seed=1)
-        assert not np.isfinite(self.claim_statistics(cfg)).any()
-        assert calibrate_dtx_threshold(cfg) == 0.0
-
-    def test_tiny_target_above_observed_max(self):
-        # 1 % of at most 49 trials rounds to no claim, so the threshold clears
-        # every statistic seen during calibration.
-        for trials, seed in ((1, 2), (40, 1)):
+    def first_seed(self, trials, claims):
+        """The single-block config of the first seed whose calibration
+        trials make an ACK claim (``claims``) or none."""
+        for seed in range(1, 200):
             cfg = SimConfig(scheme="single-rb-noncoherent", calibration_trials=trials,
                             rng_seed=seed)
-            stats = self.claim_statistics(cfg)
-            assert np.isfinite(stats).any()
-            assert calibrate_dtx_threshold(cfg) > np.max(stats[np.isfinite(stats)])
+            if np.isfinite(self.claim_statistics(cfg)).any() == claims:
+                return cfg
+        raise AssertionError("no such seed")
+
+    def test_target_at_or_above_achievable_rate_raises(self):
+        # One trial that claims no ACK: the target is at or above the
+        # achievable rate 0, which no threshold can raise.
+        with pytest.raises(CalibrationError, match="is 0 of their 0 ACK claims"):
+            calibrate_dtx_threshold(self.first_seed(1, claims=False))
+
+    def test_target_rounding_to_no_claim_raises(self):
+        # 1 % of at most 49 trials rounds to no claim, so a threshold above
+        # every statistic seen would reach a rate of 0, not 1 %.
+        for trials in (1, 40):
+            cfg = self.first_seed(trials, claims=True)
+            with pytest.raises(CalibrationError, match=f"of {trials} calibration trials is 0 of"):
+                calibrate_dtx_threshold(cfg)
 
     def test_default_target_hits_one_percent(self):
         # The DTX trials of run_sim draw on a stream calibration never saw.
@@ -122,9 +136,17 @@ class TestCalibration:
         assert rate == pytest.approx(0.01, abs=0.005)
 
 
+def statistics_of(grids, signals):
+    """Received grids (trials, tones, rx) projected onto the detector's statistics."""
+    coherent = isinstance(signals.detector, linksim._Coherent)
+    return project_statistics(grids, signals.tx, signals.n_blocks,
+                              signals.detector.phases if coherent else None)
+
+
 def decide_one(received, signals, threshold) -> int:
     """Outcome code of one received grid (tones, rx)."""
-    return int(linksim._decide(received[None, ...], signals.detector, threshold)[0])
+    stats = statistics_of(received[None, ...], signals)
+    return int(linksim._decide(stats, signals.detector, threshold)[0])
 
 
 class TestDetectors:
@@ -161,13 +183,37 @@ class TestDetectors:
 
     def test_tie_goes_to_nack_in_decisions_and_to_ack_in_claims(self):
         class Tied:
-            def scores(self, received):
-                return np.ones((len(received), 2)), np.full(len(received), 5.0)
+            def scores(self, stats):
+                return np.ones((2, stats.shape[-1])), np.full(stats.shape[-1], 5.0)
 
-        received = np.zeros((3, 12, 2), dtype=complex)
-        assert linksim._decide(received, Tied(), 1.0).tolist() == [NACK] * 3
-        assert linksim._decide(received, Tied(), 6.0).tolist() == [DTX] * 3
-        assert linksim._ack_claim_statistic(received, Tied()).tolist() == [5.0] * 3
+        stats = np.zeros((2, 1, 2, 2, 3))
+        assert linksim._decide(stats, Tied(), 1.0).tolist() == [NACK] * 3
+        assert linksim._decide(stats, Tied(), 6.0).tolist() == [DTX] * 3
+        assert linksim._ack_claim_statistic(stats, Tied()).tolist() == [5.0] * 3
+
+
+class TestBuildSignals:
+    """``_build_signals`` refuses a scheme that breaks the law of the
+    statistics the simulator draws."""
+
+    @pytest.mark.parametrize("scheme", ["noncoherent", "single-rb-noncoherent"])
+    def test_non_orthogonal_templates_refused(self, monkeypatch, scheme):
+        # A half-tone shift is not orthogonal to no shift over twelve tones.
+        table = interlace.SCHEMES
+        monkeypatch.setitem(table, "noncoherent", replace(table["noncoherent"], one_bit=(0, 0.5)))
+        with pytest.raises(ValueError, match="not orthogonal"):
+            linksim._build_signals(SimConfig(scheme=scheme))
+
+    def test_reference_tones_off_unit_modulus_refused(self, monkeypatch):
+        coherent = interlace.SCHEMES["coherent"]
+
+        def build(cfg, member, phases):
+            spectrum = coherent.build(cfg, member, phases)
+            return SparseSpectrum(spectrum.indices, 1.5 * spectrum.values, spectrum.grid_size)
+
+        monkeypatch.setitem(interlace.SCHEMES, "coherent", replace(coherent, build=build))
+        with pytest.raises(ValueError, match="unit modulus"):
+            linksim._build_signals(SimConfig(scheme="coherent"))
 
 
 class TestOneBitResources:
@@ -185,15 +231,17 @@ class TestOneBitResources:
     @pytest.mark.parametrize("scheme", ["coherent", "single-rb-coherent"])
     def test_coherent_data_phases_antipodal(self, scheme):
         signals = linksim._build_signals(SimConfig(scheme=scheme))
-        pilots, data = signals.detector.pilot_idx, signals.detector.data_idx
+        pilots, data = slice(0, None, 2), slice(1, None, 2)  # even and odd tones
         assert abs(signals.detector.phases[ACK] + signals.detector.phases[NACK]) < 1e-12
         assert np.array_equal(signals.tx[ACK][pilots], signals.tx[NACK][pilots])
         assert np.max(np.abs(signals.tx[ACK][data] + signals.tx[NACK][data])) < 1e-12
 
 
 class TestReceivedBatch:
-    """The batched draws against grids rebuilt trial by trial from a fresh
-    generator per trial, bit for bit, over a batch boundary."""
+    """Noisy received grids, built trial by trial, projected onto the
+    statistics and scored by the detectors, against the scalar reference
+    receiver on the same grids, to rounding: the receive chain checked
+    without the simulator's random stream."""
 
     @pytest.mark.parametrize("channel", linksim.CHANNELS)
     @pytest.mark.parametrize("scheme", linksim.SCHEMES)
@@ -203,17 +251,54 @@ class TestReceivedBatch:
     def test_matches_per_trial_oracle(self, scheme, channel, hyp, sent):
         cfg = SimConfig(scheme=scheme, channel=channel, rng_seed=2**64 - 7)
         signals = linksim._build_signals(cfg)
-        snr_idx = 3
         amp = linksim._tone_amplitude(cfg, signals, 4.0)
-        batches = [
-            linksim._received_batch(cfg, signals, snr_idx, hyp, trials, amp, sent)
-            for trials in (range(90, 97), range(97, 110))
-        ]
-        expected = received_grids_oracle(
-            cfg.rng_seed, channel, signals.tx, signals.n_blocks, cfg.n_rx,
-            snr_idx, hyp, range(90, 110), amp, sent,
-        )
-        assert np.array_equal(np.concatenate(batches), expected)
+        grids = received_grids_oracle(cfg.rng_seed, channel, signals.tx, signals.n_blocks,
+                                      cfg.n_rx, 3, hyp, range(90, 110), amp, sent)
+        scores, energy = signals.detector.scores(statistics_of(grids, signals))
+        want_scores, want_energy = reference_receiver(
+            grids, signals.tx, signals.n_blocks,
+            coherent=isinstance(signals.detector, linksim._Coherent), per_block=channel != "flat")
+        atol = 1e-12 * np.max(want_energy)
+        np.testing.assert_allclose(scores.T, want_scores, rtol=1e-12, atol=atol)
+        np.testing.assert_allclose(energy, want_energy, rtol=1e-12, atol=atol)
+
+
+@pytest.mark.parametrize("sent", [None, ACK])
+def test_draws_of_any_range_slice_whole_key_blocks(sent):
+    cfg = SimConfig(scheme="coherent", channel="iid_per_rb", rng_seed=9)
+    signals = linksim._build_signals(cfg)
+    whole = linksim._draw_statistics(cfg, signals, 1, linksim._HYP_ACK, range(3000), 2.0, sent)
+    for trials in (range(90, 110), range(990, 2010), range(2999, 3000)):
+        part = linksim._draw_statistics(cfg, signals, 1, linksim._HYP_ACK, trials, 2.0, sent)
+        assert np.array_equal(part, whole[..., trials.start:trials.stop])
+
+
+class TestStatisticDraws:
+    """The drawn statistics against the grid model projected onto them.
+    They are jointly circular Gaussian with zero mean, so the covariance is
+    their whole law, and each sample moment over n trials has standard
+    deviation at most sqrt(2 C_ii C_jj / n)."""
+
+    @pytest.mark.parametrize("channel", linksim.CHANNELS)
+    @pytest.mark.parametrize("scheme", linksim.SCHEMES)
+    @pytest.mark.parametrize("hyp, sent", [
+        (linksim._HYP_DTX, None), (linksim._HYP_NACK, NACK), (linksim._HYP_ACK, ACK),
+    ])
+    def test_second_moments_match_projected_grid_model(self, scheme, channel, hyp, sent):
+        cfg = SimConfig(scheme=scheme, channel=channel, rng_seed=5)
+        signals = linksim._build_signals(cfg)
+        amp = linksim._tone_amplitude(cfg, signals, 0.0)
+        n = 4000
+        stats = linksim._draw_statistics(cfg, signals, 2, hyp, range(n), amp, sent)
+        drawn = (stats[0] + 1j * stats[1]).reshape(-1, n)
+        coherent = isinstance(signals.detector, linksim._Coherent)
+        want = statistics_covariance(signals.tx, signals.n_blocks, cfg.n_rx,
+                                     signals.detector.phases if coherent else None,
+                                     channel == "flat", amp, sent)
+        power = np.diag(want).real
+        bound = 6.0 * np.sqrt(2.0 * np.outer(power, power) / n)
+        assert np.all(np.abs(drawn @ drawn.conj().T / n - want) <= bound)
+        assert np.all(np.abs(drawn @ drawn.T / n) <= bound)  # circular: no pseudo-covariance
 
 
 class TestDtxNull:
@@ -287,6 +372,15 @@ class TestRunSim:
                         energy_norm="per_tone", rng_seed=13, **FAST)
         report = run_sim(cfg)
         assert report.points[-1].ack_miss <= report.points[0].ack_miss + 0.05
+
+    @pytest.mark.parametrize("k, n", [(0, 200), (1, 200), (100, 200), (200, 200), (0, 1)])
+    def test_interval_is_wilson_half_width(self, k, n):
+        # The wider side of the benchmark's Wilson interval at z = 1.96,
+        # which is not 0 at a rate of 0 or 1.
+        lo, hi = checks.wilson_interval(k, n, z=1.96)
+        half = linksim._binomial_ci(k / n, n)
+        assert half == pytest.approx(max(k / n - lo, hi - k / n), rel=1e-12)
+        assert half > 0.0
 
     def test_csv_output(self, tmp_path):
         cfg = SimConfig(scheme="single-rb-coherent", channel="flat", rng_seed=17, **FAST)
