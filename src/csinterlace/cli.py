@@ -7,6 +7,10 @@ digests of its input files, so equal manifests imply byte-identical
 outputs.  Numeric CSV fields are printed with 9 significant digits for
 stable diffs.
 
+Every option that sizes an array (``--n-idft``, ``search-sets --u``) is
+checked against :data:`_MEMORY_BUDGET` before anything is allocated; a
+value over it is a usage error that writes no file.
+
 ``build-interlace``, the ``eval-papr``/``eval-cm`` sweeps and ``reproduce
 papr|cm`` read their schemes from :data:`csinterlace.interlace.SCHEMES`:
 its members, resources and builders, and which schemes are proposed.
@@ -40,11 +44,38 @@ from .golay import (
 from .interlace import PILOT_PHASE, SCHEMES, InterlaceConfig, payload_phase, rb_values
 from .linksim import _SNR_LIMIT, CHANNELS, CalibrationError, SimConfig, run_sim
 from .linksim import SCHEMES as SIM_SCHEMES
-from .metrics import ccdf, cm_db, papr_db, synthesize, xcorr_matrix
+from .metrics import _XCORR_CHUNK_ROWS, ccdf, cm_db, papr_db, synthesize, xcorr_matrix
 from .seqcore import sequence_from_json
 
 PAPR_BOUND_DB = 10 * np.log10(2.0)
 DEFAULT_N_IDFT = 4096
+_MEMORY_BUDGET = 1 << 26  # complex entries (1 GiB) the arrays sized by one option may hold
+
+
+def _check_budget(entries: int, option: str) -> None:
+    """Refuse an ``option`` value whose arrays hold more than
+    :data:`_MEMORY_BUDGET` complex entries at once."""
+    if entries > _MEMORY_BUDGET:
+        raise click.BadParameter(
+            f"needs {entries} complex entries, over the budget of {_MEMORY_BUDGET}",
+            param_hint=f"'{option}'")
+
+
+def _idft_entries(n_idft: int, rows: int) -> int:
+    """Complex entries of ``rows`` zero-padded ``n_idft``-point inverse
+    DFTs: the padded rows, their transform, its scaled copy and moduli."""
+    return 4 * rows * n_idft
+
+
+def _search_entries(n: int, u: int, rows: int) -> int:
+    """Complex entries of ``search-sets`` on length-``n`` seeds: the cached
+    (n*u) x n shift tables of density ``u`` and, below it, of the refined
+    density, and one candidate's correlations with ``rows`` set members
+    together with their moduli."""
+    from .setsearch import _REFINED_U
+
+    tables = n * n * (u + (_REFINED_U if u < _REFINED_U else 0))
+    return tables + 2 * n * u * rows
 
 
 def _fmt(value) -> str:
@@ -151,6 +182,7 @@ def _sweep_command(name: str, column: int, label: str, doc: str) -> None:
     @click.option("--out", type=click.Path(path_type=Path), required=True)
     def command(scheme, nrb, nsc, nnull, n_idft, out):
         schemes = SCHEMES if scheme == "all" else (scheme,)
+        _check_budget(_idft_entries(n_idft, 1), "--n-idft")
         with _refuse_bad_input():
             rows = _metric_sweep(InterlaceConfig(nrb, nsc, nnull), schemes, n_idft)
         _write_csv(out, _SWEEP_HEADER, rows)
@@ -241,6 +273,8 @@ def _write_xcorr(members, n_idft: int, out: Path, ccdf_out: Path | None) -> floa
 @click.option("--ccdf-out", type=click.Path(path_type=Path), default=None)
 def eval_xcorr(which, seq_file, nrb, nsc, nnull, n_idft, out, ccdf_out):
     """Pairwise peak cross-correlation matrix and optional CCDF."""
+    # xcorr_matrix transforms whole pairs of up to max(chunk, nrb) block rows at once
+    _check_budget(_idft_entries(n_idft, max(_XCORR_CHUNK_ROWS, nrb)), "--n-idft")
     with _refuse_bad_input():
         members = _xcorr_members(which, InterlaceConfig(nrb, nsc, nnull), n_idft, seq_file)
         rho = _write_xcorr(members, n_idft, out, ccdf_out)
@@ -313,6 +347,8 @@ def search_sets(beta, u, k_target, length, seed_file, cache_dir, out):
     else:
         with _refuse_bad_input():  # a cache file that fails its checks
             seeds = cached_enumerate_gcps(length, cache_dir)
+    if seeds:  # a set holds at most k_target pairs, and at most 8 per seed
+        _check_budget(_search_entries(seeds[0].length, u, min(k_target, 8 * len(seeds))), "--u")
     sets = build_sets(seeds, beta, u, k_target)
     report = verify_sets(sets)
     payload = {

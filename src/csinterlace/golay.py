@@ -9,9 +9,13 @@ member of a pair by |A(w)|^2 <= 2N at every frequency (the filter of
 Fiedler, Jedwab and Parker, JCTA 2008).  The 4**(N-1) canonical sequences
 are filtered on three grids (8, 16, then 64 points) with a slack of 1e-6;
 the rounding error of a 12-term sum is about 1e-13, so no member is ever
-dropped.  The few thousand survivors are then matched by their exact
-integer autocorrelation vectors against the negated vectors: that match,
-not the filter, is the complementarity proof.
+dropped.  The filter runs block by block: a block of sequences goes
+through all three grids before the next block starts, so its memory is
+bounded by the block size and the per-point head and tail tables, not by
+the number of sequences.  The few thousand survivors are then matched by
+their exact integer autocorrelation vectors against the negated vectors:
+that match, not the filter, is the complementarity proof.  The symbol
+strings of the pairs come from their ranks' base-4 digits.
 """
 
 from __future__ import annotations
@@ -25,12 +29,12 @@ from pathlib import Path
 import numpy as np
 
 from .seqcore import (
+    QUATERNARY_SYMBOLS,
     QUATERNARY_VALUES,
     as_sequence,
     convolve,
     format_quaternary,
     is_gcp,
-    is_quaternary,
     pad,
     parse_quaternary,
     reverse_conjugate,
@@ -41,7 +45,11 @@ MAX_ENUMERATION_LENGTH = 12  # 4**12 raw sequences; documented capacity limit
 
 _PSD_SLACK = 1e-6  # far above the ~1e-13 rounding error of a 12-term spectral sum
 _PSD_GRIDS = ((8, 0.1), (16, 0.05), (64, 0.0))  # (points, offset in grid steps)
-_PSD_BLOCK = 1 << 20  # head-tail sums tested at once per point of the first grid
+# Head-tail sums of one block, tested at once per point of the first grid;
+# the block then runs through every later point before the next one starts,
+# so it bounds the filter's memory.  Smaller blocks pay per-block overhead
+# on the 80 later points.
+_PSD_BLOCK = 1 << 17
 
 
 class CertificationError(ValueError):
@@ -199,10 +207,26 @@ def _check_capacity(length: int) -> int:
     return length
 
 
+_SYMBOL_BYTES = np.frombuffer(QUATERNARY_SYMBOLS.encode(), dtype=np.uint8)
+_CODE_POWER = np.array([0, 2, 1, 3])  # QUATERNARY_VALUES[c] = 1j ** _CODE_POWER[c], and back
+
+
+def _digits(ranks: np.ndarray, length: int) -> np.ndarray:
+    """Symbol codes of base-4 ranks, first symbol most significant; a
+    canonical rank (below 4**(length - 1)) has first code 0, value +1."""
+    return (ranks[:, None] // 4 ** np.arange(length - 1, -1, -1)) % 4
+
+
 def _decode(ranks: np.ndarray, length: int) -> np.ndarray:
-    """Sequence values for base-4 ranks, first symbol most significant; a
-    canonical rank (below 4**(length - 1)) decodes with first element +1."""
-    return QUATERNARY_VALUES[(ranks[:, None] // 4 ** np.arange(length - 1, -1, -1)) % 4]
+    """Sequence values of base-4 ranks."""
+    return QUATERNARY_VALUES[_digits(ranks, length)]
+
+
+def _symbols(ranks: np.ndarray, length: int) -> list[str]:
+    """Symbol strings of base-4 ranks, as :func:`format_quaternary` writes
+    the sequences :func:`_decode` gives."""
+    rows = _SYMBOL_BYTES[_digits(ranks, length)]  # (ranks, length) ASCII codes
+    return rows.view(f"S{length}").ravel().astype(str).tolist()
 
 
 def _autocorrelations(seqs: np.ndarray) -> np.ndarray:
@@ -220,9 +244,10 @@ def _psd_survivors(length: int) -> np.ndarray:
     w = 2*pi*(m + offset)/points of ``_PSD_GRIDS``.
 
     Rank r splits into a head of ``split`` symbols (first one +1) and a
-    tail, so A(w) = heads[r // n_tails] + tails[r % n_tails].  The first
-    grid tests outer sums, a block of head rows at a time; each later point
-    tests only the survivors.
+    tail, so A(w) = heads[r // n_tails] + tails[r % n_tails].  Each block
+    of head rows runs through every grid before the next block starts: the
+    first grid tests all its outer sums, and each later point tests only
+    the (head, tail) indices of the block still standing.
     """
     split = (length + 1) // 2
     n_tails = 4 ** (length - split)
@@ -231,20 +256,29 @@ def _psd_survivors(length: int) -> np.ndarray:
     heads = phasors[:, :split] @ _decode(np.arange(4 ** (split - 1)), split).T
     tails = phasors[:, split:] @ _decode(np.arange(n_tails), length - split).T
 
-    def within(spectra):
-        return spectra.real ** 2 + spectra.imag ** 2 <= 2 * length + _PSD_SLACK
-
+    bound = 2 * length + _PSD_SLACK
+    first = _PSD_GRIDS[0][0]
     rows = max(1, _PSD_BLOCK // n_tails)
+    buffers = np.empty((2, min(rows, heads.shape[1]), n_tails))  # reused by every block
     found = []
     for r in range(0, heads.shape[1], rows):
-        keep = within(heads[0, r : r + rows, None] + tails[0])
-        for m in range(1, _PSD_GRIDS[0][0]):
-            keep &= within(heads[m, r : r + rows, None] + tails[m])
-        found.append(np.flatnonzero(keep) + r * n_tails)
-    ranks = np.concatenate(found)
-    for m in range(_PSD_GRIDS[0][0], w.size):
-        ranks = ranks[within(heads[m, ranks // n_tails] + tails[m, ranks % n_tails])]
-    return ranks
+        block = heads[:, r : r + rows]
+        x, y = buffers[:, : block.shape[1]]  # real and imaginary parts, then x holds |A|^2
+        keep = np.ones(x.shape, dtype=bool)
+        for m in range(first):
+            np.add(block[m, :, None].real, tails[m].real, out=x)
+            np.add(block[m, :, None].imag, tails[m].imag, out=y)
+            x *= x
+            y *= y
+            x += y
+            keep &= x <= bound
+        head, tail = np.nonzero(keep)
+        for m in range(first, w.size):
+            spectra = block[m, head] + tails[m, tail]
+            hit = spectra.real ** 2 + spectra.imag ** 2 <= bound
+            head, tail = head[hit], tail[hit]
+        found.append((head + r) * n_tails + tail)
+    return np.concatenate(found)
 
 
 @lru_cache(maxsize=None)
@@ -303,7 +337,8 @@ def enumerate_gcps(length: int) -> list[GolayPair]:
     if length == 1:
         return [GolayPair([1.0], [1.0])]
     first, second, _ = _library_ranks(length)
-    return _proven_pairs(_decode(first, length), _decode(second, length))
+    strings = list(zip(_symbols(first, length), _symbols(second, length)))
+    return _proven_pairs(_decode(first, length), _decode(second, length), strings)
 
 
 def is_complementary_sequence(a) -> bool:
@@ -316,11 +351,13 @@ def is_complementary_sequence(a) -> bool:
     """
     arr = as_sequence(a)
     _check_capacity(arr.size)
-    if not is_quaternary(arr):
+    table = arr[:, None] == QUATERNARY_VALUES
+    if not table.any(axis=1).all():
         raise ValueError("complementarity search is defined for quaternary sequences")
     if arr.size == 1:
         return True
-    codes = np.argmax(arr[1:, None] * np.conj(arr[0]) == QUATERNARY_VALUES, axis=1)
+    powers = _CODE_POWER[table.argmax(axis=1)]
+    codes = _CODE_POWER[(powers[1:] - powers[0]) % 4]  # of arr * conj(arr[0])
     rank = int(codes @ 4 ** np.arange(arr.size - 2, -1, -1))
     members = _library_ranks(arr.size)[2]
     pos = np.searchsorted(members, rank)

@@ -109,12 +109,13 @@ def xcorr_matrix(members, n_idft: int = 4096) -> np.ndarray:
     return rho
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=2)
 def shift_matrix(n: int, u: int) -> np.ndarray:
     """Phasor table exp(2j*pi*n*delta/N) for delta = 0, 1/u, ..., (N*u-1)/u.
 
     Row t applies the fractional shift t/u; cached because the set search
-    reuses one geometry for every candidate test.
+    reuses one geometry for every candidate test.  Two entries hold the two
+    densities a search uses, its own and the refined one of verification.
     """
     deltas = np.arange(n * u) / float(u)
     return np.exp(2j * np.pi * np.outer(deltas, np.arange(n)) / n)

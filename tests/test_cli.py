@@ -1,6 +1,7 @@
 import dataclasses
 import json
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -10,7 +11,8 @@ from csinterlace.cli import FIGURES, main
 from csinterlace.fixtures import reference_set_params
 from csinterlace.interlace import SCHEMES, InterlaceConfig, rb_values
 from csinterlace.linksim import PointStats, SimConfig, SimReport
-from csinterlace.metrics import xcorr_matrix
+from csinterlace.setsearch import _REFINED_U
+from csinterlace.metrics import shift_matrix, xcorr_matrix
 from csinterlace.seqcore import format_quaternary
 from helpers import EXPECTED, sha256
 
@@ -116,6 +118,62 @@ def test_out_of_range_parameter_is_a_usage_error(runner, tmp_path, args, option)
     assert not out.exists() and not (tmp_path / "cache").exists()
 
 
+class TestMemoryBudget:
+    """Options that size arrays, checked against ``cli._MEMORY_BUDGET``.
+    No command line over the real budget is run: one whose check failed
+    would allocate gigabytes."""
+
+    def test_check_budget(self):
+        cli._check_budget(cli._MEMORY_BUDGET, "--u")
+        with pytest.raises(click.BadParameter, match="over the budget"):
+            cli._check_budget(cli._MEMORY_BUDGET + 1, "--u")
+
+    def test_search_entries_count_the_shift_tables(self):
+        assert (cli._search_entries(3, 4, 0)
+                == shift_matrix(3, 4).size + shift_matrix(3, _REFINED_U).size)
+        assert cli._search_entries(3, 256, 5) == shift_matrix(3, 256).size + 2 * 3 * 256 * 5
+
+    def test_unbounded_sizes_exceed_the_budget(self):
+        # search-sets --u 100000000 --length 2 --k 2, once killed (exit 137)
+        assert cli._search_entries(2, 10 ** 8, 2) > cli._MEMORY_BUDGET
+        assert cli._idft_entries(1 << 25, 1) > cli._MEMORY_BUDGET
+        # the defaults stay far inside it
+        assert cli._search_entries(12, 128, 30) < cli._MEMORY_BUDGET // 100
+        assert cli._idft_entries(cli.DEFAULT_N_IDFT, 10) < cli._MEMORY_BUDGET // 100
+
+    @pytest.mark.parametrize("args, option", [
+        (["search-sets", "--u", "64"], "--u"),
+        (["eval-papr", "--n-idft", "2048"], "--n-idft"),
+        (["eval-cm", "--scheme", "coherent", "--n-idft", "2048"], "--n-idft"),
+        (["eval-xcorr", "--n-idft", "256"], "--n-idft"),
+    ], ids=["search-sets", "eval-papr", "eval-cm", "eval-xcorr"])
+    def test_over_budget_is_a_usage_error(self, runner, tmp_path, monkeypatch, args, option):
+        # A budget of 1000 entries: these values exceed it, and would
+        # allocate little even unchecked.
+        monkeypatch.setattr(cli, "_MEMORY_BUDGET", 1000)
+        seed_file = tmp_path / "seeds.json"
+        seed_file.write_text(json.dumps({"pairs": [["++", "+-"]]}))
+        if args[0] == "search-sets":
+            args = [*args, "--seed-file", str(seed_file)]
+        out = tmp_path / "out"
+        result = runner.invoke(main, [*args, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert f"Invalid value for '{option}'" in result.output
+        assert "over the budget of 1000" in result.output
+        assert not out.exists()
+
+    def test_search_at_the_budget_runs(self, runner, tmp_path, monkeypatch):
+        seed_file = tmp_path / "seeds.json"
+        seed_file.write_text(json.dumps({"pairs": [["++", "+-"]]}))
+        monkeypatch.setattr(cli, "_MEMORY_BUDGET", cli._search_entries(2, 64, 8))
+        out = tmp_path / "sets.json"
+        result = runner.invoke(main, ["search-sets", "--u", "64", "--seed-file", str(seed_file),
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(out.read_text())["admitted"] >= 1
+
+
 class TestMetricSweeps:
     def test_eval_papr_coherent(self, runner, tmp_path):
         out = tmp_path / "papr.csv"
@@ -202,7 +260,11 @@ class TestEnumerateAndSearch:
         payload = json.loads(out.read_text())
         assert payload["count"] == 4
 
-    def test_cold_cache_formats_each_string_once(self, runner, tmp_path, monkeypatch):
+    def test_cold_cache_formats_no_string(self, runner, tmp_path, monkeypatch, small_libraries):
+        # The enumeration seeds each pair's strings from its ranks.
+        for pairs in small_libraries.values():
+            for pair in pairs:
+                assert pair.as_strings() == (format_quaternary(pair.a), format_quaternary(pair.b))
         calls = []
 
         def counting_format(seq):
@@ -215,7 +277,7 @@ class TestEnumerateAndSearch:
                                       "--cache-dir", str(tmp_path / "cache"), "--out", str(out)])
         assert result.exit_code == 0, result.output
         assert json.loads(out.read_text())["count"] == 208
-        assert len(calls) == 2 * 208
+        assert calls == []
         assert (json.loads((tmp_path / "cache" / "gcps_len8.json").read_text())
                 == json.loads(out.read_text()))
 

@@ -1,10 +1,12 @@
 import io
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from csinterlace import golay
 from csinterlace.golay import (
     CertificationError,
     ConstructionParams,
@@ -259,6 +261,54 @@ class TestEnumeration:
         want = list(zip(*(ranks.tolist() for ranks in reference_mate_ranks(length))))
         got = [(canonical_rank(p.a), canonical_rank(p.b)) for p in enumerate_gcps(length)]
         assert got == want
+
+
+class TestSpectralFilter:
+    """``golay._psd_survivors``, the |A(w)|^2 <= 2N filter in front of the
+    exact key match."""
+
+    @pytest.mark.parametrize("length", range(2, 11))
+    def test_block_size_does_not_change_survivors(self, length, monkeypatch):
+        default = golay._psd_survivors(length)
+        monkeypatch.setattr(golay, "_PSD_BLOCK", 1 << 6)
+        assert np.array_equal(golay._psd_survivors(length), default)
+
+    @pytest.mark.parametrize("length", range(2, 8))
+    def test_keeps_exactly_the_ranks_within_the_bound(self, length):
+        # Every canonical sequence summed directly on all 88 grid points.
+        seqs = np.array([(1.0 + 0j,) + combo
+                         for combo in itertools.product(QUATERNARY_VALUES, repeat=length - 1)])
+        w = 2 * np.pi * np.concatenate([(np.arange(p) + offset) / p
+                                        for p, offset in golay._PSD_GRIDS])
+        assert w.size == 88
+        spectra = seqs @ np.exp(-1j * np.outer(np.arange(length), w))
+        within = np.all(np.abs(spectra) ** 2 <= 2 * length + golay._PSD_SLACK, axis=1)
+        survivors = golay._psd_survivors(length)
+        assert np.array_equal(survivors, np.flatnonzero(within))
+        members = np.concatenate(reference_mate_ranks(length))  # none at length 7
+        assert np.isin(members, survivors).all()
+
+    def test_peak_memory_is_the_tables_plus_one_block(self, monkeypatch):
+        # At length 10 the 88-point head and tail tables take 1.8 MB; a
+        # block of one head row adds a few 1024-entry arrays.  Holding the
+        # first grid's survivors of all 4**9 ranks at once would add 3 MB.
+        monkeypatch.setattr(golay, "_PSD_BLOCK", 1 << 6)
+        tables = 88 * (4 ** 4 + 4 ** 5) * np.dtype(complex).itemsize
+        golay._psd_survivors(10)
+        tracemalloc.start()
+        try:
+            golay._psd_survivors(10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= tables + (1 << 18)
+
+    @pytest.mark.parametrize("length", range(1, 13))
+    def test_symbol_strings_from_ranks(self, length):
+        rng = np.random.default_rng(length)
+        ranks = np.concatenate([[0, 4 ** length - 1], rng.integers(0, 4 ** length, 200)])
+        want = [format_quaternary(seq) for seq in golay._decode(ranks, length)]
+        assert golay._symbols(ranks, length) == want
 
 
 class _FullDisk:
