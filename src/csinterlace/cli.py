@@ -36,10 +36,10 @@ from . import __version__
 from .fixtures import load_reference_pairs, reference_set_params
 from .golay import (
     MAX_ENUMERATION_LENGTH,
-    GolayPair,
     cached_enumerate_gcps,
     enumerate_gcps,
-    library_payload,
+    read_library,
+    write_library,
 )
 from .interlace import PILOT_PHASE, SCHEMES, InterlaceConfig, payload_phase, rb_values
 from .linksim import _SNR_LIMIT, CHANNELS, CalibrationError, SimConfig, run_sim
@@ -76,6 +76,28 @@ def _search_entries(n: int, u: int, rows: int) -> int:
 
     tables = n * n * (u + (_REFINED_U if u < _REFINED_U else 0))
     return tables + 2 * n * u * rows
+
+
+class _OutputPath(click.Path):
+    """A path a command writes, checked as click parses it, before any work:
+    a file in an existing directory or, with ``directory``, a directory
+    whose nearest existing ancestor (or itself) is a directory."""
+
+    def __init__(self, directory: bool = False):
+        super().__init__(path_type=Path, file_okay=not directory, dir_okay=directory)
+
+    def convert(self, value, param, ctx):
+        path = super().convert(value, param, ctx)  # refuses a file for a directory and back
+        base = path.parent
+        if self.dir_okay:  # made with its parents, under the nearest existing path
+            base = next((p for p in (path, *path.parents) if p.exists()), path)
+        if not base.is_dir():
+            self.fail(f"'{base}' is not an existing directory", param, ctx)
+        return path
+
+
+_OUT_FILE = _OutputPath()
+_OUT_DIR = _OutputPath(directory=True)
 
 
 def _fmt(value) -> str:
@@ -123,6 +145,12 @@ def _refuse_bad_input():
         raise click.ClickException(str(exc)) from None
 
 
+def _finite(ctx, param, value):
+    if not np.isfinite(value):
+        raise click.BadParameter(f"{value} is not finite")
+    return value
+
+
 @click.group()
 @click.version_option(version=__version__)
 def main():
@@ -133,11 +161,13 @@ def main():
 @click.option("--scheme", default="noncoherent", type=click.Choice(list(SCHEMES)))
 @_geometry_options
 @click.option("--seq-index", default=0, show_default=True, help="Member of the scheme.")
-@click.option("--shift", default=0.0, show_default=True,
+@click.option("--shift", default=0.0, show_default=True, callback=_finite,
               help="Cyclic shift; read by noncoherent and noncoherent-adjacent.")
-@click.option("--bits", default=1, show_default=True, help="Payload bits (1, 2); read by coherent.")
-@click.option("--value", default=0, show_default=True, help="Payload value; read by coherent.")
-@click.option("--out", type=click.Path(path_type=Path), default=None)
+@click.option("--bits", default=1, show_default=True, type=click.IntRange(1, 2),
+              help="Payload bits; read by coherent.")
+@click.option("--value", default=0, show_default=True, type=click.IntRange(min=0),
+              help="Payload value, below 2**bits; read by coherent.")
+@click.option("--out", type=_OUT_FILE, default=None)
 def build_interlace(scheme, nrb, nsc, nnull, seq_index, shift, bits, value, out):
     """Emit one frequency-domain interlace as JSON."""
     entry = SCHEMES[scheme]
@@ -179,7 +209,7 @@ def _sweep_command(name: str, column: int, label: str, doc: str) -> None:
     @click.option("--scheme", default="all", type=click.Choice(["all", *SCHEMES]))
     @_geometry_options
     @click.option("--n-idft", default=DEFAULT_N_IDFT, show_default=True)
-    @click.option("--out", type=click.Path(path_type=Path), required=True)
+    @click.option("--out", type=_OUT_FILE, required=True)
     def command(scheme, nrb, nsc, nnull, n_idft, out):
         schemes = SCHEMES if scheme == "all" else (scheme,)
         _check_budget(_idft_entries(n_idft, 1), "--n-idft")
@@ -196,24 +226,18 @@ _sweep_command("eval-papr", 3, "PAPR",
 _sweep_command("eval-cm", 4, "CM", "Cubic-metric sweep (same rows as eval-papr).")
 
 
-def _read_json_list(path: Path, key: str) -> list:
-    """The ``key`` list of the JSON object in ``path``; anything else is a
-    click error naming the file."""
+def _read_sequences(path: Path) -> list[np.ndarray]:
+    """The ``sequences`` list of a JSON object, each entry a symbol string or
+    a list of [re, im] pairs, all finite and of one length.  Anything else
+    is a click error naming the file and, for an entry, its index."""
     try:
         payload = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise click.ClickException(f"{path}: malformed JSON at line {exc.lineno}: {exc.msg}")
-    if not isinstance(payload, dict) or not isinstance(payload.get(key), list):
-        raise click.ClickException(f"{path}: expected an object with a '{key}' list")
-    return payload[key]
-
-
-def _read_sequences(path: Path) -> list[np.ndarray]:
-    """The ``sequences`` list of a JSON file, each entry a symbol string or
-    a list of [re, im] pairs, all finite and of one length.  Any malformed
-    entry is a click error naming the file and the entry's index."""
+    if not isinstance(payload, dict) or not isinstance(payload.get("sequences"), list):
+        raise click.ClickException(f"{path}: expected an object with a 'sequences' list")
     sequences = []
-    for index, entry in enumerate(_read_json_list(path, "sequences")):
+    for index, entry in enumerate(payload["sequences"]):
         try:
             seq = sequence_from_json(entry)
         except (ValueError, TypeError) as exc:
@@ -269,8 +293,8 @@ def _write_xcorr(members, n_idft: int, out: Path, ccdf_out: Path | None) -> floa
               help="JSON file with a 'sequences' list; overrides --set.")
 @_geometry_options
 @click.option("--n-idft", default=DEFAULT_N_IDFT, show_default=True)
-@click.option("--out", type=click.Path(path_type=Path), required=True)
-@click.option("--ccdf-out", type=click.Path(path_type=Path), default=None)
+@click.option("--out", type=_OUT_FILE, required=True)
+@click.option("--ccdf-out", type=_OUT_FILE, default=None)
 def eval_xcorr(which, seq_file, nrb, nsc, nnull, n_idft, out, ccdf_out):
     """Pairwise peak cross-correlation matrix and optional CCDF."""
     # xcorr_matrix transforms whole pairs of up to max(chunk, nrb) block rows at once
@@ -288,44 +312,15 @@ _LENGTH = click.IntRange(1, MAX_ENUMERATION_LENGTH)
 
 @main.command("enumerate-gcps")
 @click.option("--length", default=12, show_default=True, type=_LENGTH)
-@click.option("--cache-dir", type=click.Path(path_type=Path), default=None)
-@click.option("--out", type=click.Path(path_type=Path), required=True)
+@click.option("--cache-dir", type=_OUT_DIR, default=None)
+@click.option("--out", type=_OUT_FILE, required=True)
 def enumerate_gcps_cmd(length, cache_dir, out):
     """Exhaustively enumerate canonical quaternary pairs of one length."""
-    with _refuse_bad_input():  # a cache file that fails its checks
-        if cache_dir is not None:
-            pairs = cached_enumerate_gcps(length, cache_dir)
-        else:
-            pairs = enumerate_gcps(length)
-    out.write_text(json.dumps(library_payload(length, pairs)) + "\n")
+    with _refuse_bad_input():  # a library file that fails its checks
+        pairs = cached_enumerate_gcps(length, cache_dir) if cache_dir else enumerate_gcps(length)
+    write_library(out, length, pairs)
     _write_manifest(out, [out])
     click.echo(f"{len(pairs)} pairs of length {length}")
-
-
-def _read_seed_pairs(path: Path) -> list[GolayPair]:
-    """The ``pairs`` list of a pair library file, each entry two symbol
-    strings forming a complementary pair, all of one length.  An entry
-    that is malformed, not complementary or of another length is a click
-    error naming the file and the pair's index."""
-    pairs = []
-    for index, entry in enumerate(_read_json_list(path, "pairs")):
-        try:
-            if not (isinstance(entry, list) and len(entry) == 2):
-                raise ValueError("expected a list of two symbol strings")
-            pair = GolayPair.from_strings(*entry)
-        except (ValueError, TypeError) as exc:
-            raise click.ClickException(f"{path}: pair {index}: {exc}")
-        if pairs and pair.length != pairs[0].length:
-            raise click.ClickException(
-                f"{path}: pair {index} has length {pair.length}, expected {pairs[0].length}")
-        pairs.append(pair)
-    return pairs
-
-
-def _finite(ctx, param, value):
-    if not np.isfinite(value):
-        raise click.BadParameter(f"{value} is not finite")
-    return value
 
 
 @main.command("search-sets")
@@ -335,18 +330,16 @@ def _finite(ctx, param, value):
 @click.option("--k", "k_target", default=30, show_default=True, type=click.IntRange(min=1))
 @click.option("--length", default=12, show_default=True, type=_LENGTH)
 @click.option("--seed-file", type=click.Path(path_type=Path, exists=True), default=None,
-              help="JSON pair library; defaults to the enumerated library.")
-@click.option("--cache-dir", type=click.Path(path_type=Path), default=Path(".csinterlace-cache"))
-@click.option("--out", type=click.Path(path_type=Path), required=True)
+              help="JSON pair library {\"length\", \"count\", \"pairs\"}, as "
+                   "enumerate-gcps writes it; defaults to the enumerated library.")
+@click.option("--cache-dir", type=_OUT_DIR, default=Path(".csinterlace-cache"))
+@click.option("--out", type=_OUT_FILE, required=True)
 def search_sets(beta, u, k_target, length, seed_file, cache_dir, out):
     """Greedy low-cross-correlation set construction over a seed library."""
     from .setsearch import build_sets, verify_sets
 
-    if seed_file is not None:
-        seeds = _read_seed_pairs(seed_file)
-    else:
-        with _refuse_bad_input():  # a cache file that fails its checks
-            seeds = cached_enumerate_gcps(length, cache_dir)
+    with _refuse_bad_input():  # a library file that fails its checks
+        seeds = read_library(seed_file) if seed_file else cached_enumerate_gcps(length, cache_dir)
     if seeds:  # a set holds at most k_target pairs, and at most 8 per seed
         _check_budget(_search_entries(seeds[0].length, u, min(k_target, 8 * len(seeds))), "--u")
     sets = build_sets(seeds, beta, u, k_target)
@@ -397,7 +390,7 @@ def _snr_point_count(snr_from: float, snr_to: float, snr_step: float) -> float:
 @click.option("--seed", default=1, show_default=True)
 @click.option("--energy-norm", default="equal_total",
               type=click.Choice(["equal_total", "per_tone"]))
-@click.option("--out", type=click.Path(path_type=Path), required=True)
+@click.option("--out", type=_OUT_FILE, required=True)
 def simulate_link(scheme, channel, snr_from, snr_to, snr_step, trials,
                   calibration_trials, seed, energy_norm, out):
     """Monte-Carlo DTX/ACK/NACK detection rates over an SNR grid."""
@@ -420,9 +413,9 @@ def simulate_link(scheme, channel, snr_from, snr_to, snr_step, trials,
 
 @main.command("import-sequences")
 @click.argument("path", type=click.Path(path_type=Path, exists=True))
-@click.option("--out", type=click.Path(path_type=Path), required=True)
+@click.option("--out", type=_OUT_FILE, required=True)
 def import_sequences(path, out):
-    """Validate an external sequence file and register it for sweeps.
+    """Validate an external sequence file into an ``eval-xcorr --seq-file`` input.
 
     Accepts a JSON object with a ``sequences`` list of symbol strings or
     [re, im] arrays.  Entries must be unimodular and of one shared length.
@@ -538,7 +531,7 @@ FIGURES = {
 
 @main.command("reproduce")
 @click.argument("figure", type=click.Choice(list(FIGURES)))
-@click.option("--out-dir", type=click.Path(path_type=Path), default=Path("reproduction"))
+@click.option("--out-dir", type=_OUT_DIR, default=Path("reproduction"))
 @click.option("--trials", default=2000, show_default=True, type=click.IntRange(min=1),
               help="Trials per SNR point for the sim pipelines.")
 @click.option("--seed", default=1, show_default=True, type=click.IntRange(0, 2**64 - 1),

@@ -1,6 +1,6 @@
 """Golay complementary pairs: certified pair objects, the generalized
-concatenation/interleaving construction, equivalence orbits, and exhaustive
-enumeration of all quaternary pairs up to length 12.
+concatenation/interleaving construction, equivalence orbits, exhaustive
+enumeration of all quaternary pairs up to length 12, and pair-library files.
 
 Enumeration canonicalizes by global phase (first element of each sequence
 forced to +1) and by lexicographic pair order.  Golay's identity
@@ -16,6 +16,10 @@ the number of sequences.  The few thousand survivors are then matched by
 their exact integer autocorrelation vectors against the negated vectors:
 that match, not the filter, is the complementarity proof.  The symbol
 strings of the pairs come from their ranks' base-4 digits.
+
+A pair-library file, the enumeration cache's file per length among them, is
+one JSON line ``{"length", "count", "pairs"}`` of symbol-string pairs; only
+:func:`write_library` writes it and only :func:`read_library` reads it.
 """
 
 from __future__ import annotations
@@ -365,56 +369,66 @@ def is_complementary_sequence(a) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Disk cache (JSON of symbol strings, keyed by length)
+# Pair-library files
 # ---------------------------------------------------------------------------
 
-def library_payload(length: int, pairs: list[GolayPair]) -> dict:
-    """JSON form of a pair library, as the cache and ``enumerate-gcps`` write it."""
-    return {
-        "length": length,
-        "count": len(pairs),
-        "pairs": [list(p.as_strings()) for p in pairs],
-    }
-
-
-def _load_cache(cache_file: Path, length: int) -> list[GolayPair]:
-    """The pairs of a cache file, all re-certified in one exact pass."""
+def write_library(path: str | Path, length: int, pairs: list[GolayPair]) -> None:
+    """Write a pair library through a temporary file and ``os.replace``, so
+    no partial file is ever left."""
+    path = Path(path)
+    payload = {"length": length, "count": len(pairs),
+               "pairs": [list(p.as_strings()) for p in pairs]}
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        payload = json.loads(cache_file.read_text())
-        strings = payload["pairs"]
-        if payload["length"] != length or np.shape(strings) != (payload["count"], 2):
-            raise ValueError(f"header (length {payload['length']}, count {payload['count']}) "
-                             f"does not match {len(strings)} pairs of length {length}")
-        a, b = (np.stack([parse_quaternary(text) for text in col]) for col in zip(*strings))
-        if a.shape[1] != length or b.shape != a.shape:
-            raise ValueError(f"sequences are not all of length {length}")
+        tmp.write_text(json.dumps(payload) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def read_library(path: str | Path, length: int | None = None) -> list[GolayPair]:
+    """The pairs of a library file, whose header must agree with them (and
+    with ``length`` if given), all re-certified in one exact pass; any
+    failure is a ValueError naming the file and the index of a faulty pair."""
+    try:
+        try:
+            payload = json.loads(Path(path).read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"malformed JSON at line {exc.lineno}: {exc.msg}") from None
+        if not isinstance(payload, dict) or not isinstance(payload.get("pairs"), list):
+            raise ValueError("expected an object with a 'pairs' list")
+        n, count, strings = payload.get("length"), payload.get("count"), payload["pairs"]
+        if (type(n) is not int or type(count) is not int or n < 1 or count != len(strings)
+                or length not in (None, n)):
+            raise ValueError(f"header (length {n}, count {count}) does not match "
+                             f"{len(strings)} pairs{f' of length {length}' if length else ''}")
+        for index, entry in enumerate(strings):  # before allocating: n x count is then bounded
+            if not (isinstance(entry, list) and len(entry) == 2
+                    and all(isinstance(text, str) and len(text) == n for text in entry)):
+                raise ValueError(f"pair {index}: expected two symbol strings of length {n}")
+        a, b = np.empty((count, n), dtype=complex), np.empty((count, n), dtype=complex)
+        for index, (x, y) in enumerate(strings):
+            try:
+                a[index], b[index] = parse_quaternary(x), parse_quaternary(y)
+            except ValueError as exc:
+                raise ValueError(f"pair {index}: {exc}") from None
         bad = np.flatnonzero(np.any(_autocorrelations(a) + _autocorrelations(b), axis=1))
         if bad.size:
             raise ValueError(f"pair {bad[0]} {strings[bad[0]]} is not complementary")
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ValueError(f"invalid pair cache {cache_file}: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"invalid pair library {path}: {exc}") from None
     return _proven_pairs(a, b, strings)
 
 
 def cached_enumerate_gcps(length: int, cache_dir: str | Path) -> list[GolayPair]:
-    """Enumerate with a JSON disk cache so long runs happen once.
-
-    A cache file is checked and every pair in it re-certified on load; a
-    bad file raises ValueError naming it.  New files are written through a
-    temporary file and ``os.replace``, so no partial cache is ever left.
-    """
+    """Enumerate with a library file per length in ``cache_dir``, so long
+    runs happen once; a cached file is checked by :func:`read_library`."""
     length = _check_capacity(length)
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    cache_file = cache_dir / f"gcps_len{length}.json"
+    Path(cache_dir).mkdir(parents=True, exist_ok=True)
+    cache_file = Path(cache_dir, f"gcps_len{length}.json")
     if cache_file.exists():
-        return _load_cache(cache_file, length)
+        return read_library(cache_file, length)
     pairs = enumerate_gcps(length)
-    tmp = cache_file.with_name(f"{cache_file.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(json.dumps(library_payload(length, pairs)))
-        os.replace(tmp, cache_file)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    write_library(cache_file, length, pairs)
     return pairs

@@ -4,7 +4,9 @@ Per trial, one OFDM symbol carrying DTX (nothing), ACK, or NACK passes
 through flat or per-block-independent Rayleigh fading with per-tone complex
 Gaussian noise and two receive antennas; as in the paper, the antenna count
 and the 1 % DTX-to-ACK target are fixed.  Outcomes are the integer codes
-``NACK, ACK, DTX = 0, 1, 2``.
+``NACK, ACK, DTX = 0, 1, 2``.  The NACK and ACK transmissions are an
+interlace of :data:`csinterlace.interlace.SCHEMES` with the scheme's one-bit
+resources; a ``single-rb-`` form sends the first block of that interlace.
 
 The detectors see the received grid only through two statistics per block
 and antenna, which the simulator draws in place of the grid (the
@@ -51,12 +53,10 @@ from typing import ClassVar
 import numpy as np
 
 from . import interlace
-from .golay import ConstructionParams, GolayPair, combine_gcps
 from .interlace import PILOT_PHASE, InterlaceConfig
-from .seqcore import cyclic_modulate
 
-# The interlace schemes that carry a one-bit payload, each also sent on one
-# block of its member (the ``single-rb-`` forms).
+# The interlace schemes that carry a one-bit payload, each also sent as the
+# first block of its interlace alone (the ``single-rb-`` forms).
 _INTERLACES = tuple(name for name, s in interlace.SCHEMES.items() if s.one_bit)
 SCHEMES = _INTERLACES + tuple(f"single-rb-{name}" for name in _INTERLACES)
 CHANNELS = ("flat", "iid_per_rb")
@@ -206,19 +206,18 @@ def _build_signals(cfg: SimConfig) -> _SchemeSignals:
     detector (the coherent one for a scheme with pilot tones) and the law
     of the detector's statistics; ``ValueError`` if the scheme breaks what
     that law rests on."""
-    name = cfg.scheme.removeprefix("single-rb-")
-    single_rb = name != cfg.scheme
-    scheme = interlace.SCHEMES[name]
+    scheme = interlace.SCHEMES[cfg.scheme.removeprefix("single-rb-")]
     geometry = InterlaceConfig(cfg.n_rb, cfg.n_sc, cfg.n_null)
     member = scheme.members(geometry)[0]
     per_block = cfg.channel != "flat"
 
+    resources = [(PILOT_PHASE, bit) if scheme.pilot_tones else bit for bit in scheme.one_bit]
+    tx = np.stack([scheme.build(geometry, member, r).values for r in resources])
+    if cfg.scheme.startswith("single-rb-"):  # the first block of the interlace
+        tx = tx[:, : cfg.n_sc]
+    n_blocks = tx.shape[1] // cfg.n_sc
+
     if not scheme.pilot_tones:
-        if single_rb:
-            tx = np.stack([cyclic_modulate(member.a, d) for d in scheme.one_bit])
-        else:
-            tx = np.stack([scheme.build(geometry, member, d).values for d in scheme.one_bit])
-        n_blocks = tx.shape[1] // cfg.n_sc
         templates = tx.reshape(2, n_blocks, cfg.n_sc)
         gram = np.einsum("cks,dks->kcd", templates, np.conj(templates))
         if np.max(np.abs(gram - cfg.n_sc * np.eye(2))) > _ROUNDING * cfg.n_sc:
@@ -227,23 +226,14 @@ def _build_signals(cfg: SimConfig) -> _SchemeSignals:
         return _SchemeSignals(tx, n_blocks, _Noncoherent(per_block),
                               cfg.n_sc * np.eye(2, dtype=complex), np.full(2, np.sqrt(cfg.n_sc)))
 
-    if single_rb:  # one block of interleaved pilot/data tones
-        _, half = member
-        unit = GolayPair([1.0], [1.0])
-        params = ConstructionParams(phase1=PILOT_PHASE, phase2=1.0, step1=1, step2=2, offset=1)
-        base = combine_gcps(unit, half, params).a
-    else:
-        base = scheme.build(geometry, member, (PILOT_PHASE, 1.0)).values
-    if np.max(np.abs(np.abs(base) - 1.0)) > _ROUNDING:
+    if np.max(np.abs(np.abs(tx) - 1.0)) > _ROUNDING:
         raise ValueError(f"{cfg.scheme}: the reference tones are not of unit modulus")
     # Pilots on the even tones of each block, data on the odd ones.
     phases = np.array(scheme.one_bit)  # NACK, ACK
-    tx = np.tile(base, (2, 1))
-    tx[:, 1::2] *= phases[:, None]
     n_p = cfg.n_sc // 2
     mean = np.stack([np.ones(2), n_p * phases], axis=1)  # pilot mean, data sum
     noise_std = np.array([1.0 / np.sqrt(n_p), np.sqrt(n_p)])
-    return _SchemeSignals(tx, base.size // cfg.n_sc, _Coherent(phases, per_block), mean, noise_std)
+    return _SchemeSignals(tx, n_blocks, _Coherent(phases, per_block), mean, noise_std)
 
 
 def _tone_amplitude(cfg: SimConfig, signals: _SchemeSignals, snr_db: float) -> float:

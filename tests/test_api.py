@@ -28,7 +28,7 @@ PUBLIC = {
     "golay": [
         "CertificationError", "ConstructionParams", "GolayPair", "MAX_ENUMERATION_LENGTH",
         "cached_enumerate_gcps", "combine_gcps", "enumerate_gcps", "equivalence_orbit",
-        "is_complementary_sequence", "library_payload",
+        "is_complementary_sequence", "read_library", "write_library",
     ],
     "interlace": [
         "InterlaceConfig", "PILOT_PHASE", "QPSK_PHASES", "SCHEMES", "Scheme",

@@ -65,6 +65,19 @@ class TestBuildInterlace:
         assert "Invalid value for '--seq-index'" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("scheme", list(SCHEMES))
+    @pytest.mark.parametrize("args, option", [
+        (["--bits", "3"], "--bits"), (["--bits", "0"], "--bits"), (["--value", "-1"], "--value"),
+    ], ids=["--bits 3", "--bits 0", "--value -1"])
+    def test_impossible_payload_is_a_usage_error(self, runner, tmp_path, scheme, args, option):
+        # Refused for every scheme, read or not.
+        out = tmp_path / "interlace.json"
+        result = runner.invoke(main, ["build-interlace", "--scheme", scheme, *args,
+                                      "--out", str(out)])
+        assert result.exit_code == 2
+        assert f"Invalid value for '{option}'" in result.output
+        assert not out.exists()
+
 
 # Command lines whose parameters the library refuses, with the refusal.
 BAD_INPUT = [
@@ -77,7 +90,6 @@ BAD_INPUT = [
     (["build-interlace", "--scheme", "zc", "--nrb", "8"], "120 occupied tones"),
     (["eval-cm", "--scheme", "zc", "--nrb", "8"], "120 occupied tones"),
     (["eval-xcorr", "--set", "zc", "--nrb", "8"], "120 occupied tones"),
-    (["build-interlace", "--scheme", "coherent", "--bits", "3"], "1 or 2 bits"),
     (["build-interlace", "--scheme", "coherent", "--bits", "1", "--value", "2"], "out of range"),
     (["eval-papr", "--n-idft", "1024"], "n_idft must cover the spectrum grid"),
     (["eval-xcorr", "--n-idft", "8"], "n_idft must be at least the sequence length"),
@@ -118,6 +130,97 @@ def test_out_of_range_parameter_is_a_usage_error(runner, tmp_path, args, option)
     assert not out.exists() and not (tmp_path / "cache").exists()
 
 
+# The boundary probe: every numeric option of every command, tried at each
+# of PROBE_VALUES on a small base invocation.  PROBE_ACCEPTS lists the
+# values each option takes; every other one must be refused, by click
+# (exit 2) or by the library's checks (exit 1).
+PROBE_VALUES = ("nan", "inf", "-inf", "0", "-1")
+PROBE_BASES = {
+    "build-interlace": (["build-interlace"],
+                        ["--nrb", "--nsc", "--nnull", "--seq-index", "--shift", "--bits", "--value"]),
+    "eval-papr": (["eval-papr", "--scheme", "cycling"], ["--nrb", "--nsc", "--nnull", "--n-idft"]),
+    "eval-cm": (["eval-cm", "--scheme", "cycling"], ["--nrb", "--nsc", "--nnull", "--n-idft"]),
+    "eval-xcorr": (["eval-xcorr"], ["--nrb", "--nsc", "--nnull", "--n-idft"]),
+    "enumerate-gcps": (["enumerate-gcps", "--length", "3"], ["--length"]),
+    "search-sets": (["search-sets", "--length", "3", "--u", "16", "--k", "3", "--beta", "1"],
+                    ["--beta", "--u", "--k", "--length"]),
+    "simulate-link": (["simulate-link", "--scheme", "single-rb-noncoherent", "--snr-from", "0",
+                       "--snr-to", "0", "--trials", "100", "--calibration-trials", "1000"],
+                      ["--snr-from", "--snr-to", "--snr-step", "--trials", "--calibration-trials",
+                       "--seed"]),
+    "reproduce": (["reproduce", "xcorr"], ["--trials", "--seed"]),
+}
+PROBE_ACCEPTS = {
+    ("build-interlace", "--nnull"): ("0",),
+    ("build-interlace", "--seq-index"): ("0",),
+    ("build-interlace", "--shift"): ("0", "-1"),
+    ("build-interlace", "--value"): ("0",),
+    ("eval-papr", "--nnull"): ("0",),
+    ("eval-cm", "--nnull"): ("0",),
+    ("eval-xcorr", "--nnull"): ("0",),  # read only by the zc set
+    ("simulate-link", "--snr-from"): ("0", "-1"),
+    ("simulate-link", "--snr-to"): ("0",),
+    ("simulate-link", "--seed"): ("0",),
+    ("reproduce", "--seed"): ("0",),
+}
+PROBES = [(command, option, value) for command, (_, options) in PROBE_BASES.items()
+          for option in options for value in PROBE_VALUES]
+
+
+def test_probe_covers_every_numeric_option():
+    numeric = (click.types.IntParamType, click.types.FloatParamType)
+    found = {name: [opt for p in command.params if isinstance(p.type, numeric) for opt in p.opts]
+             for name, command in main.commands.items()}
+    want = {name: sorted(PROBE_BASES[name][1]) if name in PROBE_BASES else [] for name in found}
+    assert {name: sorted(opts) for name, opts in found.items()} == want
+
+
+@pytest.mark.parametrize("command, option, value", PROBES, ids=[" ".join(p) for p in PROBES])
+def test_boundary_probe(runner, tmp_path, command, option, value):
+    base, _ = PROBE_BASES[command]
+    out = tmp_path / "out"
+    paths = ["--out-dir" if command == "reproduce" else "--out", str(out)]
+    if command in ("enumerate-gcps", "search-sets"):
+        paths += ["--cache-dir", str(tmp_path / "cache")]
+    result = runner.invoke(main, [*base, *paths, option, value])
+    assert isinstance(result.exception, (SystemExit, type(None))), result.exception  # no traceback
+    accepted = value in PROBE_ACCEPTS.get((command, option), ())
+    assert result.exit_code in ((0,) if accepted else (1, 2)), result.output
+    assert accepted or not out.exists()
+
+
+# Output paths that cannot be written, refused before any work: {missing} is
+# a directory that does not exist, {file} an existing file, {dir} tmp_path.
+BAD_PATHS = [
+    (["build-interlace", "--out", "{missing}/x"], "--out"),
+    (["build-interlace", "--out", "{dir}"], "--out"),
+    (["eval-papr", "--out", "{missing}/x"], "--out"),
+    (["eval-cm", "--out", "{file}/x"], "--out"),
+    (["eval-xcorr", "--out", "{dir}/x", "--ccdf-out", "{missing}/x"], "--ccdf-out"),
+    (["enumerate-gcps", "--length", "3", "--out", "{missing}/x"], "--out"),
+    (["enumerate-gcps", "--length", "3", "--cache-dir", "{file}", "--out", "{dir}/x"],
+     "--cache-dir"),
+    (["search-sets", "--length", "3", "--cache-dir", "{file}/sub", "--out", "{dir}/x"],
+     "--cache-dir"),
+    (["simulate-link", "--out", "{missing}/x"], "--out"),
+    (["import-sequences", "{file}", "--out", "{missing}/x"], "--out"),
+    (["reproduce", "papr", "--out-dir", "{file}"], "--out-dir"),
+    (["reproduce", "xcorr", "--out-dir", "{file}/sub/figures"], "--out-dir"),
+]
+
+
+@pytest.mark.parametrize("args, option", BAD_PATHS, ids=[" ".join(a) for a, _ in BAD_PATHS])
+def test_unwritable_output_path_is_a_usage_error(runner, tmp_path, args, option):
+    file = tmp_path / "file"
+    file.write_text(json.dumps({"sequences": ["+-", "++"]}))
+    paths = {"missing": tmp_path / "missing", "file": file, "dir": tmp_path}
+    result = runner.invoke(main, [arg.format(**paths) for arg in args])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+    assert f"Invalid value for '{option}'" in result.output
+    assert list(tmp_path.iterdir()) == [file]
+
+
 class TestMemoryBudget:
     """Options that size arrays, checked against ``cli._MEMORY_BUDGET``.
     No command line over the real budget is run: one whose check failed
@@ -152,7 +255,7 @@ class TestMemoryBudget:
         # allocate little even unchecked.
         monkeypatch.setattr(cli, "_MEMORY_BUDGET", 1000)
         seed_file = tmp_path / "seeds.json"
-        seed_file.write_text(json.dumps({"pairs": [["++", "+-"]]}))
+        seed_file.write_text(json.dumps({"length": 2, "count": 1, "pairs": [["++", "+-"]]}))
         if args[0] == "search-sets":
             args = [*args, "--seed-file", str(seed_file)]
         out = tmp_path / "out"
@@ -165,7 +268,7 @@ class TestMemoryBudget:
 
     def test_search_at_the_budget_runs(self, runner, tmp_path, monkeypatch):
         seed_file = tmp_path / "seeds.json"
-        seed_file.write_text(json.dumps({"pairs": [["++", "+-"]]}))
+        seed_file.write_text(json.dumps({"length": 2, "count": 1, "pairs": [["++", "+-"]]}))
         monkeypatch.setattr(cli, "_MEMORY_BUDGET", cli._search_entries(2, 64, 8))
         out = tmp_path / "sets.json"
         result = runner.invoke(main, ["search-sets", "--u", "64", "--seed-file", str(seed_file),
@@ -278,8 +381,7 @@ class TestEnumerateAndSearch:
         assert result.exit_code == 0, result.output
         assert json.loads(out.read_text())["count"] == 208
         assert calls == []
-        assert (json.loads((tmp_path / "cache" / "gcps_len8.json").read_text())
-                == json.loads(out.read_text()))
+        assert (tmp_path / "cache" / "gcps_len8.json").read_bytes() == out.read_bytes()
 
     def test_warm_cache_formats_no_string(self, runner, tmp_path, monkeypatch):
         args = ["enumerate-gcps", "--length", "8", "--cache-dir", str(tmp_path / "cache")]
@@ -297,38 +399,17 @@ class TestEnumerateAndSearch:
         assert calls == []
         assert warm.read_bytes() == cold.read_bytes()
 
-    @pytest.mark.parametrize("payload, message", [
-        ({"pairs": [["+++-", "++-+"], ["++", "++"]]}, "pair 1: sequences of length 2 are not "
-                                                       "complementary"),
-        ({"length": 2, "count": 1}, "expected an object with a 'pairs' list"),
-        ([["++", "+-"]], "expected an object with a 'pairs' list"),
-        ({"pairs": ["+-"]}, "pair 0: expected a list of two symbol strings"),
-        ({"pairs": [["+++-", "++-+"], ["++", "+-"]]}, "pair 1 has length 2, expected 4"),
-    ], ids=["non-complementary", "no-pairs-key", "not-an-object", "not-a-pair", "mixed-lengths"])
-    def test_bad_seed_file_is_a_click_error(self, runner, tmp_path, payload, message):
-        seed_file = tmp_path / "seeds.json"
-        seed_file.write_text(json.dumps(payload))
-        out = tmp_path / "sets.json"
-        result = runner.invoke(main, ["search-sets", "--seed-file", str(seed_file),
-                                      "--out", str(out)])
-        assert result.exit_code == 1
-        assert isinstance(result.exception, SystemExit)  # not a traceback
-        assert f"Error: {seed_file}: {message}" in result.output
-        assert not out.exists()
-
-    @pytest.mark.parametrize("command", ["enumerate-gcps", "search-sets"])
-    def test_bad_cache_file_is_a_click_error(self, runner, tmp_path, command):
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        (cache / "gcps_len4.json").write_text(
-            json.dumps({"length": 4, "count": 1, "pairs": [["++++", "++++"]]}))
-        out = tmp_path / "out.json"
-        result = runner.invoke(main, [command, "--length", "4", "--cache-dir", str(cache),
-                                      "--out", str(out)])
-        assert result.exit_code == 1
-        assert isinstance(result.exception, SystemExit)  # not a traceback
-        assert "Error: invalid pair cache" in result.output and "gcps_len4.json" in result.output
-        assert not out.exists()
+    def test_empty_library_round_trip(self, runner, tmp_path):
+        # No quaternary pair has length 7 or 9; a cached empty library loads.
+        cache = str(tmp_path / "cache")
+        for args, echo in [(["enumerate-gcps", "--length", "7"], "0 pairs of length 7"),
+                           (["search-sets", "--length", "9"], "admitted 0/30")]:
+            for run in ("cold", "warm"):
+                out = tmp_path / f"{args[0]}-{run}.json"
+                result = runner.invoke(main, [*args, "--cache-dir", cache, "--out", str(out)])
+                assert result.exit_code == 0, result.output
+                assert echo in result.output
+            assert (tmp_path / f"{args[0]}-cold.json").read_bytes() == out.read_bytes()
 
     @pytest.mark.parametrize("beta, verified", [("0.715", True), ("0.7142", False)])
     def test_coarse_grid_certificate_is_refined(self, runner, enumerate_12_dir, tmp_path,
@@ -358,6 +439,66 @@ class TestEnumerateAndSearch:
         assert payload["admitted"] == 3
         assert payload["verified"] is True
         assert payload["max_xcorr"]["first"] <= 1.0
+
+
+# Pair-library files every reader refuses: (id, file text, message after
+# "invalid pair library <path>: ").  A message naming one pair gives its index.
+_GOOD_4 = {"length": 4, "count": 1, "pairs": [["+++-", "++-+"]]}
+BAD_LIBRARIES = [
+    ("count-too-high", {"length": 4, "count": 99, "pairs": [["++++", "++++"]]},
+     "header (length 4, count 99) does not match 1 pairs"),
+    ("count-too-low", {**_GOOD_4, "count": 2}, "header (length 4, count 2) does not match 1 pairs"),
+    ("no-header", {"pairs": [["++", "+-"]]}, "header (length None, count None) does not match"),
+    ("float-length", {"length": 2.0, "count": 1, "pairs": [["++", "+-"]]}, "header (length 2.0,"),
+    ("no-pairs-key", {"length": 2, "count": 1}, "expected an object with a 'pairs' list"),
+    ("not-an-object", [["++", "+-"]], "expected an object with a 'pairs' list"),
+    ("truncated", json.dumps(_GOOD_4)[:30], "malformed JSON at line 1"),
+    ("non-complementary", {"length": 4, "count": 1, "pairs": [["++++", "++++"]]},
+     "pair 0 ['++++', '++++'] is not complementary"),
+    ("second-non-complementary", {"length": 2, "count": 2, "pairs": [["++", "+-"], ["++", "++"]]},
+     "pair 1 ['++', '++'] is not complementary"),
+    ("header-length-differs", {**_GOOD_4, "length": 3}, "pair 0: expected two symbol strings of length 3"),
+    ("short-sequences", {**_GOOD_4, "pairs": [["++-", "+-+"]]},
+     "pair 0: expected two symbol strings of length 4"),
+    ("mixed-lengths", {**_GOOD_4, "count": 2, "pairs": [["+++-", "++-+"], ["++", "+-"]]},
+     "pair 1: expected two symbol strings of length 4"),
+    ("three-strings", {**_GOOD_4, "pairs": [["+++-", "++-+", "++++"]]},
+     "pair 0: expected two symbol strings of length 4"),
+    ("not-a-pair", {"length": 2, "count": 1, "pairs": ["+-"]},
+     "pair 0: expected two symbol strings of length 2"),
+    ("bad-symbol", {**_GOOD_4, "pairs": [["+++x", "++-+"]]},
+     "pair 0: invalid quaternary symbol 'x'"),
+    # A dict parses like its keys, "+-", but would not write back as a string.
+    ("non-string", {"length": 2, "count": 1, "pairs": [[{"+": 0, "-": 0}, "++"]]},
+     "pair 0: expected two symbol strings of length 2"),
+]
+
+# How each command reaches a library file ``{dir}/gcps_len{n}.json``, n the
+# header's length (4 if it has none): the enumeration cache of --length n,
+# or a --seed-file.
+LIBRARY_READERS = {
+    "enumerate-gcps-cache": ["enumerate-gcps", "--length", "{n}", "--cache-dir", "{dir}"],
+    "search-sets-cache": ["search-sets", "--length", "{n}", "--cache-dir", "{dir}"],
+    "search-sets-seed-file": ["search-sets", "--seed-file", "{dir}/gcps_len{n}.json"],
+}
+
+
+@pytest.mark.parametrize("reader", list(LIBRARY_READERS))
+@pytest.mark.parametrize("payload, message", [case[1:] for case in BAD_LIBRARIES],
+                         ids=[case[0] for case in BAD_LIBRARIES])
+def test_bad_library_is_refused(runner, tmp_path, reader, payload, message):
+    n = payload.get("length") if isinstance(payload, dict) else None
+    n = n if type(n) is int else 4
+    library = tmp_path / f"gcps_len{n}.json"
+    library.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    before = library.read_bytes()
+    out = tmp_path / "out.json"
+    args = [arg.format(dir=tmp_path, n=n) for arg in LIBRARY_READERS[reader]]
+    result = runner.invoke(main, [*args, "--out", str(out)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+    assert f"Error: invalid pair library {library}: {message}" in result.output
+    assert not out.exists() and library.read_bytes() == before
 
 
 class TestSimulateLink:

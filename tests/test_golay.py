@@ -16,6 +16,8 @@ from csinterlace.golay import (
     enumerate_gcps,
     equivalence_orbit,
     is_complementary_sequence,
+    read_library,
+    write_library,
 )
 from csinterlace.interlace import SparseSpectrum
 from csinterlace.metrics import synthesize
@@ -329,33 +331,8 @@ class _FullDisk:
 
 
 class TestCache:
-    @pytest.mark.parametrize("payload", [
-        {"length": 4, "count": 99, "pairs": [["++++", "++++"]]},
-        {"length": 4, "count": 1, "pairs": [["++++", "++++"]]},
-        {"length": 4, "count": 2, "pairs": [["+++-", "++-+"]]},
-        {"length": 3, "count": 1, "pairs": [["+++-", "++-+"]]},
-        {"length": 4, "count": 1, "pairs": [["++-", "+-+"]]},
-        {"length": 4, "count": 1, "pairs": [["+++-", "++-+", "++++"]]},
-        {"length": 4, "count": 1, "pairs": [["+++x", "++-+"]]},
-    ])
-    def test_invalid_file_raises_naming_it(self, tmp_path, payload):
-        (tmp_path / "gcps_len4.json").write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="gcps_len4.json"):
-            cached_enumerate_gcps(4, tmp_path)
-
-    def test_non_string_entry_raises_naming_it(self, tmp_path):
-        # A dict parses like its keys, "+-", but would not write back as a string.
-        payload = {"length": 2, "count": 1, "pairs": [[{"+": 0, "-": 0}, "++"]]}
-        (tmp_path / "gcps_len2.json").write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="gcps_len2.json"):
-            cached_enumerate_gcps(2, tmp_path)
-
-    def test_truncated_file_raises_naming_it(self, tmp_path):
-        cache_file = tmp_path / "gcps_len4.json"
-        cached_enumerate_gcps(4, tmp_path)
-        cache_file.write_text(cache_file.read_text()[:100])
-        with pytest.raises(ValueError, match="gcps_len4.json"):
-            cached_enumerate_gcps(4, tmp_path)
+    """Pair-library files and the enumeration cache; the bad files every
+    reader refuses are in ``tests/test_cli.py`` (``BAD_LIBRARIES``)."""
 
     def test_loaded_pairs_are_complementary_and_immutable(self, tmp_path):
         cached_enumerate_gcps(6, tmp_path)
@@ -363,6 +340,30 @@ class TestCache:
         assert len(pairs) == 64 and all(is_gcp(p.a, p.b) for p in pairs)
         with pytest.raises(ValueError):
             pairs[0].a[0] = -1.0
+
+    @pytest.mark.parametrize("length", [7, 9])
+    def test_empty_library_round_trip(self, tmp_path, length):
+        # No quaternary pair has length 7 or 9.
+        assert cached_enumerate_gcps(length, tmp_path) == []
+        assert cached_enumerate_gcps(length, tmp_path) == []
+        assert (tmp_path / f"gcps_len{length}.json").read_text() == (
+            f'{{"length": {length}, "count": 0, "pairs": []}}\n')
+
+    def test_written_bytes_and_a_file_without_newline(self, tmp_path):
+        pairs = enumerate_gcps(3)
+        path = tmp_path / "lib.json"
+        write_library(path, 3, pairs)
+        text = path.read_text()
+        assert text == json.dumps({"length": 3, "count": 4,
+                                   "pairs": [list(p.as_strings()) for p in pairs]}) + "\n"
+        path.write_text(text.rstrip("\n"))  # as caches were written before the newline
+        assert read_library(path, 3) == pairs and read_library(path) == pairs
+
+    def test_cache_of_another_length_refused(self, tmp_path):
+        write_library(tmp_path / "gcps_len4.json", 3, enumerate_gcps(3))
+        with pytest.raises(ValueError, match=r"gcps_len4\.json: header \(length 3, count 4\) "
+                                             r"does not match 4 pairs of length 4"):
+            cached_enumerate_gcps(4, tmp_path)
 
     def test_interrupted_write_leaves_no_cache_file(self, tmp_path, monkeypatch):
         real_open = io.open
