@@ -385,9 +385,10 @@ def _snr_point_count(snr_from: float, snr_to: float, snr_step: float) -> float:
 @click.option("--snr-to", default=10.0, show_default=True, callback=_finite)
 @click.option("--snr-step", default=2.0, show_default=True, callback=_finite,
               type=click.FloatRange(0, min_open=True))
-@click.option("--trials", default=10_000, show_default=True)
-@click.option("--calibration-trials", default=100_000, show_default=True)
-@click.option("--seed", default=1, show_default=True)
+@click.option("--trials", default=10_000, show_default=True, type=click.IntRange(1, 2**40 - 1))
+@click.option("--calibration-trials", default=100_000, show_default=True,
+              type=click.IntRange(1, 2**40 - 1))
+@click.option("--seed", default=1, show_default=True, type=click.IntRange(0, 2**64 - 1))
 @click.option("--energy-norm", default="equal_total",
               type=click.Choice(["equal_total", "per_tone"]))
 @click.option("--out", type=_OUT_FILE, required=True)
@@ -436,7 +437,7 @@ def import_sequences(path, out):
     }
     out.write_text(json.dumps(normalized) + "\n")
     _write_manifest(out, [out], [path])
-    click.echo(f"registered {len(sequences)} sequences of length {length}")
+    click.echo(f"wrote {len(sequences)} sequences of length {length} to {out}")
 
 
 def _produce_sweep(figure: str, out_dir: Path, trials: int, seed: int) -> list[tuple]:

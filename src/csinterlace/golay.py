@@ -36,13 +36,9 @@ from .seqcore import (
     QUATERNARY_SYMBOLS,
     QUATERNARY_VALUES,
     as_sequence,
-    convolve,
     format_quaternary,
     is_gcp,
-    pad,
     parse_quaternary,
-    reverse_conjugate,
-    upsample,
 )
 
 MAX_ENUMERATION_LENGTH = 12  # 4**12 raw sequences; documented capacity limit
@@ -64,19 +60,18 @@ class CertificationError(ValueError):
 class GolayPair:
     """Two equal-length sequences proved complementary.
 
-    Constructing a pair checks it: the members are copied, must be of one
-    length and must pass :func:`~csinterlace.seqcore.is_gcp`, or
-    :class:`CertificationError` is raised; they are read-only afterwards.
+    Constructing a pair checks it: the members are copied and must pass
+    :func:`~csinterlace.seqcore.is_gcp` (malformed or unequal members are a
+    ``ValueError`` there), or :class:`CertificationError` is raised; they
+    are read-only afterwards.
     """
 
     a: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
-        arr_a = as_sequence(self.a).copy()
-        arr_b = as_sequence(self.b).copy()
-        if arr_a.size != arr_b.size:
-            raise ValueError(f"length mismatch: {arr_a.size} vs {arr_b.size}")
+        arr_a = np.array(self.a, dtype=complex)
+        arr_b = np.array(self.b, dtype=complex)
         if not is_gcp(arr_a, arr_b):
             raise CertificationError(f"sequences of length {arr_a.size} are not complementary")
         arr_a.setflags(write=False)
@@ -135,11 +130,18 @@ class ConstructionParams:
             raise ValueError("offset must be >= 0")
 
 
-def _padded_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    n = max(x.size, y.size)
-    out = np.zeros(n, dtype=complex)
+def _upsample(x: np.ndarray, step: int) -> np.ndarray:
+    """``step - 1`` null symbols between consecutive elements: x(z**step)."""
+    out = np.zeros(step * (x.size - 1) + 1, dtype=complex)
+    out[::step] = x
+    return out
+
+
+def _offset_sum(x: np.ndarray, y: np.ndarray, offset: int) -> np.ndarray:
+    """x(z) + z**offset * y(z); overlapping supports sum, x added first."""
+    out = np.zeros(max(x.size, offset + y.size), dtype=complex)
     out[: x.size] += x
-    out[: y.size] += y
+    out[offset : offset + y.size] += y
     return out
 
 
@@ -153,24 +155,20 @@ def combine_gcps(first: GolayPair, second: GolayPair, params: ConstructionParams
         g = p1 * up(a, step1) (*) up(rc(d), step2)
           - p2 * up(b, step1) (*) up(rc(c), step2) shifted by ``offset``
 
-    with (a, b) the first pair, (c, d) the second, ``(*)`` linear
-    convolution and ``rc`` reverse conjugation.  Overlapping supports sum;
-    the result is complementary for any parameter choice, and every output
-    is re-certified before being returned (a failure indicates a bug, not
-    bad input).
+    with (a, b) the first pair, (c, d) the second, ``up`` the insertion of
+    ``step - 1`` null symbols between elements, ``(*)`` linear convolution
+    and ``rc`` reverse conjugation.  Overlapping supports sum; the result
+    is complementary for any parameter choice, and every output is
+    re-certified before being returned (a failure indicates a bug, not bad
+    input).
     """
     p = params
-    ua = upsample(first.a, p.step1)
-    ub = upsample(first.b, p.step1)
-    uc = upsample(second.a, p.step2)
-    ud = upsample(second.b, p.step2)
-    urc_c = upsample(reverse_conjugate(second.a), p.step2)
-    urc_d = upsample(reverse_conjugate(second.b), p.step2)
-
-    f = _padded_sum(p.phase1 * convolve(ua, uc), pad(p.phase2 * convolve(ub, ud), p.offset))
-    g = _padded_sum(
-        p.phase1 * convolve(ua, urc_d), pad(-p.phase2 * convolve(ub, urc_c), p.offset)
-    )
+    ua, ub = (_upsample(x, p.step1) for x in (first.a, first.b))
+    uc, ud, urc_c, urc_d = (_upsample(x, p.step2) for x in (
+        second.a, second.b, np.conj(second.a[::-1]), np.conj(second.b[::-1])))
+    f = _offset_sum(p.phase1 * np.convolve(ua, uc), p.phase2 * np.convolve(ub, ud), p.offset)
+    g = _offset_sum(p.phase1 * np.convolve(ua, urc_d), -p.phase2 * np.convolve(ub, urc_c),
+                    p.offset)
     return GolayPair(f, g)
 
 
@@ -190,7 +188,7 @@ def equivalence_orbit(pair: GolayPair) -> list[GolayPair]:
                 if rev:
                     a, b = a[::-1], b[::-1]
                 if conj_rev:
-                    a, b = reverse_conjugate(a), reverse_conjugate(b)
+                    a, b = np.conj(a[::-1]), np.conj(b[::-1])
                 out.append(GolayPair(a, b))
     return out
 

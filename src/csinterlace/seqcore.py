@@ -1,6 +1,6 @@
-"""Core sequence algebra: aperiodic autocorrelation, complementarity tests,
-and the polynomial-domain operations (upsampling, padding, convolution,
-reverse conjugation) that the pair constructions are built from.
+"""Core sequence algebra: quaternary symbol strings, validation of outside
+input (:func:`as_sequence`), aperiodic autocorrelation, the complementarity
+test, cyclic modulation and sequences read from JSON.
 
 Quaternary sequences over {+1, -1, +1j, -1j} are kept in complex128 arrays.
 All their products and autocorrelation sums are small Gaussian integers,
@@ -41,11 +41,6 @@ def format_quaternary(seq) -> str:
     if missing.size:
         raise ValueError(f"element {seq[missing[0]]} is not a quaternary symbol")
     return "".join(QUATERNARY_SYMBOLS[k] for k in np.argmax(matches, axis=1))
-
-
-def is_quaternary(seq) -> bool:
-    seq = np.asarray(seq, dtype=complex)
-    return bool(np.all(np.isin(seq, QUATERNARY_VALUES)))
 
 
 def as_sequence(a) -> np.ndarray:
@@ -100,40 +95,6 @@ def is_gcp(a, b) -> bool:
     else:
         sums = _apac_sum_fft(arr_a, arr_b)[1:]
     return bool(np.max(np.abs(sums)) <= _TOL)
-
-
-def upsample(a, k: int) -> np.ndarray:
-    """Insert ``k - 1`` null symbols between consecutive elements.
-
-    Output length is k*(N-1) + 1; ``k = 1`` is the identity.
-    """
-    arr = as_sequence(a)
-    k = int(k)
-    if k <= 0:
-        raise ValueError("upsampling factor must be >= 1")
-    out = np.zeros(k * (arr.size - 1) + 1, dtype=complex)
-    out[::k] = arr
-    return out
-
-
-def pad(a, m: int) -> np.ndarray:
-    """Prepend ``m`` null symbols (multiplication of the polynomial by z^m)."""
-    arr = as_sequence(a)
-    m = int(m)
-    if m < 0:
-        raise ValueError("pad length must be >= 0")
-    return np.concatenate([np.zeros(m, dtype=complex), arr])
-
-
-def reverse_conjugate(a) -> np.ndarray:
-    """Reverse element order and conjugate element-wise.  Involution."""
-    arr = as_sequence(a)
-    return np.conj(arr[::-1])
-
-
-def convolve(a, b) -> np.ndarray:
-    """Linear convolution; the coefficient-domain product of polynomials."""
-    return np.convolve(as_sequence(a), as_sequence(b))
 
 
 def cyclic_modulate(x, delta: float) -> np.ndarray:

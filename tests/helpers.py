@@ -1,8 +1,8 @@
 """Independent oracles shared by the test modules.
 
 These deliberately avoid the library's coefficient-domain code paths:
-polynomials are evaluated by direct summation so they can vouch for the
-upsample/convolve/pad implementations and the FFT cross-correlation peaks,
+polynomials are evaluated by direct summation so they can vouch for
+``golay.combine_gcps`` and the FFT cross-correlation peaks,
 spectra are synthesized by an O(N^2) loop to vouch for the FFT path,
 autocorrelations are summed term by term to vouch for
 ``seqcore.apac_vector``, and the pair library is enumerated from the full
@@ -26,7 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from csinterlace.linksim import SimConfig, run_sim
-from csinterlace.seqcore import QUATERNARY_SYMBOLS, as_sequence, format_quaternary, is_quaternary
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 EXPECTED = json.loads((PERFBENCH / "expected.json").read_text())
@@ -101,18 +100,14 @@ def canonical_pair(a, b) -> tuple[str, str]:
     Normalizes each member's global phase (first element to +1) and orders
     the two sequences lexicographically by symbol code.
     """
-    arr_a = as_sequence(a)
-    arr_b = as_sequence(b)
-    if not (is_quaternary(arr_a) and is_quaternary(arr_b)):
-        raise ValueError("canonical form is defined for quaternary sequences")
-    norm_a = format_quaternary(arr_a * np.conj(arr_a[0]))
-    norm_b = format_quaternary(arr_b * np.conj(arr_b[0]))
-    key = dict(zip(QUATERNARY_SYMBOLS, range(4)))
-
-    def rank(s: str) -> tuple[int, ...]:
-        return tuple(key[ch] for ch in s)
-
-    return (norm_a, norm_b) if rank(norm_a) <= rank(norm_b) else (norm_b, norm_a)
+    codes = []
+    for seq in (a, b):
+        arr = np.asarray(seq, dtype=complex).reshape(-1)
+        if not all(value in SYMBOL_VALUES for value in arr):
+            raise ValueError("canonical form is defined for quaternary sequences")
+        normalized = arr * np.conj(arr[0])  # exact: a product of quaternary symbols
+        codes.append(tuple(int(np.flatnonzero(SYMBOL_VALUES == v)[0]) for v in normalized))
+    return tuple("".join("+-ij"[code] for code in member) for member in sorted(codes))
 
 
 def _decode_canonical(indices: np.ndarray, length: int) -> np.ndarray:

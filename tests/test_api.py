@@ -21,9 +21,9 @@ ALL = [
 
 PUBLIC = {
     "seqcore": [
-        "QUATERNARY_SYMBOLS", "QUATERNARY_VALUES", "apac_vector", "as_sequence", "convolve",
-        "cyclic_modulate", "format_quaternary", "is_gcp", "is_quaternary", "pad",
-        "parse_quaternary", "reverse_conjugate", "sequence_from_json", "upsample",
+        "QUATERNARY_SYMBOLS", "QUATERNARY_VALUES", "apac_vector", "as_sequence",
+        "cyclic_modulate", "format_quaternary", "is_gcp", "parse_quaternary",
+        "sequence_from_json",
     ],
     "golay": [
         "CertificationError", "ConstructionParams", "GolayPair", "MAX_ENUMERATION_LENGTH",

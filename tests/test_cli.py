@@ -517,9 +517,6 @@ class TestSimulateLink:
 
     @pytest.mark.parametrize("args, field", [
         (["--snr-from", "10", "--snr-to", "-10"], "snr_grid_db"),
-        (["--calibration-trials", "0"], "calibration_trials"),
-        (["--seed", "-1"], "rng_seed"),
-        (["--seed", str(2**64)], "rng_seed"),
     ])
     def test_invalid_config_is_a_click_error(self, runner, tmp_path, args, field):
         out = tmp_path / "link.csv"
@@ -527,6 +524,20 @@ class TestSimulateLink:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # not a traceback
         assert "Error:" in result.output and field in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option, value", [
+        ("--trials", "0"), ("--trials", "-1"),
+        ("--calibration-trials", "0"), ("--calibration-trials", "-1"),
+        ("--seed", "-1"), ("--seed", str(2**64)),
+    ])
+    def test_count_or_seed_out_of_range_is_a_usage_error(self, runner, tmp_path, option, value):
+        # The ranges are SimConfig's own limits, refused before it is built.
+        out = tmp_path / "link.csv"
+        result = runner.invoke(main, ["simulate-link", option, value, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert f"Invalid value for '{option}'" in result.output
         assert not out.exists()
 
     @pytest.mark.parametrize("args, option", [
@@ -611,6 +622,7 @@ class TestImportSequences:
         out = tmp_path / "registered.json"
         result = runner.invoke(main, ["import-sequences", str(src), "--out", str(out)])
         assert result.exit_code == 0, result.output
+        assert result.output == f"wrote 2 sequences of length 4 to {out}\n"
         payload = json.loads(out.read_text())
         assert payload["count"] == 2 and payload["length"] == 4
 

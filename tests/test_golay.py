@@ -1,12 +1,13 @@
 import io
 import itertools
 import json
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from csinterlace import golay
+from csinterlace import golay, seqcore
 from csinterlace.golay import (
     CertificationError,
     ConstructionParams,
@@ -29,7 +30,15 @@ from csinterlace.seqcore import (
     parse_quaternary,
 )
 
-from helpers import apac, canonical_pair, canonical_rank, random_unimodular, reference_mate_ranks
+from helpers import (
+    apac,
+    canonical_pair,
+    canonical_rank,
+    poly_eval,
+    random_unimodular,
+    reference_mate_ranks,
+    unit_circle_points,
+)
 
 
 def brute_force_canonical_pairs(length):
@@ -165,6 +174,58 @@ class TestCombineGcps:
             out = combine_gcps(first, second, params)  # certifies internally
             assert is_gcp(out.a, out.b)
 
+    def test_matches_polynomial_formulas(self, small_libraries):
+        # f(z) = p1 A(z^s1) C(z^s2) + p2 z^off B(z^s1) D(z^s2) and
+        # g(z) = p1 A(z^s1) D~(z^s2) - p2 z^off B(z^s1) C~(z^s2), where
+        # X~(w) = w^(N-1) conj(X(w)) on the unit circle is the reverse
+        # conjugate of a length-N member of the second pair.
+        rng = np.random.default_rng(24)
+        pools = [p for n in small_libraries.values() for p in n]
+        overlapping = []
+        for trial in range(50):
+            first, second = (pools[rng.integers(len(pools))] for _ in range(2))
+            s1, s2 = (int(s) for s in rng.integers(1, 9, size=2))
+            span = s1 * (first.length - 1) + s2 * (second.length - 1) + 1  # one branch
+            offset = int(rng.integers(0, span)) if trial % 2 else span + int(rng.integers(0, 8))
+            overlapping.append(offset < span)
+            p1, p2 = np.exp(2j * np.pi * rng.random(2))
+            params = ConstructionParams(phase1=p1, phase2=p2, step1=s1, step2=s2, offset=offset)
+            out = combine_gcps(first, second, params)
+            assert out.length == offset + span
+            for z in unit_circle_points(rng, 3):
+                w = z**s2
+                a, b = poly_eval(first.a, z**s1), poly_eval(first.b, z**s1)
+                c, d = poly_eval(second.a, w), poly_eval(second.b, w)
+                c_rc, d_rc = (w ** (second.length - 1) * np.conj(x) for x in (c, d))
+                assert poly_eval(out.a, z) == pytest.approx(
+                    p1 * a * c + p2 * z**offset * b * d, abs=1e-9)
+                assert poly_eval(out.b, z) == pytest.approx(
+                    p1 * a * d_rc - p2 * z**offset * b * c_rc, abs=1e-9)
+        assert any(overlapping) and not all(overlapping)
+
+    def test_certified_members_are_not_validated_again(self, monkeypatch, small_libraries,
+                                                       reference_pairs, noncoherent_spread):
+        # The seeds are certified pairs; only the output's check (is_gcp
+        # and its two autocorrelations) validates sequences.
+        original, calls = seqcore.as_sequence, []
+
+        def counting(a):
+            calls.append(a)
+            return original(a)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("csinterlace") and (
+                    getattr(module, "as_sequence", None) is original):
+                monkeypatch.setattr(module, "as_sequence", counting)
+        lte = ConstructionParams(phase1=1j, step1=120, offset=600)
+        for first, second, params in [
+            (small_libraries[4][0], small_libraries[5][1], ConstructionParams(step1=2, offset=3)),
+            (noncoherent_spread, reference_pairs[0], lte),
+        ]:
+            calls.clear()
+            combine_gcps(first, second, params)
+            assert 0 < len(calls) <= 4
+
     def test_exact_when_phases_are_gaussian_units(self, small_libraries):
         first = small_libraries[3][0]
         second = small_libraries[3][1]
@@ -218,6 +279,27 @@ class TestEquivalenceOrbit:
         member = equivalence_orbit(pair)[5]
         again = {p.as_strings() for p in equivalence_orbit(member)}
         assert orbit == again
+
+    def test_matches_explicit_definitions(self, reference_pairs, small_libraries):
+        # Documented order: swap outermost, then reverse, then reverse-conjugate.
+        def same(a, b):
+            return a, b
+
+        def swap(a, b):
+            return b, a
+
+        def reverse(a, b):
+            return a[::-1], b[::-1]
+
+        def reverse_conjugate(a, b):
+            return [v.conjugate() for v in reversed(a)], [v.conjugate() for v in reversed(b)]
+
+        rotated = GolayPair(reference_pairs[2].a * np.exp(0.7j), reference_pairs[2].b)
+        for pair in (small_libraries[3][0], reference_pairs[1], rotated):
+            members = (list(pair.a), list(pair.b))
+            expected = [rc(*rev(*sw(*members))) for sw in (same, swap)
+                        for rev in (same, reverse) for rc in (same, reverse_conjugate)]
+            assert [(list(p.a), list(p.b)) for p in equivalence_orbit(pair)] == expected
 
 
 class TestEnumeration:

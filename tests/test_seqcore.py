@@ -1,23 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from csinterlace import seqcore
 from csinterlace.seqcore import (
     apac_vector,
-    convolve,
     cyclic_modulate,
     format_quaternary,
     is_gcp,
-    pad,
     parse_quaternary,
-    reverse_conjugate,
     sequence_from_json,
-    upsample,
 )
 
-from helpers import apac, poly_eval, random_unimodular, unit_circle_points
+from helpers import apac, random_unimodular
 
 QUATERNARY = np.array([1.0, -1.0, 1.0j, -1.0j])
 PLUS_PLUS = parse_quaternary("++")
@@ -152,97 +148,6 @@ class TestIsGcp:
             abs(apac(a, k) + apac(mate, k)) <= 1e-9 for k in range(1, n)
         )
         assert is_gcp(a, mate) == direct
-
-
-class TestUpsample:
-    def test_identity(self):
-        assert np.array_equal(upsample(PLUS_MINUS, 1), PLUS_MINUS)
-
-    def test_two_nulls(self):
-        assert np.array_equal(upsample(PLUS_MINUS, 3), np.array([1, 0, 0, -1], dtype=complex))
-
-    def test_length_contract(self):
-        assert upsample(np.ones(5), 4).size == 4 * 4 + 1
-
-    def test_invalid_factor(self):
-        with pytest.raises(ValueError):
-            upsample(PLUS_MINUS, 0)
-
-    def test_polynomial_identity(self):
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            seq = rng.normal(size=6) + 1j * rng.normal(size=6)
-            k = int(rng.integers(1, 8))
-            for z in unit_circle_points(rng, 4):
-                assert poly_eval(upsample(seq, k), z) == pytest.approx(
-                    poly_eval(seq, z**k), abs=1e-12
-                )
-
-
-class TestReverseConjugate:
-    def test_hand_example(self):
-        assert np.array_equal(reverse_conjugate(parse_quaternary("+i")), parse_quaternary("j+"))
-
-    @given(complex_sequences)
-    def test_involution(self, seq):
-        assert np.array_equal(reverse_conjugate(reverse_conjugate(seq)), seq)
-
-    def test_proof_identity(self):
-        # poly(rc(a))(z^k) == poly(conj(a))(z^-k) * z^(k(N-1))
-        rng = np.random.default_rng(3)
-        for _ in range(25):
-            n = int(rng.integers(2, 9))
-            seq = rng.normal(size=n) + 1j * rng.normal(size=n)
-            k = int(rng.integers(1, 6))
-            for z in unit_circle_points(rng, 3):
-                lhs = poly_eval(reverse_conjugate(seq), z**k)
-                rhs = poly_eval(np.conj(seq), z**-k) * z ** (k * (n - 1))
-                assert lhs == pytest.approx(rhs, abs=1e-12)
-
-
-class TestConvolve:
-    def test_identity_element(self):
-        x = np.array([2.0, -1.0j, 3.0])
-        assert np.array_equal(convolve(np.array([1.0]), x), x)
-
-    def test_hand_example(self):
-        assert np.array_equal(convolve(PLUS_PLUS, PLUS_MINUS), np.array([1, 0, -1], dtype=complex))
-
-    def test_polynomial_product_identity(self):
-        rng = np.random.default_rng(5)
-        for _ in range(25):
-            a = rng.normal(size=int(rng.integers(1, 7))) + 1j * rng.normal()
-            b = rng.normal(size=int(rng.integers(1, 7))) + 1j * rng.normal()
-            for z in unit_circle_points(rng, 3):
-                assert poly_eval(convolve(a, b), z) == pytest.approx(
-                    poly_eval(a, z) * poly_eval(b, z), abs=1e-12
-                )
-
-    @settings(max_examples=50)
-    @given(complex_sequences, complex_sequences)
-    def test_commutative(self, a, b):
-        assert np.allclose(convolve(a, b), convolve(b, a), atol=1e-12)
-
-    def test_associative_and_exact_on_gaussian_integers(self):
-        a = parse_quaternary("+ij")
-        b = parse_quaternary("-+")
-        c = parse_quaternary("ji-")
-        left = convolve(convolve(a, b), c)
-        right = convolve(a, convolve(b, c))
-        assert np.array_equal(left, right)
-        assert np.array_equal(left.real, np.round(left.real))
-
-
-class TestPad:
-    def test_prepends_nulls(self):
-        assert np.array_equal(pad(PLUS_MINUS, 2), np.array([0, 0, 1, -1], dtype=complex))
-
-    def test_zero_pad_identity(self):
-        assert np.array_equal(pad(PLUS_MINUS, 0), PLUS_MINUS)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            pad(PLUS_MINUS, -1)
 
 
 class TestCyclicModulate:
