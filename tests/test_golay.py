@@ -203,6 +203,58 @@ class TestCombineGcps:
                     p1 * a * d_rc - p2 * z**offset * b * c_rc, abs=1e-9)
         assert any(overlapping) and not all(overlapping)
 
+    def test_first_branch_is_the_product_polynomial(self, small_libraries):
+        # With the second branch past the first, f starts with A(z) C(z).
+        rng = np.random.default_rng(5)
+        pools = [p for n in small_libraries.values() for p in n]
+        for _ in range(25):
+            first, second = (pools[rng.integers(len(pools))] for _ in range(2))
+            span = first.length + second.length - 1
+            out = combine_gcps(first, second, ConstructionParams(offset=span))
+            for z in unit_circle_points(rng, 3):
+                assert poly_eval(out.a[:span], z) == pytest.approx(
+                    poly_eval(first.a, z) * poly_eval(second.a, z), abs=1e-12)
+
+    def test_offset_prepends_nulls_to_second_branch(self):
+        unit = GolayPair.from_strings("+", "+")
+        block = GolayPair.from_strings("++", "+-")
+        out = combine_gcps(unit, block, ConstructionParams(offset=3))
+        assert np.array_equal(out.a, np.array([1, 1, 0, 1, -1], dtype=complex))
+        assert np.array_equal(out.b, np.array([-1, 1, 0, -1, -1], dtype=complex))
+
+    def test_mate_reverse_conjugates_the_second_pair(self, small_libraries):
+        # With the unit pair first, g starts with rc(d) upsampled by k, and
+        # rc(d)(z^k) = z^(k(N-1)) conj(d)(z^-k) for a length-N member d.
+        unit = GolayPair.from_strings("+", "+")
+        rng = np.random.default_rng(3)
+        pools = [p for n in small_libraries.values() for p in n]
+        for _ in range(25):
+            seed = pools[rng.integers(len(pools))]
+            rot_a, rot_b = np.exp(2j * np.pi * rng.random(2))
+            second = GolayPair(seed.a * rot_a, seed.b * rot_b)
+            k, n = int(rng.integers(1, 6)), second.length
+            span = k * (n - 1) + 1
+            out = combine_gcps(unit, second, ConstructionParams(step2=k, offset=span))
+            for z in unit_circle_points(rng, 3):
+                rhs = poly_eval(np.conj(second.b), z**-k) * z ** (k * (n - 1))
+                assert poly_eval(out.b[:span], z) == pytest.approx(rhs, abs=1e-12)
+
+    def test_steps_upsample_the_seeds(self, small_libraries):
+        # With the unit pair second, f is a(z^k) followed by z^span b(z^k).
+        unit = GolayPair.from_strings("+", "+")
+        rng = np.random.default_rng(11)
+        pools = [p for n in small_libraries.values() for p in n]
+        for _ in range(25):
+            first = pools[rng.integers(len(pools))]
+            k = int(rng.integers(1, 8))
+            span = k * (first.length - 1) + 1
+            out = combine_gcps(first, unit, ConstructionParams(step1=k, offset=span))
+            for z in unit_circle_points(rng, 4):
+                assert poly_eval(out.a[:span], z) == pytest.approx(
+                    poly_eval(first.a, z**k), abs=1e-12)
+                assert poly_eval(out.a[span:], z) == pytest.approx(
+                    poly_eval(first.b, z**k), abs=1e-12)
+
     def test_certified_members_are_not_validated_again(self, monkeypatch, small_libraries,
                                                        reference_pairs, noncoherent_spread):
         # The seeds are certified pairs; only the output's check (is_gcp
