@@ -6,16 +6,19 @@ Enumeration canonicalizes by global phase (first element of each sequence
 forced to +1) and by lexicographic pair order.  Golay's identity
 |A(w)|^2 + |B(w)|^2 = 2N, with A(w) = sum_n a_n exp(-jwn), bounds every
 member of a pair by |A(w)|^2 <= 2N at every frequency (the filter of
-Fiedler, Jedwab and Parker, JCTA 2008).  The 4**(N-1) canonical sequences
-are filtered on three grids (8, 16, then 64 points) with a slack of 1e-6;
-the rounding error of a 12-term sum is about 1e-13, so no member is ever
-dropped.  The filter runs block by block: a block of sequences goes
-through all three grids before the next block starts, so its memory is
-bounded by the block size and the per-point head and tail tables, not by
-the number of sequences.  The few thousand survivors are then matched by
-their exact integer autocorrelation vectors against the negated vectors:
-that match, not the filter, is the complementarity proof.  The symbol
-strings of the pairs come from their ranks' base-4 digits.
+Fiedler, Jedwab and Parker, JCTA 2008), tested on three grids (8, 16, then
+64 points) with a slack of 1e-6; the rounding error of a 12-term sum is
+about 1e-13, so no member is ever dropped.  Modulating a sequence by
+j**(k*n) shifts A(w) by a quarter turn, which maps each grid onto itself,
+so only the 4**(N-2) canonical sequences with a_1 = +1 are filtered, and
+each survivor is expanded into its four modulations.  The filter runs
+block by block: a block of sequences goes through all three grids before
+the next block starts, so its memory is bounded by the block size and the
+per-point head and tail tables, not by the number of sequences.  The few
+thousand survivors are then matched by their exact integer autocorrelation
+vectors against the negated vectors: that match, not the filter, is the
+complementarity proof.  The symbol strings of the pairs come from their
+ranks' base-4 digits.
 
 A pair-library file, the enumeration cache's file per length among them, is
 one JSON line ``{"length", "count", "pairs"}`` of symbol-string pairs; only
@@ -241,22 +244,42 @@ def _autocorrelations(seqs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _psd_survivors(length: int) -> np.ndarray:
-    """Ascending canonical ranks with |A(w)|^2 <= 2N + slack at every point
+def _partial_spectra(phasors: np.ndarray, fixed: int) -> np.ndarray:
+    """Partial spectra sum_n phasors[:, n] * s_n over the positions
+    (columns) of ``phasors``, one column per sequence s whose first
+    ``fixed`` symbols are +1, in rank order of its other symbols.
+
+    Built in place, one position at a time, with no matrix product: each
+    position adds its four symbol values along its own axis, later
+    positions less significant.
+    """
+    points, positions = phasors.shape
+    free = positions - fixed
+    out = np.empty((points,) + (4,) * free, dtype=complex)
+    out[...] = phasors[:, :fixed].sum(axis=1).reshape((points,) + (1,) * free)
+    for n in range(free):
+        axis = (1,) * n + (4,) + (1,) * (free - n - 1)
+        out += (phasors[:, fixed + n, None] * QUATERNARY_VALUES).reshape((points,) + axis)
+    return out.reshape(points, -1)
+
+
+def _psd_scan(length: int, fixed: int) -> np.ndarray:
+    """Ascending ranks of the sequences whose first ``fixed`` symbols are
+    +1 and whose |A(w)|^2 <= 2N + slack at every point
     w = 2*pi*(m + offset)/points of ``_PSD_GRIDS``.
 
-    Rank r splits into a head of ``split`` symbols (first one +1) and a
-    tail, so A(w) = heads[r // n_tails] + tails[r % n_tails].  Each block
-    of head rows runs through every grid before the next block starts: the
-    first grid tests all its outer sums, and each later point tests only
-    the (head, tail) indices of the block still standing.
+    Rank r splits into a head of ``split`` symbols and a tail, so
+    A(w) = heads[r // n_tails] + tails[r % n_tails].  Each block of head
+    rows runs through every grid before the next block starts: the first
+    grid tests all its outer sums, and each later point tests only the
+    (head, tail) indices of the block still standing.
     """
     split = (length + 1) // 2
     n_tails = 4 ** (length - split)
     w = 2 * np.pi * np.concatenate([(np.arange(p) + offset) / p for p, offset in _PSD_GRIDS])
     phasors = np.exp(-1j * np.outer(w, np.arange(length)))  # (points, positions)
-    heads = phasors[:, :split] @ _decode(np.arange(4 ** (split - 1)), split).T
-    tails = phasors[:, split:] @ _decode(np.arange(n_tails), length - split).T
+    heads = _partial_spectra(phasors[:, :split], fixed)
+    tails = _partial_spectra(phasors[:, split:], 0)
 
     bound = 2 * length + _PSD_SLACK
     first = _PSD_GRIDS[0][0]
@@ -281,6 +304,26 @@ def _psd_survivors(length: int) -> np.ndarray:
             head, tail = head[hit], tail[hit]
         found.append((head + r) * n_tails + tail)
     return np.concatenate(found)
+
+
+def _psd_survivors(length: int) -> np.ndarray:
+    """Ascending canonical ranks that pass :func:`_psd_scan`.
+
+    Modulating a sequence by j**(k*n) keeps a_0 = +1 and turns A(w) into
+    A(w - k*pi/2); every grid has a multiple of 4 points, so it maps onto
+    itself, and a sequence passes iff its four quarter-turn modulations do.
+    Each canonical sequence is one modulation of exactly one representative
+    with a_1 = +1, a rank below 4**(N-2).  Only the representatives are
+    scanned, and each survivor is expanded into its four modulations once
+    the scan's tables are freed.  Lengths 1 and 2, whose head is their
+    first symbol alone, are scanned directly.
+    """
+    if length < 3:
+        return _psd_scan(length, fixed=1)
+    codes = _digits(_psd_scan(length, fixed=2), length)
+    turns = np.arange(4)[:, None, None] * np.arange(length)  # k*n of modulation k
+    turned = _CODE_POWER[(_CODE_POWER[codes] + turns) % 4]  # (4, survivors, length)
+    return np.sort((turned @ 4 ** np.arange(length - 1, -1, -1)).ravel())
 
 
 @lru_cache(maxsize=None)

@@ -135,6 +135,12 @@ def fractional_xcorr_max(c_i, c_j, u: int) -> float:
     u = int(u)
     if u < 1:
         raise ValueError("shift grid density must be >= 1")
+    return _fractional_xcorr_max(a, b, u)
+
+
+def _fractional_xcorr_max(a: np.ndarray, b: np.ndarray, u: int) -> float:
+    """:func:`fractional_xcorr_max` of two validated equal-length sequences
+    and a density ``u >= 1``."""
     products = shift_matrix(a.size, u) @ (np.conj(a) * b)
     return float(np.max(np.abs(products)) / a.size)
 

@@ -58,7 +58,11 @@ def as_sequence(a) -> np.ndarray:
 def apac_vector(a) -> np.ndarray:
     """Aperiodic autocorrelation sum(conj(a[n]) * a[n + k]) for lags
     k = 0 .. N-1; exact on quaternary input (Gaussian-integer sums)."""
-    arr = as_sequence(a)
+    return _apac(as_sequence(a))
+
+
+def _apac(arr: np.ndarray) -> np.ndarray:
+    # apac_vector of a validated sequence.
     return np.correlate(arr, arr, "full")[arr.size - 1:]
 
 
@@ -91,7 +95,7 @@ def is_gcp(a, b) -> bool:
         return True
     parts = (arr_a.real, arr_a.imag, arr_b.real, arr_b.imag)
     if n <= 64 or all(np.array_equal(x, np.rint(x)) for x in parts):
-        sums = apac_vector(arr_a)[1:] + apac_vector(arr_b)[1:]
+        sums = _apac(arr_a)[1:] + _apac(arr_b)[1:]
     else:
         sums = _apac_sum_fft(arr_a, arr_b)[1:]
     return bool(np.max(np.abs(sums)) <= _TOL)

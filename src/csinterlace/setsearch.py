@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .golay import GolayPair, equivalence_orbit
-from .metrics import fractional_xcorr_max, shift_matrix
+from .metrics import _fractional_xcorr_max, shift_matrix
 from .seqcore import is_gcp
 
 # Grid density on which verification re-evaluates a pair that a coarser
@@ -125,13 +125,18 @@ def verify_sets(sets: SequenceSetPair) -> VerifyReport:
     correlations at the stored grid density, certifying ``beta`` for every
     real shift through the continuous bound of the grid maximum (refined
     on a denser grid where a coarse one falls short); violations are
-    reported, not raised.
+    reported, not raised.  A malformed set, with pairs of unequal lengths
+    or a density ``u`` below 1, is a ValueError.
     """
+    u = int(sets.u)
+    if u < 1:
+        raise ValueError("shift grid density must be >= 1")
+    if len({pair.a.size for pair in sets.pairs}) > 1:
+        raise ValueError("the pairs of a set must share one length")
     violations = [f"pair {i} is not complementary"
                   for i, pair in enumerate(sets.pairs) if not is_gcp(pair.a, pair.b)]
-
-    max_first = _pairwise_max([p.a for p in sets.pairs], sets.u, sets.beta, "first", violations)
-    max_second = _pairwise_max([p.b for p in sets.pairs], sets.u, sets.beta, "second", violations)
+    max_first = _pairwise_max([p.a for p in sets.pairs], u, sets.beta, "first", violations)
+    max_second = _pairwise_max([p.b for p in sets.pairs], u, sets.beta, "second", violations)
     return VerifyReport(
         ok=not violations,
         size=sets.size,
@@ -170,12 +175,12 @@ def _pairwise_max(
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
             density = u
-            value = fractional_xcorr_max(members[i], members[j], u)
+            value = _fractional_xcorr_max(members[i], members[j], u)
             worst = max(worst, value)
             bound = _continuous_bound(value, members[i], members[j], u)
             if bound > beta + 1e-9 and u < _REFINED_U:
                 density = _REFINED_U
-                value = fractional_xcorr_max(members[i], members[j], density)
+                value = _fractional_xcorr_max(members[i], members[j], density)
                 bound = _continuous_bound(value, members[i], members[j], density)
             if bound > beta + 1e-9:
                 violations.append(

@@ -1,13 +1,31 @@
 import json
+import sys
 
 import pytest
 from click.testing import CliRunner
 
-from csinterlace import fixtures
+from csinterlace import fixtures, seqcore
 from csinterlace.cli import main
 from csinterlace.golay import enumerate_gcps
 from csinterlace.interlace import InterlaceConfig
 from helpers import SIM_GATE_CONFIGS, sim_gate_report
+
+
+@pytest.fixture
+def as_sequence_calls(monkeypatch):
+    """The arguments of every ``seqcore.as_sequence`` call made during the
+    test, through any ``csinterlace`` module that binds the function."""
+    original, calls = seqcore.as_sequence, []
+
+    def counting(a):
+        calls.append(a)
+        return original(a)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("csinterlace") and (
+                getattr(module, "as_sequence", None) is original):
+            monkeypatch.setattr(module, "as_sequence", counting)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,12 @@
 import io
 import itertools
 import json
-import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from csinterlace import golay, seqcore
+from csinterlace import golay
 from csinterlace.golay import (
     CertificationError,
     ConstructionParams,
@@ -255,28 +254,18 @@ class TestCombineGcps:
                 assert poly_eval(out.a[span:], z) == pytest.approx(
                     poly_eval(first.b, z**k), abs=1e-12)
 
-    def test_certified_members_are_not_validated_again(self, monkeypatch, small_libraries,
+    def test_certified_members_are_not_validated_again(self, as_sequence_calls, small_libraries,
                                                        reference_pairs, noncoherent_spread):
-        # The seeds are certified pairs; only the output's check (is_gcp
-        # and its two autocorrelations) validates sequences.
-        original, calls = seqcore.as_sequence, []
-
-        def counting(a):
-            calls.append(a)
-            return original(a)
-
-        for module in list(sys.modules.values()):
-            if module.__name__.startswith("csinterlace") and (
-                    getattr(module, "as_sequence", None) is original):
-                monkeypatch.setattr(module, "as_sequence", counting)
+        # The seeds are certified pairs; only the output's check, is_gcp,
+        # validates sequences: its two members, once each.
         lte = ConstructionParams(phase1=1j, step1=120, offset=600)
         for first, second, params in [
             (small_libraries[4][0], small_libraries[5][1], ConstructionParams(step1=2, offset=3)),
             (noncoherent_spread, reference_pairs[0], lte),
         ]:
-            calls.clear()
+            as_sequence_calls.clear()
             combine_gcps(first, second, params)
-            assert 0 < len(calls) <= 4
+            assert len(as_sequence_calls) == 2
 
     def test_exact_when_phases_are_gaussian_units(self, small_libraries):
         first = small_libraries[3][0]
@@ -409,7 +398,21 @@ class TestSpectralFilter:
         monkeypatch.setattr(golay, "_PSD_BLOCK", 1 << 6)
         assert np.array_equal(golay._psd_survivors(length), default)
 
-    @pytest.mark.parametrize("length", range(2, 8))
+    def test_grids_map_onto_themselves_under_a_quarter_turn(self):
+        # w -> w - pi/2 moves grid point m to m - points/4: the invariance
+        # that lets the filter scan only the representatives with a_1 = +1.
+        assert all(points % 4 == 0 for points, _ in golay._PSD_GRIDS)
+
+    @pytest.mark.parametrize("length", range(3, 11))
+    def test_survivors_are_closed_under_quarter_turns(self, length):
+        survivors = golay._psd_survivors(length)
+        seqs = golay._decode(survivors, length)
+        for k in range(1, 4):
+            turn = np.array([1, 1j, -1, -1j])[k * np.arange(length) % 4]  # j**(k*n)
+            turned = [canonical_rank(seq) for seq in seqs * turn]
+            assert sorted(turned) == survivors.tolist()
+
+    @pytest.mark.parametrize("length", range(2, 9))
     def test_keeps_exactly_the_ranks_within_the_bound(self, length):
         # Every canonical sequence summed directly on all 88 grid points.
         seqs = np.array([(1.0 + 0j,) + combo
@@ -425,11 +428,12 @@ class TestSpectralFilter:
         assert np.isin(members, survivors).all()
 
     def test_peak_memory_is_the_tables_plus_one_block(self, monkeypatch):
-        # At length 10 the 88-point head and tail tables take 1.8 MB; a
-        # block of one head row adds a few 1024-entry arrays.  Holding the
-        # first grid's survivors of all 4**9 ranks at once would add 3 MB.
+        # At length 10 the 88-point tables of the 4**3 representative heads
+        # and the 4**5 tails take 1.5 MB; a block of one head row adds a few
+        # 1024-entry arrays.  Running all 4**8 representatives as one block
+        # would add 2.2 MB.
         monkeypatch.setattr(golay, "_PSD_BLOCK", 1 << 6)
-        tables = 88 * (4 ** 4 + 4 ** 5) * np.dtype(complex).itemsize
+        tables = 88 * (4 ** 3 + 4 ** 5) * np.dtype(complex).itemsize
         golay._psd_survivors(10)
         tracemalloc.start()
         try:

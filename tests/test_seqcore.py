@@ -136,6 +136,15 @@ class TestIsGcp:
         assert is_gcp(a * phase, b * phase)
         assert routes == [128]
 
+    def test_validates_each_member_once(self, as_sequence_calls):
+        a, b = parse_quaternary("++-+"), parse_quaternary("+++-")
+        for _ in range(5):  # lengths 8 .. 128; at 128 the float pair takes the FFT route
+            a, b = np.concatenate([a, b]), np.concatenate([a, -b])
+            for pair in [(a, b), (a * np.exp(0.3j), b)]:
+                as_sequence_calls.clear()
+                is_gcp(*pair)
+                assert len(as_sequence_calls) == 2
+
     def test_fft_path_matches_direct(self):
         rng = np.random.default_rng(7)
         # long float pair constructed by concatenation keeps the pair property

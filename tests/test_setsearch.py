@@ -132,3 +132,19 @@ class TestVerifySets:
     def test_search_output_passes_verification(self, small_libraries):
         sets = build_sets(small_libraries[5], beta=0.95, u=32, k_target=4)
         assert verify_sets(sets).ok
+
+    def test_members_are_validated_once(self, as_sequence_calls, reference_pairs):
+        # Only the complementarity check, is_gcp, validates the members;
+        # the u = 16 sweep also takes the refined u = 128 route.
+        verify_sets(SequenceSetPair(tuple(reference_pairs), 0.715, 16))
+        assert len(as_sequence_calls) == 2 * len(reference_pairs)
+
+    @pytest.mark.parametrize("u", [0, -1])
+    def test_density_below_one_refused(self, reference_pairs, u):
+        with pytest.raises(ValueError, match="density must be >= 1"):
+            verify_sets(SequenceSetPair(tuple(reference_pairs[:2]), 0.715, u))
+
+    def test_unequal_lengths_refused(self, reference_pairs, small_libraries):
+        sets = SequenceSetPair((reference_pairs[0], small_libraries[4][0]), 0.715, 16)
+        with pytest.raises(ValueError, match="share one length"):
+            verify_sets(sets)
