@@ -63,7 +63,8 @@ def _check_budget(entries: int, option: str) -> None:
 
 def _idft_entries(n_idft: int, rows: int) -> int:
     """Complex entries of ``rows`` zero-padded ``n_idft``-point inverse
-    DFTs: the padded rows, their transform, its scaled copy and moduli."""
+    DFTs: the padded rows, their transform, its scaled copy and moduli; as
+    many as F times the rows on the coarse grid of :func:`xcorr_matrix`."""
     return 4 * rows * n_idft
 
 
@@ -267,6 +268,7 @@ def _xcorr_members(which: str, cfg: InterlaceConfig, n_idft: int, seq_file: Path
     if len(members) < 2:
         raise click.ClickException(
             f"{seq_file}: need at least two sequences to correlate, found {len(members)}")
+    _check_budget(len(members) ** 2, "--seq-file")  # the K x K matrix, before it exists
     return members
 
 
@@ -274,8 +276,8 @@ def _write_xcorr(members, n_idft: int, out: Path, ccdf_out: Path | None) -> floa
     """Write the peak cross-correlation of every ordered pair and, if asked,
     its CCDF; return the max rho.  2-D members are compared row by row (per
     block) and their worst row is kept.  Only the unordered pairs i < j are
-    computed, a few FFT rows at a time (:func:`xcorr_matrix`); row (j, i)
-    repeats the mirrored value of (i, j)."""
+    computed, as the ``n_idft``-point grid peak found coarse to fine under
+    a Bernstein bound (:func:`xcorr_matrix`); row (j, i) repeats (i, j)."""
     rho = xcorr_matrix(members, n_idft)
     rows = [(i, j, value) for i, row in enumerate(rho.tolist())
             for j, value in enumerate(row) if i != j]
@@ -297,7 +299,7 @@ def _write_xcorr(members, n_idft: int, out: Path, ccdf_out: Path | None) -> floa
 @click.option("--ccdf-out", type=_OUT_FILE, default=None)
 def eval_xcorr(which, seq_file, nrb, nsc, nnull, n_idft, out, ccdf_out):
     """Pairwise peak cross-correlation matrix and optional CCDF."""
-    # xcorr_matrix transforms whole pairs of up to max(chunk, nrb) block rows at once
+    # xcorr_matrix holds up to max(chunk, nrb) n_idft-point rows at once, coarse or refined
     _check_budget(_idft_entries(n_idft, max(_XCORR_CHUNK_ROWS, nrb)), "--n-idft")
     with _refuse_bad_input():
         members = _xcorr_members(which, InterlaceConfig(nrb, nsc, nnull), n_idft, seq_file)

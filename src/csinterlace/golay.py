@@ -133,18 +133,15 @@ class ConstructionParams:
             raise ValueError("offset must be >= 0")
 
 
-def _upsample(x: np.ndarray, step: int) -> np.ndarray:
-    """``step - 1`` null symbols between consecutive elements: x(z**step)."""
-    out = np.zeros(step * (x.size - 1) + 1, dtype=complex)
-    out[::step] = x
-    return out
-
-
-def _offset_sum(x: np.ndarray, y: np.ndarray, offset: int) -> np.ndarray:
-    """x(z) + z**offset * y(z); overlapping supports sum, x added first."""
-    out = np.zeros(max(x.size, offset + y.size), dtype=complex)
-    out[: x.size] += x
-    out[offset : offset + y.size] += y
+def _tap_sum(params: ConstructionParams, *terms) -> np.ndarray:
+    """Sum of phase * z**offset * x(z**step1) * y(z**step2) over the ``(phase,
+    offset, x, y)`` terms from the taps alone: phase * x[i] * y[j] lands at
+    offset + step1 * i + step2 * j, summed in term order where they meet."""
+    places = [offset + params.step1 * np.arange(x.size)[:, None] + params.step2 * np.arange(y.size)
+              for _, offset, x, y in terms]
+    out = np.zeros(max(at[-1, -1] for at in places) + 1, dtype=complex)
+    for (phase, _, x, y), at in zip(terms, places):
+        np.add.at(out, at, phase * np.outer(x, y))
     return out
 
 
@@ -166,12 +163,9 @@ def combine_gcps(first: GolayPair, second: GolayPair, params: ConstructionParams
     input).
     """
     p = params
-    ua, ub = (_upsample(x, p.step1) for x in (first.a, first.b))
-    uc, ud, urc_c, urc_d = (_upsample(x, p.step2) for x in (
-        second.a, second.b, np.conj(second.a[::-1]), np.conj(second.b[::-1])))
-    f = _offset_sum(p.phase1 * np.convolve(ua, uc), p.phase2 * np.convolve(ub, ud), p.offset)
-    g = _offset_sum(p.phase1 * np.convolve(ua, urc_d), -p.phase2 * np.convolve(ub, urc_c),
-                    p.offset)
+    rc_c, rc_d = np.conj(second.a[::-1]), np.conj(second.b[::-1])
+    f = _tap_sum(p, (p.phase1, 0, first.a, second.a), (p.phase2, p.offset, first.b, second.b))
+    g = _tap_sum(p, (p.phase1, 0, first.a, rc_d), (-p.phase2, p.offset, first.b, rc_c))
     return GolayPair(f, g)
 
 

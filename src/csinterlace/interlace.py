@@ -18,14 +18,14 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Any
 
 import numpy as np
 
 from .fixtures import load_coherent_example, load_noncoherent_spread, load_reference_pairs
 from .golay import ConstructionParams, GolayPair, combine_gcps
-from .seqcore import as_sequence, cyclic_modulate
+from .seqcore import _modulate, as_sequence
 
 # Unit phasors usable as data coefficients in the coherent scheme.
 QPSK_PHASES = np.exp(1j * np.pi * np.array([1, 3, -1, -3]) / 4)
@@ -156,7 +156,7 @@ def noncoherent_pair(
         raise ValueError(f"spreading pair of length {spread.length} needs {2 * spread.length} RBs")
     if rb_pair.length != cfg.n_sc:
         raise ValueError(f"block pair of length {rb_pair.length} needs as many tones per RB")
-    shifted = GolayPair(cyclic_modulate(rb_pair.a, delta), cyclic_modulate(rb_pair.b, delta))
+    shifted = GolayPair(_modulate(rb_pair.a, delta), _modulate(rb_pair.b, delta))
     spacing = cfg.rb_spacing
     step1, offset = (2 * spacing, spacing) if adjacent else (spacing, spacing * cfg.n_rb // 2)
     params = ConstructionParams(
@@ -203,9 +203,11 @@ def zc_sequence(root: int, total: int) -> np.ndarray:
     return np.exp(-1j * np.pi * root * (n * (n + 1)) / _ZC_LENGTH)
 
 
-def zadoff_chu_set(cfg: InterlaceConfig, n_idft: int = 4096) -> list[SparseSpectrum]:
+@lru_cache(maxsize=4)
+def zadoff_chu_set(cfg: InterlaceConfig, n_idft: int = 4096) -> tuple[SparseSpectrum, ...]:
     """Baseline set: the 30 lowest-PAPR roots of the length-113 Zadoff-Chu
-    family, cyclically padded onto the interlace tones."""
+    family, cyclically padded onto the interlace tones; ranked once per
+    ``(cfg, n_idft)`` and cached, so the spectra's arrays are read-only."""
     from .metrics import papr_db, synthesize  # local import to avoid a cycle
 
     total = cfg.n_rb * cfg.n_sc
@@ -217,7 +219,10 @@ def zadoff_chu_set(cfg: InterlaceConfig, n_idft: int = 4096) -> list[SparseSpect
         spectrum = SparseSpectrum(support, zc_sequence(root, total), cfg.grid_size)
         scored.append((papr_db(synthesize(spectrum, n_idft)), root, spectrum))
     scored.sort(key=lambda item: (item[0], item[1]))
-    return [spectrum for _, _, spectrum in scored[:_ZC_SET_SIZE]]
+    for _, _, spectrum in scored[:_ZC_SET_SIZE]:
+        spectrum.indices.setflags(write=False)
+        spectrum.values.setflags(write=False)
+    return tuple(spectrum for _, _, spectrum in scored[:_ZC_SET_SIZE])
 
 
 def cycling_baseline(cfg: InterlaceConfig, base) -> SparseSpectrum:
@@ -226,9 +231,7 @@ def cycling_baseline(cfg: InterlaceConfig, base) -> SparseSpectrum:
     base = as_sequence(base)
     if base.size != cfg.n_sc:
         raise ValueError(f"base sequence of length {base.size} needs {base.size} tones per RB")
-    values = np.concatenate(
-        [cyclic_modulate(base, k) for k in range(cfg.n_rb)]
-    )
+    values = np.concatenate([_modulate(base, k) for k in range(cfg.n_rb)])
     return SparseSpectrum(cfg.support(), values, cfg.grid_size)
 
 

@@ -7,9 +7,10 @@ Cross-correlation comes in two deliberately independent flavours: the
 FFT grid peak used for reporting, and an explicit inner-product sweep over
 a fractional shift grid used by the set search; the two agree analytically
 and the tests hold them against each other.  The FFT grid peak has one
-path, :func:`xcorr_matrix`: it transforms the products of the unordered
-pairs i < j only, a few rows per inverse FFT so that the batch stays
-small, and mirrors them into the symmetric matrix.
+path, :func:`xcorr_matrix`: it evaluates the products of the unordered
+pairs i < j only, a few rows at a time on a grid F times coarser, sums
+directly on the full grid only where Bernstein's bound (shared with the
+set search's certificate) lets the peak lie, and mirrors the peaks.
 """
 
 from __future__ import annotations
@@ -68,7 +69,13 @@ def cm_db(samples) -> float:
     return float(20.0 * np.log10(rms_cubed) / 1.56)
 
 
-_XCORR_CHUNK_ROWS = 8  # product rows per inverse FFT; larger batches only add memory
+_XCORR_CHUNK_ROWS = 8  # fine-grid rows per chunk; larger batches only add memory
+
+
+def _bernstein_slack(degree: int, points: int) -> float:
+    """Bernstein's r: between two of ``points`` equispaced samples, a nonnegative trig polynomial
+    q of ``degree`` exceeds the larger sample by at most r * max q, as |q''| <= degree**2 max q."""
+    return (np.pi * degree / points) ** 2 / 2.0
 
 
 def xcorr_matrix(members, n_idft: int = 4096) -> np.ndarray:
@@ -79,10 +86,14 @@ def xcorr_matrix(members, n_idft: int = 4096) -> np.ndarray:
     matrices, shaped (K, blocks, N), which are compared block by block with
     the worst block kept.  Entry (i, j) is the maximum modulus of the
     zero-padded unnormalized inverse DFT of ``members[i] * conj(members[j])``
-    divided by N.  Only the pairs i < j are transformed, row by row in
-    chunks of whole pairs holding at most :data:`_XCORR_CHUNK_ROWS` rows
-    (one pair if it has more blocks); entry (j, i) mirrors (i, j), whose
-    modulus it equals up to rounding.
+    divided by N; only the pairs i < j are evaluated, and (j, i) mirrors them.
+
+    The peak is found coarse to fine: an inverse FFT at ``n_idft / F``
+    points, then direct sums at the grid points inside each coarse interval
+    whose Bernstein bound (:func:`_bernstein_slack`) passes the pair's
+    coarse peak.  A chunk holds whole pairs of at most ``F *``
+    :data:`_XCORR_CHUNK_ROWS` coarse rows (one pair if it has more blocks),
+    and no array outgrows ``_XCORR_CHUNK_ROWS`` rows of ``n_idft`` points.
     """
     stack = np.asarray(members, dtype=complex)
     if stack.ndim == 2:
@@ -95,14 +106,30 @@ def xcorr_matrix(members, n_idft: int = 4096) -> np.ndarray:
     k, blocks, n = stack.shape
     if n_idft < n:
         raise ValueError("n_idft must be at least the sequence length")
+    # F: the largest of 8, 4, 2 dividing n_idft whose coarse grid keeps r <= 1/32
+    factor = next((f for f in (8, 4, 2) if n_idft % f == 0
+                   and _bernstein_slack(n - 1, n_idft // f) <= 1 / 32), 1)
+    points = n_idft // factor
+    slack = _bernstein_slack(n - 1, points) if factor > 1 else 0.0  # F = 1: none to refine
+    inner = np.exp(2j * np.pi / n_idft * np.outer(np.arange(n), np.arange(1, factor)))
+    group = _XCORR_CHUNK_ROWS * n_idft // n  # refined intervals summed at once
     first, second = np.triu_indices(k, 1)
-    per_chunk = max(1, _XCORR_CHUNK_ROWS // blocks)
+    per_chunk = max(1, factor * _XCORR_CHUNK_ROWS // blocks)
     peaks = np.empty(first.size)
     for start in range(0, first.size, per_chunk):
         rows = slice(start, start + per_chunk)
-        products = stack[first[rows]] * np.conj(stack[second[rows]])
-        transform = np.fft.ifft(products, n_idft) * n_idft
-        peaks[rows] = np.abs(transform).reshape(products.shape[0], -1).max(axis=1) / n
+        products = (stack[first[rows]] * np.conj(stack[second[rows]])).reshape(-1, n)
+        moduli = np.abs(np.fft.ifft(products, points, norm="forward"))
+        by_pair = moduli.max(axis=1).reshape(-1, blocks)
+        # refine interval i (samples i, i + 1) if end**2 + r/(1-r) * row max**2 > pair max**2
+        level = np.sqrt(by_pair.max(axis=1, keepdims=True) ** 2 - slack / (1 - slack) * by_pair**2)
+        above = moduli > level.reshape(-1, 1)
+        row, interval = np.divmod(np.flatnonzero(above | np.roll(above, -1, axis=1)), points)
+        for lo in range(0, row.size, group):
+            at, phase = row[lo:lo + group], np.outer(interval[lo:lo + group], np.arange(n)) % points
+            fine = np.einsum("rn,nf->rf", products[at] * np.exp(2j * np.pi / points * phase), inner)
+            np.maximum.at(by_pair, np.divmod(at, blocks), np.abs(fine).max(axis=1))
+        peaks[rows] = by_pair.max(axis=1) / n
     rho = np.zeros((k, k))
     rho[first, second] = peaks
     rho[second, first] = peaks

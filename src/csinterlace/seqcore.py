@@ -11,6 +11,8 @@ constructions) must cancel to within 1e-9.
 
 from __future__ import annotations
 
+from itertools import chain, count
+
 import numpy as np
 
 QUATERNARY_SYMBOLS = "+-ij"
@@ -67,13 +69,13 @@ def _apac(arr: np.ndarray) -> np.ndarray:
 
 
 def _apac_sum_fft(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Linear autocorrelation through zero-padded FFTs; lags 0 .. N-1.
+    # Summed linear autocorrelations of both members, lags 0 .. N-1, through
+    # one stacked FFT zero-padded past the 2N - 1 lags to the next 5-smooth
+    # length: the first that divides 30**k for k above its largest exponent.
     n = a.size
-    size = 1 << (2 * n - 1).bit_length()
-    fa = np.fft.fft(a, size)
-    fb = np.fft.fft(b, size)
-    acf = np.fft.ifft(np.abs(fa) ** 2 + np.abs(fb) ** 2)
-    return acf[:n]
+    size = next(m for m in count(2 * n - 1) if pow(30, m.bit_length(), m) == 0)
+    spectra = np.fft.fft(np.stack([a, b]), size)
+    return np.fft.ifft(np.sum(np.abs(spectra) ** 2, axis=0))[:n]
 
 
 def is_gcp(a, b) -> bool:
@@ -108,13 +110,25 @@ def cyclic_modulate(x, delta: float) -> np.ndarray:
     unimodular sequence (cyclic time shifts); fractional values model
     shifts in between and are allowed.
     """
-    arr = as_sequence(x)
+    return _modulate(as_sequence(x), delta)
+
+
+def _modulate(arr: np.ndarray, delta: float) -> np.ndarray:
+    # cyclic_modulate of a validated sequence.
     n = arr.size
     return arr * np.exp(2j * np.pi * np.arange(n) * (float(delta) / n))
 
 
 def sequence_from_json(data) -> np.ndarray:
-    """A sequence from JSON: a symbol string or a list of [re, im] pairs."""
+    """A sequence from JSON: a symbol string or a list of [re, im] pairs of
+    numbers, not booleans, that stay finite as floats."""
     if isinstance(data, str):
         return parse_quaternary(data)
-    return as_sequence([complex(re, im) for re, im in data])
+    pairs = [(re, im) for re, im in data]
+    for value in chain.from_iterable(pairs):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"coordinate {value!r} is not a number")
+    try:
+        return as_sequence([complex(re, im) for re, im in pairs])
+    except OverflowError:
+        raise ValueError("coordinate too large for a float") from None

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .golay import GolayPair, equivalence_orbit
-from .metrics import _fractional_xcorr_max, shift_matrix
+from .metrics import _bernstein_slack, _fractional_xcorr_max, shift_matrix
 from .seqcore import is_gcp
 
 # Grid density on which verification re-evaluates a pair that a coarser
@@ -151,14 +151,13 @@ def _continuous_bound(grid: float, a: np.ndarray, b: np.ndarray, u: int) -> floa
     shift, from its maximum ``grid`` on the grid of density ``u``.
 
     |p(theta)|^2, p the correlation polynomial of degree d = N-1, is a
-    trigonometric polynomial of degree d, so Bernstein's inequality bounds
-    its second derivative by d^2 times its maximum.  Every shift lies
-    within pi/M of one of the M = N*u grid points, which gives
-    max |p| <= grid / sqrt(1 - pi^2 d^2 / (2 M^2)); the bound is infinite
-    when the root is not real, and never above sum |a_n||b_n| / N.
+    trigonometric polynomial of degree d, so between two of the M = N*u grid
+    points it passes the larger end by at most r = pi^2 d^2 / (2 M^2) times
+    its maximum (:func:`metrics._bernstein_slack`): max |p| <= grid /
+    sqrt(1 - r), infinite when the root is not real, never above sum |a_n||b_n| / N.
     """
     n = a.size
-    root = 1.0 - (np.pi * (n - 1) / (n * u)) ** 2 / 2.0
+    root = 1.0 - _bernstein_slack(n - 1, n * u)
     bernstein = grid / np.sqrt(root) if root > 0 else np.inf
     return float(min(bernstein, np.sum(np.abs(a) * np.abs(b)) / n))
 

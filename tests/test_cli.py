@@ -341,7 +341,9 @@ class TestMetricSweeps:
         (["+-j+", "+-j"], "sequence 1 has length 3, expected 4"),
         ([[[1.0, 0.0], ["x", 0.0]], "++"], "sequence 0:"),
         (["++", [[1.0, 0.0], [float("nan"), 0.0]]], "sequence 1: sequence contains non-finite"),
-    ], ids=["unequal-lengths", "non-numeric", "nan"])
+        (["++", [[1.0, 0.0], [10**400, 0.0]]], "sequence 1: coordinate too large for a float"),
+        ([[[True, False], [False, True]], "++"], "sequence 0: coordinate True is not a number"),
+    ], ids=["unequal-lengths", "non-numeric", "nan", "overflow", "boolean"])
     def test_eval_xcorr_malformed_sequence_is_a_click_error(self, runner, tmp_path,
                                                              sequences, message):
         seq_file = tmp_path / "seqs.json"
@@ -352,6 +354,22 @@ class TestMetricSweeps:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # not a traceback
         assert f"Error: {seq_file}: {message}" in result.output
+        assert not out.exists()
+
+
+    def test_eval_xcorr_bounds_the_sequence_count(self, runner, tmp_path, monkeypatch):
+        # A budget of 40 entries admits --n-idft 1 on length-1 sequences
+        # (40 entries) and the 6 x 6 matrix, but not the 7 x 7 one.
+        monkeypatch.setattr(cli, "_MEMORY_BUDGET", 40)
+        monkeypatch.setattr(cli, "xcorr_matrix", lambda members, n_idft: pytest.fail("allocated"))
+        seq_file = tmp_path / "seqs.json"
+        seq_file.write_text(json.dumps({"sequences": ["+"] * 7}))
+        out = tmp_path / "xc.csv"
+        result = runner.invoke(main, ["eval-xcorr", "--seq-file", str(seq_file),
+                                      "--n-idft", "1", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "Invalid value for '--seq-file'" in result.output
+        assert "needs 49 complex entries, over the budget of 40" in result.output
         assert not out.exists()
 
 
@@ -653,6 +671,15 @@ class TestImportSequences:
         result = runner.invoke(main, ["import-sequences", str(src), "--out", str(tmp_path / "o.json")])
         assert result.exit_code != 0
         assert "line 3" in result.output
+
+    def test_boolean_coordinates_rejected(self, runner, tmp_path):
+        src = tmp_path / "seqs.json"
+        src.write_text(json.dumps({"sequences": [[[True, False], [False, True]]]}))
+        out = tmp_path / "o.json"
+        result = runner.invoke(main, ["import-sequences", str(src), "--out", str(out)])
+        assert result.exit_code == 1
+        assert f"Error: {src}: sequence 0: coordinate True is not a number" in result.output
+        assert not out.exists()
 
     def test_mixed_lengths_rejected(self, runner, tmp_path):
         src = tmp_path / "seqs.json"

@@ -95,6 +95,13 @@ class TestNoncoherentBuilder:
         spectrum = SCHEMES["noncoherent"].build(lte_config, reference_pairs[1], 3.5)
         assert papr_db(synthesize(spectrum, 4096)) <= PAPR_BOUND
 
+    def test_certified_members_are_not_validated_again(
+            self, as_sequence_calls, lte_config, noncoherent_spread, reference_pairs):
+        # Only the certificates of the shifted block pair and of the output
+        # validate sequences, two members each.
+        noncoherent_pair(lte_config, noncoherent_spread, reference_pairs[0], 0.5)
+        assert len(as_sequence_calls) == 4
+
     def test_pair_mate_is_complementary(self, lte_config, noncoherent_spread, reference_pairs):
         pair = noncoherent_pair(lte_config, noncoherent_spread, reference_pairs[2], 5)
         assert is_gcp(pair.a, pair.b)
@@ -204,6 +211,25 @@ class TestZadoffChu:
         with pytest.raises(ValueError):
             zadoff_chu_set(InterlaceConfig(8, 12, 10))
 
+    def test_ranked_once_per_geometry_and_size(self, lte_config, monkeypatch):
+        from csinterlace import metrics
+
+        zadoff_chu_set.cache_clear()
+        ranked = []
+        monkeypatch.setattr(metrics, "papr_db", lambda wave: ranked.append(1) or 0.0)
+        try:
+            spectra = zadoff_chu_set(lte_config, 2048)
+            assert zadoff_chu_set(InterlaceConfig(10, 12, 108), 2048) is spectra
+        finally:
+            zadoff_chu_set.cache_clear()  # the stub's ranking goes with it
+        assert len(ranked) == 112
+
+    def test_cached_spectra_are_read_only(self, lte_config):
+        spectrum = zadoff_chu_set(lte_config)[0]
+        for array in (spectrum.indices, spectrum.values):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
 
 class TestCyclingBaseline:
     def test_first_block_unmodified(self, lte_config, reference_pairs):
@@ -215,6 +241,10 @@ class TestCyclingBaseline:
     def test_support_matches_interlace(self, lte_config, reference_pairs):
         spectrum = cycling_baseline(lte_config, reference_pairs[0].a)
         assert rb_values(spectrum, lte_config).shape == (10, 12)
+
+    def test_validates_the_base_once(self, as_sequence_calls, lte_config, reference_pairs):
+        cycling_baseline(lte_config, reference_pairs[0].a)
+        assert len(as_sequence_calls) == 1
 
     def test_no_papr_guarantee(self, lte_config, reference_pairs):
         worst = max(

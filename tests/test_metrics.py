@@ -20,8 +20,30 @@ def xcorr_oracle(x, y, n_idft: int) -> float:
     by direct evaluation of each row's polynomial at every grid point."""
     n = np.shape(x)[-1]
     points = np.exp(2j * np.pi * np.arange(n_idft) / n_idft)
-    return max(abs(poly_eval(row, z)) for row in np.atleast_2d(x * np.conj(y))
-               for z in points) / n
+    return max(np.max(np.abs(poly_eval(row, points)))
+               for row in np.atleast_2d(x * np.conj(y))) / n
+
+
+def plain_xcorr(members, n_idft: int) -> np.ndarray:
+    """Peaks of the pairs i < j, each from full ``n_idft``-point inverse FFTs
+    of its block rows, in ``np.triu_indices`` order."""
+    stack = np.asarray(members, dtype=complex)
+    first, second = np.triu_indices(len(stack), 1)
+    return np.array([np.abs(np.fft.ifft(stack[i] * np.conj(stack[j]), n_idft)).max()
+                     * n_idft / stack.shape[-1] for i, j in zip(first, second)])
+
+
+def xcorr_and_fft_sizes(monkeypatch, members, n_idft: int):
+    """:func:`xcorr_matrix` of the members and the sizes of its inverse FFTs."""
+    sizes, ifft = set(), np.fft.ifft
+    with monkeypatch.context() as patch:
+        patch.setattr(np.fft, "ifft", lambda x, n=None, **kw: sizes.add(n) or ifft(x, n, **kw))
+        return xcorr_matrix(members, n_idft), sizes
+
+
+def peak_between_coarse_points(n: int, n_idft: int, at: int) -> np.ndarray:
+    """Coefficients whose polynomial peaks, at modulus n, on grid point ``at``."""
+    return np.exp(-2j * np.pi * np.arange(n) * at / n_idft)
 
 
 class TestSynthesize:
@@ -147,6 +169,73 @@ class TestXcorrMatrix:
             for j in range(i + 1, shape[0]):
                 assert rho[i, j] == pytest.approx(xcorr_oracle(members[i], members[j], 64),
                                                   abs=1e-12)
+
+    @pytest.mark.parametrize("shape", [(6, 12), (4, 10, 12)], ids=["1-D", "10 blocks"])
+    def test_coarse_grid_matches_direct_evaluation(self, monkeypatch, shape):
+        rng = np.random.default_rng(sum(shape) + 1)
+        members = random_unimodular(rng, int(np.prod(shape))).reshape(shape)
+        rho, sizes = xcorr_and_fft_sizes(monkeypatch, members, 4096)
+        assert sizes == {512}
+        first, second = np.triu_indices(shape[0], 1)
+        plain = plain_xcorr(members, 4096)
+        assert np.max(np.abs(rho[first, second] - plain)) <= 1e-12
+        for i, j in zip(first, second):
+            assert rho[i, j] == pytest.approx(xcorr_oracle(members[i], members[j], 4096),
+                                              abs=1e-12)
+
+    def test_coarse_grid_finds_peaks_between_its_points(self):
+        # Against members[0] = 1, pair (0, j) correlates the coefficients
+        # conj(members[j]).  Row 1 peaks midway between coarse points 8 and
+        # 16.  Row 2 (tapered against sidelobes) peaks at 516, between
+        # coarse points, a little above a peak on coarse point 2560 that
+        # holds its largest coarse sample: a near tie across intervals.
+        # Row 3 is zero and row 4 is not unimodular.  Row 5, 1 + z**11
+        # rotated to peak on grid point 511, is as sharp as degree 11 allows:
+        # of its coarse samples 504 and 512 only the second passes the level,
+        # so just the interval before that sample holds the peak.
+        n = 12
+        taper = np.hanning(n + 2)[1:-1]
+        tie = taper * (peak_between_coarse_points(n, 4096, 516)
+                       + 0.9999 * peak_between_coarse_points(n, 4096, 2560))
+        sharp = np.zeros(n, dtype=complex)
+        sharp[[0, -1]] = peak_between_coarse_points(n, 4096, 511)[[0, -1]]
+        rows = [np.ones(n), peak_between_coarse_points(n, 4096, 12), tie, np.zeros(n),
+                np.random.default_rng(5).normal(size=n) + 0.5j, sharp]
+        assert np.abs(np.fft.ifft(rows[1], 512)).max() * 512 < n - 1e-3
+        assert np.abs(np.fft.ifft(tie, 512)).argmax() * 8 == 2560
+        assert np.abs(np.fft.ifft(tie, 4096)).argmax() == 516
+        members = np.conj(rows)
+        rho = xcorr_matrix(members, 4096)
+        first, second = np.triu_indices(len(rows), 1)
+        assert np.max(np.abs(rho[first, second] - plain_xcorr(members, 4096))) <= 1e-12
+        for i, j in zip(first, second):
+            assert rho[i, j] == pytest.approx(xcorr_oracle(members[i], members[j], 4096),
+                                              abs=1e-12)
+        assert rho[0, 1] == pytest.approx(1.0, abs=1e-12)
+        assert rho[0, 3] == 0.0
+        assert rho[0, 5] == pytest.approx(2 / n, abs=1e-12)
+
+    @pytest.mark.parametrize("n, n_idft, factor", [
+        (60, 4096, 4), (120, 4096, 2), (200, 1024, 1), (12, 100, 1), (1, 8, 8),
+    ])
+    def test_every_coarse_factor_matches_the_plain_transform(self, monkeypatch, n, n_idft,
+                                                              factor):
+        rng = np.random.default_rng(n + n_idft)
+        members = random_unimodular(rng, 5 * n).reshape(5, n)
+        members[1] = np.conj(members[0]) * np.conj(
+            peak_between_coarse_points(n, n_idft, factor // 2))
+        rho, sizes = xcorr_and_fft_sizes(monkeypatch, members, n_idft)
+        assert sizes == {n_idft // factor}
+        first, second = np.triu_indices(5, 1)
+        assert np.max(np.abs(rho[first, second] - plain_xcorr(members, n_idft))) <= 1e-12
+
+    def test_reproduced_sets_print_as_the_plain_transform(self, lte_config, reference_pairs):
+        # The reproduce xcorr CSVs print each entry with 9 significant digits.
+        for members in ([p.a for p in reference_pairs], [p.b for p in reference_pairs],
+                        [rb_values(s, lte_config) for s in zadoff_chu_set(lte_config, 4096)]):
+            first, second = np.triu_indices(len(members), 1)
+            rho = xcorr_matrix(members, 4096)[first, second]
+            assert [f"{v:.9g}" for v in rho] == [f"{v:.9g}" for v in plain_xcorr(members, 4096)]
 
     def test_symmetric_with_zero_diagonal(self):
         members = random_unimodular(np.random.default_rng(12), 9 * 12).reshape(9, 12)

@@ -4,6 +4,8 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from csinterlace import seqcore
+from csinterlace.golay import ConstructionParams, combine_gcps
+from csinterlace.interlace import QPSK_PHASES, InterlaceConfig, coherent_pair, noncoherent_pair
 from csinterlace.seqcore import (
     apac_vector,
     cyclic_modulate,
@@ -136,6 +138,54 @@ class TestIsGcp:
         assert is_gcp(a * phase, b * phase)
         assert routes == [128]
 
+    def test_fft_length_is_the_least_5_smooth_cover(self, monkeypatch):
+        def smooth(m):
+            for prime in (2, 3, 5):
+                while m % prime == 0:
+                    m //= prime
+            return m == 1
+
+        sizes, fft = [], np.fft.fft
+        monkeypatch.setattr(np.fft, "fft",
+                            lambda x, n=None, **kw: sizes.append(n) or fft(x, n, **kw))
+        lengths = range(1, 1300)
+        for n in lengths:
+            seqcore._apac_sum_fft(np.ones(n, dtype=complex), np.ones(n, dtype=complex))
+        assert sizes == [next(m for m in range(2 * n - 1, 4 * n) if smooth(m)) for n in lengths]
+        assert sizes[1092 - 1] == 2187
+
+    def test_fft_route_matches_direct_sums_on_constructions(
+            self, monkeypatch, small_libraries, reference_pairs, noncoherent_spread,
+            coherent_example):
+        # Float interlace constructions of lengths 65-300 over several
+        # geometries certify through the smooth-length FFT (at length 65,
+        # 2N - 2 = 128 is smooth but one lag short).  Its sums agree
+        # with the direct ones, also on a one-symbol mutant, which is refused.
+        pairs = [combine_gcps(noncoherent_spread, reference_pairs[2],
+                              ConstructionParams(phase1=np.exp(0.3j), step1=13, offset=1)),
+                 combine_gcps(small_libraries[6][3], reference_pairs[4],
+                              ConstructionParams(phase2=np.exp(-1.1j), step1=12, offset=20))]
+        for n_null in (0, 2, 7, 20):
+            cfg = InterlaceConfig(10, 12, n_null)
+            pairs += [noncoherent_pair(cfg, noncoherent_spread, reference_pairs[n_null], 0.5),
+                      noncoherent_pair(cfg, noncoherent_spread, reference_pairs[1], 2.25, True),
+                      coherent_pair(cfg, *coherent_example, (QPSK_PHASES[1], QPSK_PHASES[2]))]
+        routes = []
+        real_fft = seqcore._apac_sum_fft
+        monkeypatch.setattr(seqcore, "_apac_sum_fft",
+                            lambda a, b: routes.append(a.size) or real_fft(a, b))
+        lengths = []
+        for pair in pairs:
+            a, b = np.array(pair.a), np.array(pair.b)
+            for mutant in (False, True):
+                a[0] *= -1 if mutant else 1  # moves every lag, the last one too
+                direct = seqcore._apac(a) + seqcore._apac(b)
+                assert np.max(np.abs(real_fft(a, b) - direct)) <= 1e-12
+            assert not is_gcp(a, b)
+            lengths.append(a.size)
+        assert routes == lengths
+        assert min(lengths) == 65 and max(lengths) == 300 and len(set(lengths)) == 6
+
     def test_validates_each_member_once(self, as_sequence_calls):
         a, b = parse_quaternary("++-+"), parse_quaternary("+++-")
         for _ in range(5):  # lengths 8 .. 128; at 128 the float pair takes the FFT route
@@ -207,6 +257,18 @@ class TestSerialization:
     def test_json_roundtrip(self):
         seq = np.array([1.5 - 2j, 0.25j])
         assert np.array_equal(sequence_from_json([[1.5, -2.0], [0.0, 0.25]]), seq)
+
+    @pytest.mark.parametrize("data, message", [
+        ([[True, 0.0]], "coordinate True is not a number"),
+        ([[1.0, False]], "coordinate False is not a number"),
+        ([["1", 0.0]], "coordinate '1' is not a number"),
+        ([[None, 0.0]], "coordinate None is not a number"),
+        ([[10**400, 0.0]], "coordinate too large for a float"),
+        ([[1.0, -(10**309)]], "coordinate too large for a float"),
+    ], ids=["true", "false", "string", "null", "huge", "huge-negative"])
+    def test_json_coordinates_are_finite_numbers(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            sequence_from_json(data)
 
     def test_json_accepts_symbol_strings(self):
         assert np.array_equal(sequence_from_json("+j"), parse_quaternary("+j"))
