@@ -45,7 +45,8 @@ from .interlace import PILOT_PHASE, SCHEMES, InterlaceConfig, payload_phase, rb_
 from .linksim import _SNR_LIMIT, CHANNELS, CalibrationError, SimConfig, run_sim
 from .linksim import SCHEMES as SIM_SCHEMES
 from .metrics import _XCORR_CHUNK_ROWS, ccdf, cm_db, papr_db, synthesize, xcorr_matrix
-from .seqcore import sequence_from_json
+from .seqcore import _unique_keys, sequence_from_json
+from .setsearch import _REFINED_U, build_sets, verify_sets
 
 PAPR_BOUND_DB = 10 * np.log10(2.0)
 DEFAULT_N_IDFT = 4096
@@ -69,12 +70,9 @@ def _idft_entries(n_idft: int, rows: int) -> int:
 
 
 def _search_entries(n: int, u: int, rows: int) -> int:
-    """Complex entries of ``search-sets`` on length-``n`` seeds: the cached
-    (n*u) x n shift tables of density ``u`` and, below it, of the refined
-    density, and one candidate's correlations with ``rows`` set members
-    together with their moduli."""
-    from .setsearch import _REFINED_U
-
+    """Complex entries of ``search-sets`` on length-``n`` seeds: the (n*u) x n shift
+    tables cached in :mod:`csinterlace.setsearch`, of density ``u`` and, below it, the
+    refined one, and one candidate's correlations with ``rows`` members and their moduli."""
     tables = n * n * (u + (_REFINED_U if u < _REFINED_U else 0))
     return tables + 2 * n * u * rows
 
@@ -232,9 +230,11 @@ def _read_sequences(path: Path) -> list[np.ndarray]:
     a list of [re, im] pairs, all finite and of one length.  Anything else
     is a click error naming the file and, for an entry, its index."""
     try:
-        payload = json.loads(path.read_text())
+        payload = json.loads(path.read_text(), object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise click.ClickException(f"{path}: malformed JSON at line {exc.lineno}: {exc.msg}")
+    except ValueError as exc:  # a duplicate key
+        raise click.ClickException(f"{path}: {exc}")
     if not isinstance(payload, dict) or not isinstance(payload.get("sequences"), list):
         raise click.ClickException(f"{path}: expected an object with a 'sequences' list")
     sequences = []
@@ -273,17 +273,17 @@ def _xcorr_members(which: str, cfg: InterlaceConfig, n_idft: int, seq_file: Path
 
 
 def _write_xcorr(members, n_idft: int, out: Path, ccdf_out: Path | None) -> float:
-    """Write the peak cross-correlation of every ordered pair and, if asked,
-    its CCDF; return the max rho.  2-D members are compared row by row (per
-    block) and their worst row is kept.  Only the unordered pairs i < j are
-    computed, as the ``n_idft``-point grid peak found coarse to fine under
-    a Bernstein bound (:func:`xcorr_matrix`); row (j, i) repeats (i, j)."""
+    """Write the peak cross-correlation (:func:`xcorr_matrix`) of every ordered
+    pair, line by line from the matrix, and, if asked, its CCDF; return the max
+    rho.  2-D members are compared per block, the worst block kept; only the
+    pairs i < j are computed, and row (j, i) repeats (i, j)."""
     rho = xcorr_matrix(members, n_idft)
-    rows = [(i, j, value) for i, row in enumerate(rho.tolist())
-            for j, value in enumerate(row) if i != j]
-    _write_csv(out, ["i", "j", "rho"], rows)
+    with out.open("w") as handle:  # formatted as _write_csv formats
+        handle.write("i,j,rho\n")
+        for i, row in enumerate(rho):
+            handle.writelines([f"{i},{j},{v:.9g}\n" for j, v in enumerate(row.tolist()) if j != i])
     if ccdf_out is not None:
-        thresholds, exceed_prob = ccdf([r[2] for r in rows], np.linspace(0.0, 1.0, 101))
+        thresholds, exceed_prob = ccdf(rho[~np.eye(len(rho), dtype=bool)], np.linspace(0, 1, 101))
         _write_csv(ccdf_out, ["threshold", "exceed_prob"],
                    list(zip(thresholds.tolist(), exceed_prob.tolist())))
     return float(rho.max())
@@ -338,8 +338,6 @@ def enumerate_gcps_cmd(length, cache_dir, out):
 @click.option("--out", type=_OUT_FILE, required=True)
 def search_sets(beta, u, k_target, length, seed_file, cache_dir, out):
     """Greedy low-cross-correlation set construction over a seed library."""
-    from .setsearch import build_sets, verify_sets
-
     with _refuse_bad_input():  # a library file that fails its checks
         seeds = read_library(seed_file) if seed_file else cached_enumerate_gcps(length, cache_dir)
     if seeds:  # a set holds at most k_target pairs, and at most 8 per seed

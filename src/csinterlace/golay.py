@@ -38,6 +38,7 @@ import numpy as np
 from .seqcore import (
     QUATERNARY_SYMBOLS,
     QUATERNARY_VALUES,
+    _unique_keys,
     as_sequence,
     format_quaternary,
     is_gcp,
@@ -428,7 +429,7 @@ def read_library(path: str | Path, length: int | None = None) -> list[GolayPair]
     failure is a ValueError naming the file and the index of a faulty pair."""
     try:
         try:
-            payload = json.loads(Path(path).read_text())
+            payload = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed JSON at line {exc.lineno}: {exc.msg}") from None
         if not isinstance(payload, dict) or not isinstance(payload.get("pairs"), list):

@@ -25,6 +25,7 @@ import numpy as np
 
 from .fixtures import load_coherent_example, load_noncoherent_spread, load_reference_pairs
 from .golay import ConstructionParams, GolayPair, combine_gcps
+from .metrics import papr_db, synthesize
 from .seqcore import _modulate, as_sequence
 
 # Unit phasors usable as data coefficients in the coherent scheme.
@@ -208,8 +209,6 @@ def zadoff_chu_set(cfg: InterlaceConfig, n_idft: int = 4096) -> tuple[SparseSpec
     """Baseline set: the 30 lowest-PAPR roots of the length-113 Zadoff-Chu
     family, cyclically padded onto the interlace tones; ranked once per
     ``(cfg, n_idft)`` and cached, so the spectra's arrays are read-only."""
-    from .metrics import papr_db, synthesize  # local import to avoid a cycle
-
     total = cfg.n_rb * cfg.n_sc
     if total != 120:
         raise ValueError("the length-113 baseline maps onto 120 occupied tones")

@@ -1,30 +1,23 @@
-"""Waveform synthesis and the evaluation metrics: PAPR, cubic metric,
-peak cross-correlation, fractional-shift cross-correlation, CCDF curves.
+"""Waveform synthesis and the reported metrics: PAPR, cubic metric, peak
+cross-correlation and CCDF curves.  The module reports; certifying a
+correlation budget is the set search's work (:mod:`csinterlace.setsearch`).
 
 Synthesis applies an unnormalized inverse DFT, i.e. the time samples are
 the frequency-domain polynomial evaluated on a dense unit-circle grid.
-Cross-correlation comes in two deliberately independent flavours: the
-FFT grid peak used for reporting, and an explicit inner-product sweep over
-a fractional shift grid used by the set search; the two agree analytically
-and the tests hold them against each other.  The FFT grid peak has one
-path, :func:`xcorr_matrix`: it evaluates the products of the unordered
-pairs i < j only, a few rows at a time on a grid F times coarser, sums
-directly on the full grid only where Bernstein's bound (shared with the
-set search's certificate) lets the peak lie, and mirrors the peaks.
+The peak cross-correlation has one path, :func:`xcorr_matrix`: it
+evaluates the products of the unordered pairs i < j only, a few rows at a
+time on a grid F times coarser, sums directly on the full grid only where
+Bernstein's bound (shared with the set search's certificate) lets the peak
+lie, and mirrors the peaks.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from .interlace import SparseSpectrum
-from .seqcore import as_sequence
 
-
-def synthesize(spectrum: SparseSpectrum, n_idft: int) -> np.ndarray:
-    """Oversampled OFDM symbol for a sparse spectrum.
+def synthesize(spectrum, n_idft: int) -> np.ndarray:
+    """Oversampled OFDM symbol for a :class:`~csinterlace.interlace.SparseSpectrum`.
 
     Places the entries on an ``n_idft``-point grid and applies the
     unnormalized inverse DFT, so sample t equals the spectrum polynomial
@@ -134,42 +127,6 @@ def xcorr_matrix(members, n_idft: int = 4096) -> np.ndarray:
     rho[first, second] = peaks
     rho[second, first] = peaks
     return rho
-
-
-@lru_cache(maxsize=2)
-def shift_matrix(n: int, u: int) -> np.ndarray:
-    """Phasor table exp(2j*pi*n*delta/N) for delta = 0, 1/u, ..., (N*u-1)/u.
-
-    Row t applies the fractional shift t/u; cached because the set search
-    reuses one geometry for every candidate test.  Two entries hold the two
-    densities a search uses, its own and the refined one of verification.
-    """
-    deltas = np.arange(n * u) / float(u)
-    return np.exp(2j * np.pi * np.outer(deltas, np.arange(n)) / n)
-
-
-def fractional_xcorr_max(c_i, c_j, u: int) -> float:
-    """Largest normalized inner product between ``c_i`` and all fractional
-    cyclic modulations of ``c_j`` on the grid with ``u`` points per shift.
-
-    Evaluated by explicit inner products (not an FFT) so it stays an
-    independent check of :func:`xcorr_matrix`.
-    """
-    a = as_sequence(c_i)
-    b = as_sequence(c_j)
-    if a.size != b.size:
-        raise ValueError(f"length mismatch: {a.size} vs {b.size}")
-    u = int(u)
-    if u < 1:
-        raise ValueError("shift grid density must be >= 1")
-    return _fractional_xcorr_max(a, b, u)
-
-
-def _fractional_xcorr_max(a: np.ndarray, b: np.ndarray, u: int) -> float:
-    """:func:`fractional_xcorr_max` of two validated equal-length sequences
-    and a density ``u >= 1``."""
-    products = shift_matrix(a.size, u) @ (np.conj(a) * b)
-    return float(np.max(np.abs(products)) / a.size)
 
 
 def ccdf(values, thresholds) -> tuple[np.ndarray, np.ndarray]:

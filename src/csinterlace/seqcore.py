@@ -1,6 +1,6 @@
 """Core sequence algebra: quaternary symbol strings, validation of outside
-input (:func:`as_sequence`), aperiodic autocorrelation, the complementarity
-test, cyclic modulation and sequences read from JSON.
+input (:func:`as_sequence`), the complementarity test, sequences read from
+JSON, and private kernels on validated arrays (autocorrelation, modulation).
 
 Quaternary sequences over {+1, -1, +1j, -1j} are kept in complex128 arrays.
 All their products and autocorrelation sums are small Gaussian integers,
@@ -57,14 +57,8 @@ def as_sequence(a) -> np.ndarray:
     return arr
 
 
-def apac_vector(a) -> np.ndarray:
-    """Aperiodic autocorrelation sum(conj(a[n]) * a[n + k]) for lags
-    k = 0 .. N-1; exact on quaternary input (Gaussian-integer sums)."""
-    return _apac(as_sequence(a))
-
-
 def _apac(arr: np.ndarray) -> np.ndarray:
-    # apac_vector of a validated sequence.
+    # Aperiodic autocorrelation sum(conj(a[n]) * a[n + k]), lags 0 .. N-1.
     return np.correlate(arr, arr, "full")[arr.size - 1:]
 
 
@@ -103,20 +97,20 @@ def is_gcp(a, b) -> bool:
     return bool(np.max(np.abs(sums)) <= _TOL)
 
 
-def cyclic_modulate(x, delta: float) -> np.ndarray:
-    """Multiply by the progressive phasor exp(2j*pi*n*delta/N).
-
-    Integer ``delta`` values give mutually orthogonal copies of a
-    unimodular sequence (cyclic time shifts); fractional values model
-    shifts in between and are allowed.
-    """
-    return _modulate(as_sequence(x), delta)
-
-
 def _modulate(arr: np.ndarray, delta: float) -> np.ndarray:
-    # cyclic_modulate of a validated sequence.
+    # Times exp(2j*pi*n*delta/N): a cyclic time shift by delta, fractional or not.
     n = arr.size
     return arr * np.exp(2j * np.pi * np.arange(n) * (float(delta) / n))
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    # ``json`` object hook: an object, refused if a key appears twice.
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def sequence_from_json(data) -> np.ndarray:

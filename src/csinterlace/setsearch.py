@@ -5,22 +5,35 @@ variants, and a variant is admitted when both of its members stay at or
 below the correlation budget against every member already admitted (first
 members against first members, second against second).  Short sets are a
 valid outcome: the search reports what it found rather than failing.
+
+The search owns its shift grid (:func:`_shift_grid`): admission takes one
+GEMM of it with all admitted rows, verification one GEMV per pair, kept
+apart because the two round differently in the last bits of the maxima.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .golay import GolayPair, equivalence_orbit
-from .metrics import _bernstein_slack, _fractional_xcorr_max, shift_matrix
+from .metrics import _bernstein_slack
 from .seqcore import is_gcp
 
 # Grid density on which verification re-evaluates a pair that a coarser
 # grid fails to certify: the continuous bound tightens as the grid fills.
 _REFINED_U = 128
+
+
+@lru_cache(maxsize=2)
+def _shift_grid(n: int, u: int) -> np.ndarray:
+    """Phasor table exp(2j*pi*n*delta/N), row t at the shift delta = t/u, t < N*u;
+    the two cached entries hold a search's density and verification's refined one."""
+    deltas = np.arange(n * u) / float(u)
+    return np.exp(2j * np.pi * np.outer(deltas, np.arange(n)) / n)
 
 
 @dataclass(frozen=True)
@@ -70,7 +83,7 @@ def _passes(candidate: np.ndarray, members: np.ndarray, u: int, beta: float) -> 
     coarse = float(np.max(np.abs(np.fft.ifft(products, axis=1))))
     if coarse > beta:
         return False, coarse
-    worst = float(np.max(np.abs(shift_matrix(n, u) @ products.T))) / n
+    worst = float(np.max(np.abs(_shift_grid(n, u) @ products.T))) / n
     return worst <= beta, worst
 
 
@@ -146,9 +159,10 @@ def verify_sets(sets: SequenceSetPair) -> VerifyReport:
     )
 
 
-def _continuous_bound(grid: float, a: np.ndarray, b: np.ndarray, u: int) -> float:
-    """Upper bound on the correlation of ``a`` and ``b`` over every real
-    shift, from its maximum ``grid`` on the grid of density ``u``.
+def _grid_peak(a: np.ndarray, b: np.ndarray, u: int) -> tuple[float, float]:
+    """The largest normalized correlation of ``a`` with the fractional cyclic
+    modulations of ``b`` on the grid of density ``u`` (one GEMV), and the
+    upper bound over every real shift that this grid maximum gives.
 
     |p(theta)|^2, p the correlation polynomial of degree d = N-1, is a
     trigonometric polynomial of degree d, so between two of the M = N*u grid
@@ -157,9 +171,10 @@ def _continuous_bound(grid: float, a: np.ndarray, b: np.ndarray, u: int) -> floa
     sqrt(1 - r), infinite when the root is not real, never above sum |a_n||b_n| / N.
     """
     n = a.size
+    grid = float(np.max(np.abs(_shift_grid(n, u) @ (np.conj(a) * b))) / n)
     root = 1.0 - _bernstein_slack(n - 1, n * u)
     bernstein = grid / np.sqrt(root) if root > 0 else np.inf
-    return float(min(bernstein, np.sum(np.abs(a) * np.abs(b)) / n))
+    return grid, float(min(bernstein, np.sum(np.abs(a) * np.abs(b)) / n))
 
 
 def _pairwise_max(
@@ -174,13 +189,11 @@ def _pairwise_max(
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
             density = u
-            value = _fractional_xcorr_max(members[i], members[j], u)
+            value, bound = _grid_peak(members[i], members[j], u)
             worst = max(worst, value)
-            bound = _continuous_bound(value, members[i], members[j], u)
             if bound > beta + 1e-9 and u < _REFINED_U:
                 density = _REFINED_U
-                value = _fractional_xcorr_max(members[i], members[j], density)
-                bound = _continuous_bound(value, members[i], members[j], density)
+                value, bound = _grid_peak(members[i], members[j], density)
             if bound > beta + 1e-9:
                 violations.append(
                     f"{label} members {i} and {j} correlate at {value:.6f} on the "

@@ -2,10 +2,12 @@
 
 These deliberately avoid the library's coefficient-domain code paths:
 polynomials are evaluated by direct summation so they can vouch for
-``golay.combine_gcps`` and the FFT cross-correlation peaks,
+``golay.combine_gcps``, and :func:`xcorr_oracle` sweeps every shift of a
+grid explicitly to vouch for the FFT cross-correlation peaks of
+``metrics.xcorr_matrix`` and the set search's fractional-shift grid,
 spectra are synthesized by an O(N^2) loop to vouch for the FFT path,
-autocorrelations are summed term by term to vouch for
-``seqcore.apac_vector``, and the pair library is enumerated from the full
+autocorrelations are summed term by term to vouch for ``seqcore``'s
+autocorrelation kernel, and the pair library is enumerated from the full
 table of all canonical autocorrelation keys, with no spectral
 filter, to vouch for the filtered enumeration.  The link simulator draws
 only its detectors' statistics; full received grids are built here trial
@@ -51,6 +53,17 @@ def poly_eval(coeffs, z: complex) -> complex:
         total += c * power
         power *= z
     return total
+
+
+def xcorr_oracle(x, y, n_idft: int) -> float:
+    """Peak over the dense grid and over the rows (blocks) of x * conj(y),
+    by direct evaluation of each row's polynomial at every grid point.
+    With ``n_idft = N * u`` it is the maximum over the fractional shifts
+    0, 1/u, ..., N - 1/u of the set search's grid of density u."""
+    n = np.shape(x)[-1]
+    points = np.exp(2j * np.pi * np.arange(n_idft) / n_idft)
+    return max(np.max(np.abs(poly_eval(row, points)))
+               for row in np.atleast_2d(x * np.conj(y))) / n
 
 
 def apac(seq, k: int) -> complex:

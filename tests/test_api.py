@@ -1,11 +1,14 @@
 """The public surface, pinned: ``csinterlace.__all__``, the public names
 each module binds at its top level and the signatures of the certifying
-calls, so that every change to the API shows in the diff; and the
-command-line choices against the tables they read."""
+calls, so that every change to the API shows in the diff; the
+command-line choices against the tables they read; and the import
+structure of the package, read from its source."""
 
 import ast
+import graphlib
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -21,9 +24,8 @@ ALL = [
 
 PUBLIC = {
     "seqcore": [
-        "QUATERNARY_SYMBOLS", "QUATERNARY_VALUES", "apac_vector", "as_sequence",
-        "cyclic_modulate", "format_quaternary", "is_gcp", "parse_quaternary",
-        "sequence_from_json",
+        "QUATERNARY_SYMBOLS", "QUATERNARY_VALUES", "as_sequence", "format_quaternary",
+        "is_gcp", "parse_quaternary", "sequence_from_json",
     ],
     "golay": [
         "CertificationError", "ConstructionParams", "GolayPair", "MAX_ENUMERATION_LENGTH",
@@ -35,10 +37,7 @@ PUBLIC = {
         "SparseSpectrum", "coherent_pair", "cycling_baseline", "noncoherent_pair",
         "payload_phase", "rb_values", "zadoff_chu_set", "zc_sequence",
     ],
-    "metrics": [
-        "ccdf", "cm_db", "fractional_xcorr_max", "papr_db", "shift_matrix", "synthesize",
-        "xcorr_matrix",
-    ],
+    "metrics": ["ccdf", "cm_db", "papr_db", "synthesize", "xcorr_matrix"],
     "setsearch": ["AdmissionRecord", "SequenceSetPair", "VerifyReport", "build_sets",
                   "verify_sets"],
     "linksim": [
@@ -108,3 +107,51 @@ def test_cli_choices_are_the_table_keys():
         "noncoherent", "coherent", "single-rb-noncoherent", "single-rb-coherent")
     assert choices("simulate-link", "scheme") == list(linksim.SCHEMES)
     assert choices("simulate-link", "channel") == list(linksim.CHANNELS)
+
+
+SOURCES = {path.stem: ast.parse(path.read_text())
+           for path in sorted(Path(csinterlace.__file__).parent.glob("*.py"))}
+
+
+def import_statements(tree):
+    """Each import statement of a module with whether a function holds it."""
+    def visit(node, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                yield child, in_function
+            yield from visit(child, in_function or isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    return visit(tree, False)
+
+
+def package_modules(statement) -> set[str]:
+    """The package's modules that an import statement names by their stems;
+    ``__init__`` for a name that the package itself binds."""
+    if isinstance(statement, ast.Import):
+        names = [alias.name for alias in statement.names]
+    else:
+        module = ".".join(filter(None, ["csinterlace" if statement.level else "",
+                                        statement.module]))
+        names = ([module] if statement.module
+                 else [f"{module}.{alias.name}" for alias in statement.names])
+    parts = [name.split(".") for name in names]
+    return {p[1] if len(p) > 1 and p[1] in SOURCES else "__init__"
+            for p in parts if p[0] == "csinterlace"}
+
+
+@pytest.mark.parametrize("name", list(SOURCES))
+def test_no_package_import_inside_a_function(name):
+    nested = [statement.lineno for statement, in_function in import_statements(SOURCES[name])
+              if in_function and package_modules(statement)]
+    assert nested == []
+
+
+def test_module_level_imports_are_acyclic():
+    graph = {name: set() for name in SOURCES}
+    for name, tree in SOURCES.items():
+        for statement, in_function in import_statements(tree):
+            if not in_function:
+                graph[name] |= package_modules(statement)
+    assert graph["linksim"] == {"interlace"} and graph["cli"] >= {"__init__", "setsearch"}
+    assert graph["metrics"] == set()  # it reports; it builds nothing of the package
+    graphlib.TopologicalSorter(graph).prepare()  # a cycle is a CycleError naming it

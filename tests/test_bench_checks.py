@@ -2,7 +2,9 @@
 
 ``perfbench/checks.py`` is imported as it stands and fed the CLI's
 length-12 library, set search and ``reproduce papr|xcorr`` files, altered
-in one place; no benchmark workload runs here.
+in one place, and small ``run_sim`` reports of the link-simulation
+workload's four configurations with every rate of one kind replaced; no
+benchmark workload runs here.
 """
 
 import json
@@ -14,6 +16,7 @@ from click.testing import CliRunner
 
 from csinterlace.cli import main
 from csinterlace.golay import is_complementary_sequence
+from csinterlace.linksim import SimConfig, run_sim
 from helpers import load_bench_checks
 
 checks = load_bench_checks()
@@ -101,3 +104,37 @@ def test_search_sets_checks_fail_on_tampered_payload(search_sets_output):
     payload["verified"] = False
     assert failed(checks.search_sets_checks((json.dumps(payload, indent=2) + "\n").encode())) == [
         "digest:search-sets.json", "search-sets:verified"]
+
+
+# The (scheme, channel) configurations of the ``linksim-mc`` workload, run
+# at the sizes that ``perfbench/selftest.py`` gives its own sim checks.
+SIM_CONFIGS = [("noncoherent", "iid_per_rb"), ("coherent", "flat"),
+               ("single-rb-noncoherent", "iid_per_rb"), ("single-rb-coherent", "flat")]
+
+
+@pytest.fixture(scope="module", params=SIM_CONFIGS, ids="/".join)
+def sim_report(request):
+    scheme, channel = request.param
+    cfg = SimConfig(scheme=scheme, channel=channel, n_trials=300, calibration_trials=5000,
+                    rng_seed=11)
+    return checks.report_dict(run_sim(cfg))
+
+
+def test_sim_checks_pass_on_run_sim_report(sim_report):
+    assert failed(checks.sim_checks(sim_report)) == []
+
+
+@pytest.mark.parametrize("key, rate, broken", [
+    ("dtx_to_ack", 0.05, ["dtx_to_ack-vs-{reference}"]),
+    ("ack_miss", 0.99, ["ack_miss-falls", "ack_miss-ceiling"]),
+    ("ack_miss", 0.0, ["ack_miss-falls"]),
+    ("nack_to_ack", 0.05, ["nack_to_ack-ceiling"]),
+], ids=["dtx-to-ack-0.05", "ack-miss-0.99", "ack-miss-0", "nack-to-ack-0.05"])
+def test_sim_checks_fail_on_tampered_rates(sim_report, key, rate, broken):
+    # The same rate at every SNR point; the non-coherent false-ACK rate is
+    # held against the analytic null, the coherent one against the target.
+    tampered = dict(sim_report, points=[dict(p, **{key: rate}) for p in sim_report["points"]])
+    tag = f"sim:{sim_report['scheme']}/{sim_report['channel']}"
+    reference = "null" if sim_report["scheme"].endswith("noncoherent") else "target"
+    assert failed(checks.sim_checks(tampered)) == [
+        f"{tag}:{name.format(reference=reference)}" for name in broken]

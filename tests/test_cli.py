@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import click
 import numpy as np
@@ -11,10 +12,10 @@ from csinterlace.cli import FIGURES, main
 from csinterlace.fixtures import reference_set_params
 from csinterlace.interlace import SCHEMES, InterlaceConfig, rb_values
 from csinterlace.linksim import PointStats, SimConfig, SimReport
-from csinterlace.setsearch import _REFINED_U
-from csinterlace.metrics import shift_matrix, xcorr_matrix
+from csinterlace.metrics import xcorr_matrix
+from csinterlace.setsearch import _REFINED_U, _shift_grid
 from csinterlace.seqcore import format_quaternary
-from helpers import EXPECTED, sha256
+from helpers import EXPECTED, random_unimodular, sha256
 
 
 @pytest.fixture
@@ -233,8 +234,8 @@ class TestMemoryBudget:
 
     def test_search_entries_count_the_shift_tables(self):
         assert (cli._search_entries(3, 4, 0)
-                == shift_matrix(3, 4).size + shift_matrix(3, _REFINED_U).size)
-        assert cli._search_entries(3, 256, 5) == shift_matrix(3, 256).size + 2 * 3 * 256 * 5
+                == _shift_grid(3, 4).size + _shift_grid(3, _REFINED_U).size)
+        assert cli._search_entries(3, 256, 5) == _shift_grid(3, 256).size + 2 * 3 * 256 * 5
 
     def test_unbounded_sizes_exceed_the_budget(self):
         # search-sets --u 100000000 --length 2 --k 2, once killed (exit 137)
@@ -323,6 +324,26 @@ class TestMetricSweeps:
             members = [rb_values(s, cfg) for s in SCHEMES["zc"].members(cfg, n_idft)]
             expected = xcorr_matrix(members, 2048)
             assert all(abs(value - expected[key]) < 1e-8 for key, value in rho.items()) is same
+
+    def test_eval_xcorr_writes_row_by_row(self, tmp_path):
+        # K = 400: the rows and their CCDF are written from the K x K matrix
+        # (1.28 MB), not from a Python tuple per ordered pair (28 matrices).
+        # Length-1 members keep the matrix itself cheap to trace.
+        members = random_unimodular(np.random.default_rng(4), 400).reshape(400, 1)
+        matrix = xcorr_matrix(members, 8)
+        out, ccdf_out = tmp_path / "xc.csv", tmp_path / "xc_ccdf.csv"
+        tracemalloc.start()
+        try:
+            rho = cli._write_xcorr(members, 8, out, ccdf_out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 400 * 400 * 8
+        lines = out.read_text().splitlines()
+        assert lines[0] == "i,j,rho" and len(lines) == 1 + 400 * 399
+        assert lines[400] == f"1,0,{matrix[1, 0]:.9g}" and lines[401] == f"1,2,{matrix[1, 2]:.9g}"
+        assert rho == matrix.max()
+        assert ccdf_out.read_text().splitlines()[1] == "0,1"
 
     @pytest.mark.parametrize("sequences", [[], ["+-j+"]])
     def test_eval_xcorr_needs_two_sequences(self, runner, tmp_path, sequences):
@@ -489,6 +510,8 @@ BAD_LIBRARIES = [
     # A dict parses like its keys, "+-", but would not write back as a string.
     ("non-string", {"length": 2, "count": 1, "pairs": [[{"+": 0, "-": 0}, "++"]]},
      "pair 0: expected two symbol strings of length 2"),
+    # Read with the last key winning, the header would agree with the pairs.
+    ("duplicate-key", '{"length": 3, ' + json.dumps(_GOOD_4)[1:], "duplicate key 'length'"),
 ]
 
 # How each command reaches a library file ``{dir}/gcps_len{n}.json``, n the
@@ -671,6 +694,20 @@ class TestImportSequences:
         result = runner.invoke(main, ["import-sequences", str(src), "--out", str(tmp_path / "o.json")])
         assert result.exit_code != 0
         assert "line 3" in result.output
+
+    @pytest.mark.parametrize("command", [["import-sequences", "{src}"],
+                                         ["eval-xcorr", "--seq-file", "{src}"]],
+                             ids=["import-sequences", "eval-xcorr"])
+    def test_duplicate_key_rejected(self, runner, tmp_path, command):
+        # Read with the last key winning, the file would hold two valid sequences.
+        src = tmp_path / "seqs.json"
+        src.write_text('{"sequences": ["++"], "sequences": ["++", "+-"]}')
+        out = tmp_path / "o.json"
+        result = runner.invoke(main, [*(arg.format(src=src) for arg in command), "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert f"Error: {src}: duplicate key 'sequences'" in result.output
+        assert not out.exists()
 
     def test_boolean_coordinates_rejected(self, runner, tmp_path):
         src = tmp_path / "seqs.json"

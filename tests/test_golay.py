@@ -23,7 +23,7 @@ from csinterlace.interlace import SparseSpectrum
 from csinterlace.metrics import synthesize
 from csinterlace.seqcore import (
     QUATERNARY_VALUES,
-    apac_vector,
+    _apac,
     format_quaternary,
     is_gcp,
     parse_quaternary,
@@ -277,7 +277,7 @@ class TestCombineGcps:
         # Gaussian-integer coefficients, so the check cancelled exactly.
         both = np.concatenate([out.a, out.b])
         assert np.array_equal(both, np.round(both))
-        assert not np.any(apac_vector(out.a)[1:] + apac_vector(out.b)[1:])
+        assert not np.any(_apac(out.a)[1:] + _apac(out.b)[1:])
 
     def test_peak_power_bound(self, small_libraries):
         rng = np.random.default_rng(9)

@@ -3,25 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from csinterlace.interlace import SparseSpectrum, rb_values, zadoff_chu_set
-from csinterlace.metrics import (
-    ccdf,
-    cm_db,
-    fractional_xcorr_max,
-    papr_db,
-    synthesize,
-    xcorr_matrix,
-)
+from csinterlace.metrics import ccdf, cm_db, papr_db, synthesize, xcorr_matrix
+from csinterlace.setsearch import _grid_peak
 
-from helpers import dft_synthesis_oracle, poly_eval, random_unimodular
-
-
-def xcorr_oracle(x, y, n_idft: int) -> float:
-    """Peak over the dense grid and over the rows (blocks) of x * conj(y),
-    by direct evaluation of each row's polynomial at every grid point."""
-    n = np.shape(x)[-1]
-    points = np.exp(2j * np.pi * np.arange(n_idft) / n_idft)
-    return max(np.max(np.abs(poly_eval(row, points)))
-               for row in np.atleast_2d(x * np.conj(y))) / n
+from helpers import dft_synthesis_oracle, random_unimodular, xcorr_oracle
 
 
 def plain_xcorr(members, n_idft: int) -> np.ndarray:
@@ -256,9 +241,12 @@ class TestXcorrMatrix:
 
 
 class TestFractionalXcorr:
+    """The set search's explicit sweep over its fractional-shift grid
+    (``setsearch._grid_peak``), held against the FFT peak of :func:`xcorr_matrix`."""
+
     def test_self_unity_at_zero_shift(self):
         x = random_unimodular(np.random.default_rng(4), 12)
-        assert fractional_xcorr_max(x, x, 16) == pytest.approx(1.0, rel=1e-12)
+        assert _grid_peak(x, x, 16)[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_matches_fft_route(self):
         # algebraic identity: the dense-IDFT peak over N*u bins equals the
@@ -268,24 +256,20 @@ class TestFractionalXcorr:
             x = random_unimodular(rng, 12)
             y = random_unimodular(rng, 12)
             u = int(rng.integers(2, 64))
-            explicit = fractional_xcorr_max(x, y, u)
+            explicit = _grid_peak(x, y, u)[0]
             fft_route = xcorr_matrix([x, y], 12 * u)[0, 1]
             assert explicit == pytest.approx(fft_route, abs=1e-9)
 
     def test_grid_refinement_monotone(self, reference_pairs):
         a = reference_pairs[0].a
         b = reference_pairs[5].a
-        coarse = fractional_xcorr_max(a, b, 32)
-        fine = fractional_xcorr_max(a, b, 64)
+        coarse = _grid_peak(a, b, 32)[0]
+        fine = _grid_peak(a, b, 64)[0]
         assert fine >= coarse - 1e-12
 
     def test_reference_pair_certificate(self, reference_pairs):
-        value = fractional_xcorr_max(reference_pairs[0].a, reference_pairs[1].a, 128)
+        value = _grid_peak(reference_pairs[0].a, reference_pairs[1].a, 128)[0]
         assert value <= 0.715 + 1e-9
-
-    def test_invalid_grid(self):
-        with pytest.raises(ValueError):
-            fractional_xcorr_max(np.ones(4), np.ones(4), 0)
 
 
 class TestCcdf:

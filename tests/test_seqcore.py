@@ -7,8 +7,8 @@ from csinterlace import seqcore
 from csinterlace.golay import ConstructionParams, combine_gcps
 from csinterlace.interlace import QPSK_PHASES, InterlaceConfig, coherent_pair, noncoherent_pair
 from csinterlace.seqcore import (
-    apac_vector,
-    cyclic_modulate,
+    _apac,
+    _modulate,
     format_quaternary,
     is_gcp,
     parse_quaternary,
@@ -48,8 +48,8 @@ class TestApac:
         assert apac(PLUS_PLUS, -5) == 0
 
     def test_empty_sequence_rejected(self):
-        with pytest.raises(ValueError):
-            apac_vector([])
+        with pytest.raises(ValueError, match="nonempty"):
+            is_gcp([], [])
 
     @given(complex_sequences, st.integers(min_value=-20, max_value=20))
     def test_conjugate_symmetry(self, seq, k):
@@ -57,7 +57,7 @@ class TestApac:
 
     @given(quaternary_strings)
     def test_exact_gaussian_integers_on_quaternary(self, text):
-        vec = apac_vector(parse_quaternary(text))
+        vec = _apac(parse_quaternary(text))
         assert np.array_equal(vec.real, np.round(vec.real))
         assert np.array_equal(vec.imag, np.round(vec.imag))
 
@@ -67,19 +67,21 @@ class TestApac:
 
 
 class TestApacVector:
+    """``seqcore._apac``, the autocorrelation vector behind :func:`is_gcp`."""
+
     @pytest.mark.parametrize("length", [1, 2, 12, 64, 65])
     def test_equals_explicit_loop_on_quaternary(self, length):
         rng = np.random.default_rng(length)
         seq = QUATERNARY[rng.integers(4, size=length)]
         expected = np.array([apac(seq, k) for k in range(length)])
-        assert np.array_equal(apac_vector(seq), expected)
+        assert np.array_equal(_apac(seq), expected)
 
     def test_matches_explicit_loop_on_unimodular(self):
         rng = np.random.default_rng(13)
         for length in (3, 12, 40, 100):
             seq = random_unimodular(rng, length)
             expected = np.array([apac(seq, k) for k in range(length)])
-            assert np.max(np.abs(apac_vector(seq) - expected)) < 1e-12
+            assert np.max(np.abs(_apac(seq) - expected)) < 1e-12
 
     def test_float_is_gcp_decisions(self, reference_pairs):
         # A rotated reference pair goes through the float path of is_gcp;
@@ -179,7 +181,7 @@ class TestIsGcp:
             a, b = np.array(pair.a), np.array(pair.b)
             for mutant in (False, True):
                 a[0] *= -1 if mutant else 1  # moves every lag, the last one too
-                direct = seqcore._apac(a) + seqcore._apac(b)
+                direct = _apac(a) + _apac(b)
                 assert np.max(np.abs(real_fft(a, b) - direct)) <= 1e-12
             assert not is_gcp(a, b)
             lengths.append(a.size)
@@ -210,19 +212,21 @@ class TestIsGcp:
 
 
 class TestCyclicModulate:
+    """``seqcore._modulate``, the cyclic modulation of the interlace builders."""
+
     def test_zero_shift_identity(self):
         x = random_unimodular(np.random.default_rng(0), 12)
-        assert np.array_equal(cyclic_modulate(x, 0), x)
+        assert np.array_equal(_modulate(x, 0), x)
 
     def test_full_period_identity(self):
         x = random_unimodular(np.random.default_rng(1), 12)
-        assert np.allclose(cyclic_modulate(x, 12), x, atol=1e-12)
+        assert np.allclose(_modulate(x, 12), x, atol=1e-12)
 
     def test_integer_shifts_orthogonal(self):
         x = random_unimodular(np.random.default_rng(2), 12)
         for d1 in range(3):
             for d2 in range(3):
-                ip = np.vdot(cyclic_modulate(x, d1), cyclic_modulate(x, d2))
+                ip = np.vdot(_modulate(x, d1), _modulate(x, d2))
                 if d1 == d2:
                     assert ip == pytest.approx(12.0)
                 else:
@@ -230,13 +234,13 @@ class TestCyclicModulate:
 
     def test_preserves_modulus(self):
         x = np.array([0.5, 2.0, 1.0j])
-        out = cyclic_modulate(x, 0.37)
+        out = _modulate(x, 0.37)
         assert np.allclose(np.abs(out), np.abs(x))
 
     def test_preserves_pair_property(self, reference_pairs):
         pair = reference_pairs[7]
         for delta in (1, 5, 2.5):
-            assert is_gcp(cyclic_modulate(pair.a, delta), cyclic_modulate(pair.b, delta))
+            assert is_gcp(_modulate(pair.a, delta), _modulate(pair.b, delta))
 
 
 class TestSerialization:

@@ -3,10 +3,10 @@ import pytest
 
 from csinterlace import golay
 from csinterlace.fixtures import reference_set_params
-from csinterlace.metrics import fractional_xcorr_max, xcorr_matrix
-from csinterlace.setsearch import SequenceSetPair, _continuous_bound, build_sets, verify_sets
+from csinterlace.metrics import xcorr_matrix
+from csinterlace.setsearch import SequenceSetPair, _grid_peak, build_sets, verify_sets
 
-from helpers import random_unimodular
+from helpers import random_unimodular, xcorr_oracle
 
 DENSE_N_IDFT = 12 * 1024  # 1,024 points per integer shift of a length-12 member
 
@@ -45,8 +45,8 @@ class TestBuildSets:
         sets = build_sets(small_libraries[5], beta=0.9, u=32, k_target=6)
         for i in range(sets.size):
             for j in range(i + 1, sets.size):
-                assert fractional_xcorr_max(sets.pairs[i].a, sets.pairs[j].a, 32) <= 0.9
-                assert fractional_xcorr_max(sets.pairs[i].b, sets.pairs[j].b, 32) <= 0.9
+                assert xcorr_oracle(sets.pairs[i].a, sets.pairs[j].a, 5 * 32) <= 0.9
+                assert xcorr_oracle(sets.pairs[i].b, sets.pairs[j].b, 5 * 32) <= 0.9
 
     def test_parameter_validation(self, small_libraries):
         with pytest.raises(ValueError):
@@ -105,8 +105,9 @@ class TestVerifySets:
             dense = xcorr_matrix(members, 1024 * length)
             for i in range(6):
                 for j in range(i + 1, 6):
-                    grid = fractional_xcorr_max(members[i], members[j], u)
-                    bound = _continuous_bound(grid, members[i], members[j], u)
+                    grid, bound = _grid_peak(members[i], members[j], u)
+                    oracle = xcorr_oracle(members[i], members[j], length * u)
+                    assert grid == pytest.approx(oracle, abs=1e-12)
                     assert grid - 1e-12 <= dense[i, j] <= bound + 1e-12
 
     def test_reference_fixture_at_finer_grid(self, reference_pairs):
