@@ -32,7 +32,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import __version__
+from . import SparseSpectrum, __version__
 from .fixtures import load_reference_pairs, reference_set_params
 from .golay import (
     MAX_ENUMERATION_LENGTH,
@@ -44,7 +44,8 @@ from .golay import (
 from .interlace import PILOT_PHASE, SCHEMES, InterlaceConfig, payload_phase, rb_values
 from .linksim import _SNR_LIMIT, CHANNELS, CalibrationError, SimConfig, run_sim
 from .linksim import SCHEMES as SIM_SCHEMES
-from .metrics import _XCORR_CHUNK_ROWS, ccdf, cm_db, papr_db, synthesize, xcorr_matrix
+from .metrics import _SYNTH_ENTRIES, _XCORR_CHUNK_ROWS, _waveforms, ccdf, cm_db, papr_db
+from .metrics import xcorr_matrix
 from .seqcore import _unique_keys, sequence_from_json
 from .setsearch import _REFINED_U, build_sets, verify_sets
 
@@ -64,8 +65,9 @@ def _check_budget(entries: int, option: str) -> None:
 
 def _idft_entries(n_idft: int, rows: int) -> int:
     """Complex entries of ``rows`` zero-padded ``n_idft``-point inverse
-    DFTs: the padded rows, their transform, its scaled copy and moduli; as
-    many as F times the rows on the coarse grid of :func:`xcorr_matrix`."""
+    DFTs: the padded rows, their transform and the metrics' real arrays.  A
+    sweep's batch counts as one row of max(n_idft, _SYNTH_ENTRIES) points;
+    :func:`xcorr_matrix` holds as many as F times its rows on a coarse grid."""
     return 4 * rows * n_idft
 
 
@@ -177,7 +179,8 @@ def build_interlace(scheme, nrb, nsc, nnull, seq_index, shift, bits, value, out)
             raise click.BadParameter(f"{seq_index} is outside [0, {len(members)}) for {scheme}",
                                      param_hint="'--seq-index'")
         resource = (PILOT_PHASE, payload_phase(bits, value)) if entry.pilot_tones else shift
-        spectrum = entry.build(cfg, members[seq_index], resource)
+        values = entry.build(cfg, members[seq_index], [resource])[0]
+    spectrum = SparseSpectrum(cfg.support(), values, cfg.grid_size)
     payload = json.dumps(spectrum.to_json_dict(), sort_keys=True)
     if out is None:
         click.echo(payload)
@@ -190,14 +193,16 @@ _SWEEP_HEADER = ["scheme", "seq_index", "selector", "papr_db", "cm_db"]
 
 
 def _metric_sweep(cfg: InterlaceConfig, schemes, n_idft: int) -> list[tuple]:
+    """A ``_SWEEP_HEADER`` row per waveform; a member's resources make one stack."""
     rows = []
     for name in schemes:
         scheme = SCHEMES[name]
-        resources = scheme.resources(cfg)
+        selectors, resources = zip(*scheme.resources(cfg))
         for index, member in enumerate(scheme.members(cfg, n_idft)):
-            for selector, resource in resources:
-                wave = synthesize(scheme.build(cfg, member, resource), n_idft)
-                rows.append((name, index, selector, papr_db(wave), cm_db(wave)))
+            stack = scheme.build(cfg, member, resources)
+            waves = _waveforms(cfg.support(), stack, cfg.grid_size, n_idft)
+            rows += [(name, index, selector, papr_db(wave), cm_db(wave))
+                     for selector, wave in zip(selectors, waves)]
     return rows
 
 
@@ -211,7 +216,7 @@ def _sweep_command(name: str, column: int, label: str, doc: str) -> None:
     @click.option("--out", type=_OUT_FILE, required=True)
     def command(scheme, nrb, nsc, nnull, n_idft, out):
         schemes = SCHEMES if scheme == "all" else (scheme,)
-        _check_budget(_idft_entries(n_idft, 1), "--n-idft")
+        _check_budget(_idft_entries(max(n_idft, _SYNTH_ENTRIES), 1), "--n-idft")  # one batch
         with _refuse_bad_input():
             rows = _metric_sweep(InterlaceConfig(nrb, nsc, nnull), schemes, n_idft)
         _write_csv(out, _SWEEP_HEADER, rows)
@@ -268,7 +273,7 @@ def _xcorr_members(which: str, cfg: InterlaceConfig, n_idft: int, seq_file: Path
     if len(members) < 2:
         raise click.ClickException(
             f"{seq_file}: need at least two sequences to correlate, found {len(members)}")
-    _check_budget(len(members) ** 2, "--seq-file")  # the K x K matrix, before it exists
+    _check_budget(len(members) ** 2, "--seq-file")  # K x K floats and masks, before they exist
     return members
 
 
@@ -283,7 +288,8 @@ def _write_xcorr(members, n_idft: int, out: Path, ccdf_out: Path | None) -> floa
         for i, row in enumerate(rho):
             handle.writelines([f"{i},{j},{v:.9g}\n" for j, v in enumerate(row.tolist()) if j != i])
     if ccdf_out is not None:
-        thresholds, exceed_prob = ccdf(rho[~np.eye(len(rho), dtype=bool)], np.linspace(0, 1, 101))
+        off_diagonal = rho.reshape(-1)[:-1].reshape(len(rho) - 1, -1)[:, 1:]  # a view
+        thresholds, exceed_prob = ccdf(off_diagonal, np.linspace(0, 1, 101))
         _write_csv(ccdf_out, ["threshold", "exceed_prob"],
                    list(zip(thresholds.tolist(), exceed_prob.tolist())))
     return float(rho.max())

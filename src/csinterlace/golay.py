@@ -22,7 +22,8 @@ ranks' base-4 digits.
 
 A pair-library file, the enumeration cache's file per length among them, is
 one JSON line ``{"length", "count", "pairs"}`` of symbol-string pairs; only
-:func:`write_library` writes it and only :func:`read_library` reads it.
+:func:`write_library` writes it and only :func:`read_library` reads it.  Only
+``_proven_pairs`` skips :class:`GolayPair`'s check, for pairs proved otherwise.
 """
 
 from __future__ import annotations
@@ -134,15 +135,20 @@ class ConstructionParams:
             raise ValueError("offset must be >= 0")
 
 
-def _tap_sum(params: ConstructionParams, *terms) -> np.ndarray:
-    """Sum of phase * z**offset * x(z**step1) * y(z**step2) over the ``(phase,
-    offset, x, y)`` terms from the taps alone: phase * x[i] * y[j] lands at
-    offset + step1 * i + step2 * j, summed in term order where they meet."""
-    places = [offset + params.step1 * np.arange(x.size)[:, None] + params.step2 * np.arange(y.size)
-              for _, offset, x, y in terms]
-    out = np.zeros(max(at[-1, -1] for at in places) + 1, dtype=complex)
-    for (phase, _, x, y), at in zip(terms, places):
-        np.add.at(out, at, phase * np.outer(x, y))
+def _combine_taps(first: GolayPair, c, d, phases, params: ConstructionParams) -> np.ndarray:
+    """The f and g rows, stacked, of :func:`combine_gcps`, unchecked, for ``c``, ``d`` and
+    ``phases`` given once or per row: a term's tap phase * x[i] * y[j] lands at offset +
+    step1 * i + step2 * j, added to zero in term order where taps meet."""
+    (p1, p2), rc_c, rc_d = phases, np.conj(c[..., ::-1]), np.conj(d[..., ::-1])
+    places = [offset + params.step1 * np.arange(first.length)[:, None]
+              + params.step2 * np.arange(c.shape[-1]) for offset in (0, params.offset)]
+    rows = max(np.size(p1), np.size(p2), len(c) if c.ndim == 2 else 1)
+    out = np.zeros((2, rows, places[1][-1, -1] + 1), dtype=complex)
+    for seq, terms in zip(out, [((p1, first.a, c), (p2, first.b, d)),
+                                ((p1, first.a, rc_d), (-p2, first.b, rc_c))]):
+        for (p, x, y), at in zip(terms, places):
+            tap = np.reshape(p, (-1, 1, 1)) * (x[:, None] * y[..., None, :])
+            np.add.at(seq, (slice(None), at), tap)
     return out
 
 
@@ -161,13 +167,10 @@ def combine_gcps(first: GolayPair, second: GolayPair, params: ConstructionParams
     and ``rc`` reverse conjugation.  Overlapping supports sum; the result
     is complementary for any parameter choice, and every output is
     re-certified before being returned (a failure indicates a bug, not bad
-    input).
+    input).  It is the one-row case of the stacked interlace constructions.
     """
-    p = params
-    rc_c, rc_d = np.conj(second.a[::-1]), np.conj(second.b[::-1])
-    f = _tap_sum(p, (p.phase1, 0, first.a, second.a), (p.phase2, p.offset, first.b, second.b))
-    g = _tap_sum(p, (p.phase1, 0, first.a, rc_d), (-p.phase2, p.offset, first.b, rc_c))
-    return GolayPair(f, g)
+    f, g = _combine_taps(first, second.a, second.b, (params.phase1, params.phase2), params)
+    return GolayPair(f[0], g[0])
 
 
 def equivalence_orbit(pair: GolayPair) -> list[GolayPair]:
@@ -346,7 +349,8 @@ def _library_ranks(length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _proven_pairs(a: np.ndarray, b: np.ndarray, strings=None) -> list[GolayPair]:
     """Pairs over the rows of ``a`` and ``b``, whose complementarity the
-    caller has proved exactly (key match or re-certification on load), so
+    caller has proved (key match, re-certification on load, or the block
+    fold of an interlace construction in :mod:`csinterlace.interlace`), so
     they skip :class:`GolayPair`'s check: the only pairs built unchecked.
 
     ``strings``, if given, are the symbol strings the rows were parsed

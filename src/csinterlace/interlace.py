@@ -6,7 +6,9 @@ across blocks with phase rotations from a shorter spreading pair; the
 coherent builder interleaves two half-block sequences inside every block so
 that fixing one phase coefficient leaves built-in reference tones.  Both are
 instances of the generalized pair construction in :mod:`csinterlace.golay`,
-so every output waveform inherits the 3 dB peak-power bound.
+so every output waveform inherits the 3 dB peak-power bound.  A member is
+built for all its resources as one stack, each row certified once by the
+block fold of :mod:`csinterlace.seqcore`; the public pairs are one-row stacks.
 
 :data:`SCHEMES` maps the name of each scheme (the two constructions, the
 adjacent variant, and the cycling and Zadoff-Chu baselines) to a
@@ -17,16 +19,16 @@ rather than branching on names.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import lru_cache, partial
 from typing import Any
 
 import numpy as np
 
 from .fixtures import load_coherent_example, load_noncoherent_spread, load_reference_pairs
-from .golay import ConstructionParams, GolayPair, combine_gcps
-from .metrics import papr_db, synthesize
-from .seqcore import _modulate, as_sequence
+from .golay import CertificationError, ConstructionParams, GolayPair, _combine_taps, _proven_pairs
+from .metrics import _waveforms, papr_db
+from .seqcore import _TOL, _folded_apac_sums, _modulate, as_sequence
 
 # Unit phasors usable as data coefficients in the coherent scheme.
 QPSK_PHASES = np.exp(1j * np.pi * np.array([1, 3, -1, -3]) / 4)
@@ -122,25 +124,51 @@ def payload_phase(bits: int, value: int) -> complex:
     return _ONE_BIT_PHASES[value] if bits == 1 else complex(QPSK_PHASES[value])
 
 
-def _spectrum_from_pair(pair: GolayPair, cfg: InterlaceConfig) -> SparseSpectrum:
-    coeff = pair.a
-    if coeff.size != cfg.grid_size:
-        raise ValueError(
-            f"construction length {coeff.size} does not match grid {cfg.grid_size}"
-        )
-    support = cfg.support()
-    if np.max(np.abs(np.delete(coeff, support)), initial=0.0) != 0.0:
-        raise ValueError("construction spilled energy outside the interlace support")
-    return SparseSpectrum(support, coeff[support], cfg.grid_size)
+def _certified_rows(cfg: InterlaceConfig, first: GolayPair, c, d, phases,
+                    params: ConstructionParams, resources):
+    """The stacked f and g rows of :func:`combine_gcps` on the grid, one per resource, for
+    ``c``, ``d`` and ``phases`` given once or per row.  With no tap off the support, each
+    row is certified to :func:`is_gcp`'s 1e-9 by its block fold, or raises naming it."""
+    fg, support = _combine_taps(first, c, d, phases, params), cfg.support()
+    if fg.shape[2] != cfg.grid_size or np.count_nonzero(fg[:, :, support]) < np.count_nonzero(fg):
+        raise ValueError(f"construction of length {fg.shape[2]} spills off the interlace support")
+    sums = _folded_apac_sums(fg[:, :, support].reshape(2, -1, cfg.n_rb, cfg.n_sc), cfg.rb_spacing)
+    bad = np.flatnonzero(np.max(np.abs(sums), axis=1, initial=0.0) > _TOL)
+    if bad.size:
+        raise CertificationError(f"resource {resources[bad[0]]!r}: not complementary")
+    return fg
 
 
-def noncoherent_pair(
-    cfg: InterlaceConfig,
-    spread: GolayPair,
-    rb_pair: GolayPair,
-    delta: float = 0.0,
-    adjacent: bool = False,
-) -> GolayPair:
+def _noncoherent_rows(cfg: InterlaceConfig, spread: GolayPair, rb_pair: GolayPair, deltas,
+                      adjacent: bool):
+    if cfg.n_rb % 2 != 0:
+        raise ValueError("non-coherent scheme needs an even block count")
+    if spread.length != cfg.n_rb // 2:
+        raise ValueError(f"spreading pair of length {spread.length} needs {2 * spread.length} RBs")
+    if rb_pair.length != cfg.n_sc:
+        raise ValueError(f"block pair of length {rb_pair.length} needs as many tones per RB")
+    members = np.stack([rb_pair.a, rb_pair.b])
+    c, d = np.stack([_modulate(members, delta) for delta in deltas], axis=1)
+    spacing = cfg.rb_spacing
+    params = ConstructionParams(step1=(1 + adjacent) * spacing,
+                                offset=spacing if adjacent else spacing * cfg.n_rb // 2)
+    return _certified_rows(cfg, spread, c, d, (PILOT_PHASE, PILOT_PHASE), params, deltas)
+
+
+def _coherent_rows(cfg: InterlaceConfig, spread: GolayPair, half_pair: GolayPair, phases):
+    if cfg.n_sc % 2 != 0:
+        raise ValueError("coherent scheme needs an even block size")
+    if spread.length != cfg.n_rb:
+        raise ValueError(f"spreading pair of length {spread.length} needs {spread.length} RBs")
+    if half_pair.length != cfg.n_sc // 2:
+        raise ValueError(f"half-block pair needs {2 * half_pair.length} tones per RB")
+    columns = np.array([astuple(ConstructionParams(*pair))[:2] for pair in phases]).T  # checked
+    params = ConstructionParams(step1=cfg.rb_spacing, step2=2, offset=1)
+    return _certified_rows(cfg, spread, half_pair.a, half_pair.b, tuple(columns), params, phases)
+
+
+def noncoherent_pair(cfg: InterlaceConfig, spread: GolayPair, rb_pair: GolayPair,
+                     delta: float = 0.0, adjacent: bool = False) -> GolayPair:
     """Full construction output for the non-coherent interlace.
 
     Half the blocks carry the first block sequence and the other half the
@@ -151,27 +179,11 @@ def noncoherent_pair(
     ``delta`` cyclically modulates both block sequences, which preserves
     complementarity, so every shift resource keeps the bound.
     """
-    if cfg.n_rb % 2 != 0:
-        raise ValueError("non-coherent scheme needs an even block count")
-    if spread.length != cfg.n_rb // 2:
-        raise ValueError(f"spreading pair of length {spread.length} needs {2 * spread.length} RBs")
-    if rb_pair.length != cfg.n_sc:
-        raise ValueError(f"block pair of length {rb_pair.length} needs as many tones per RB")
-    shifted = GolayPair(_modulate(rb_pair.a, delta), _modulate(rb_pair.b, delta))
-    spacing = cfg.rb_spacing
-    step1, offset = (2 * spacing, spacing) if adjacent else (spacing, spacing * cfg.n_rb // 2)
-    params = ConstructionParams(
-        phase1=PILOT_PHASE, phase2=PILOT_PHASE, step1=step1, step2=1, offset=offset
-    )
-    return combine_gcps(spread, shifted, params)
+    return _proven_pairs(*_noncoherent_rows(cfg, spread, rb_pair, [delta], adjacent))[0]
 
 
-def coherent_pair(
-    cfg: InterlaceConfig,
-    spread: GolayPair,
-    half_pair: GolayPair,
-    phases: tuple[complex, complex],
-) -> GolayPair:
+def coherent_pair(cfg: InterlaceConfig, spread: GolayPair, half_pair: GolayPair,
+                  phases: tuple[complex, complex]) -> GolayPair:
     """Construction output for the coherent interlace with built-in
     reference tones.
 
@@ -179,17 +191,7 @@ def coherent_pair(
     odd local tones carry phase2 * spread.b[r] * half.b; fixing phase1 makes
     the even tones known pilots while phase2 carries one data symbol.
     """
-    if cfg.n_sc % 2 != 0:
-        raise ValueError("coherent scheme needs an even block size")
-    if spread.length != cfg.n_rb:
-        raise ValueError(f"spreading pair of length {spread.length} needs {spread.length} RBs")
-    if half_pair.length != cfg.n_sc // 2:
-        raise ValueError(f"half-block pair needs {2 * half_pair.length} tones per RB")
-    phase1, phase2 = complex(phases[0]), complex(phases[1])
-    params = ConstructionParams(
-        phase1=phase1, phase2=phase2, step1=cfg.rb_spacing, step2=2, offset=1
-    )
-    return combine_gcps(spread, half_pair, params)
+    return _proven_pairs(*_coherent_rows(cfg, spread, half_pair, [phases]))[0]
 
 
 _ZC_LENGTH = 113  # odd prime of the Zadoff-Chu baseline
@@ -213,15 +215,12 @@ def zadoff_chu_set(cfg: InterlaceConfig, n_idft: int = 4096) -> tuple[SparseSpec
     if total != 120:
         raise ValueError("the length-113 baseline maps onto 120 occupied tones")
     support = cfg.support()
-    scored = []
-    for root in range(1, _ZC_LENGTH):
-        spectrum = SparseSpectrum(support, zc_sequence(root, total), cfg.grid_size)
-        scored.append((papr_db(synthesize(spectrum, n_idft)), root, spectrum))
-    scored.sort(key=lambda item: (item[0], item[1]))
-    for _, _, spectrum in scored[:_ZC_SET_SIZE]:
-        spectrum.indices.setflags(write=False)
-        spectrum.values.setflags(write=False)
-    return tuple(spectrum for _, _, spectrum in scored[:_ZC_SET_SIZE])
+    rows = np.stack([zc_sequence(root, total) for root in range(1, _ZC_LENGTH)])
+    paprs = [papr_db(wave) for wave in _waveforms(support, rows, cfg.grid_size, n_idft)]
+    kept = rows[np.argsort(paprs, kind="stable")[:_ZC_SET_SIZE]]  # ties in root order
+    support.setflags(write=False)
+    kept.setflags(write=False)
+    return tuple(SparseSpectrum(support, values, cfg.grid_size) for values in kept)
 
 
 def cycling_baseline(cfg: InterlaceConfig, base) -> SparseSpectrum:
@@ -240,16 +239,16 @@ class Scheme:
 
     ``members(cfg, n_idft)``: the reference pairs, the coherent example as
     one ``(spread, half-block pair)``, or the ZC spectra ranked by PAPR at
-    ``n_idft`` points.  ``build(cfg, member, resource)`` places a member on
-    the interlace with a cyclic shift, a (pilot, data) phase pair, or, for
-    a baseline, no resource.  ``resources(cfg)`` lists a sweep's ``(selector
-    label, resource)`` pairs.  ``one_bit`` holds the NACK and ACK shifts of
-    a one-bit payload or, with ``pilot_tones`` (pilots on the even local
-    tones), its data phases; it is empty for a scheme with no payload.
+    ``n_idft`` points.  ``build(cfg, member, resources)``: a member's values
+    on ``cfg.support()``, a row per cyclic shift, (pilot, data) phase pair
+    or, for a baseline, ``None``.  ``resources(cfg)`` lists a sweep's
+    ``(selector label, resource)`` pairs.  ``one_bit`` holds the NACK and
+    ACK shifts of a one-bit payload or, with ``pilot_tones`` (pilots on the
+    even local tones), its data phases; empty for a scheme with no payload.
     """
 
     members: Callable[..., Sequence]
-    build: Callable[[InterlaceConfig, Any, Any], SparseSpectrum]
+    build: Callable[[InterlaceConfig, Any, Sequence], np.ndarray]
     resources: Callable[[InterlaceConfig], list[tuple[str, Any]]]
     proposed: bool
     one_bit: tuple = ()
@@ -268,9 +267,9 @@ def _no_resource(cfg: InterlaceConfig):
     return [("", None)]
 
 
-def _noncoherent(cfg: InterlaceConfig, pair: GolayPair, shift, adjacent: bool = False):
-    spread = load_noncoherent_spread()
-    return _spectrum_from_pair(noncoherent_pair(cfg, spread, pair, shift, adjacent), cfg)
+def _noncoherent(cfg: InterlaceConfig, pair: GolayPair, shifts, adjacent: bool = False):
+    f = _noncoherent_rows(cfg, load_noncoherent_spread(), pair, shifts, adjacent)[0]
+    return f[:, cfg.support()]
 
 
 SCHEMES: dict[str, Scheme] = {
@@ -280,13 +279,14 @@ SCHEMES: dict[str, Scheme] = {
                                    _shifts, proposed=True),
     "coherent": Scheme(
         lambda cfg, n_idft=4096: (load_coherent_example(),),
-        lambda cfg, example, phases: _spectrum_from_pair(coherent_pair(cfg, *example, phases), cfg),
+        lambda cfg, example, phases: _coherent_rows(cfg, *example, phases)[0][:, cfg.support()],
         lambda cfg: [(f"phases={i}{j}", (w1, w2)) for i, w1 in enumerate(QPSK_PHASES)
                      for j, w2 in enumerate(QPSK_PHASES)],
         proposed=True, one_bit=_ONE_BIT_PHASES, pilot_tones=True,
     ),
-    "cycling": Scheme(_reference_pairs, lambda cfg, pair, _: cycling_baseline(cfg, pair.a),
+    "cycling": Scheme(_reference_pairs,
+                      lambda cfg, pair, _: cycling_baseline(cfg, pair.a).values[None],
                       _no_resource, proposed=False),
-    "zc": Scheme(zadoff_chu_set,
-                 lambda cfg, spectrum, _: spectrum, _no_resource, proposed=False),
+    "zc": Scheme(zadoff_chu_set, lambda cfg, spectrum, _: spectrum.values[None],
+                 _no_resource, proposed=False),
 }

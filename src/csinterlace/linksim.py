@@ -212,7 +212,7 @@ def _build_signals(cfg: SimConfig) -> _SchemeSignals:
     per_block = cfg.channel != "flat"
 
     resources = [(PILOT_PHASE, bit) if scheme.pilot_tones else bit for bit in scheme.one_bit]
-    tx = np.stack([scheme.build(geometry, member, r).values for r in resources])
+    tx = scheme.build(geometry, member, resources)
     if cfg.scheme.startswith("single-rb-"):  # the first block of the interlace
         tx = tx[:, : cfg.n_sc]
     n_blocks = tx.shape[1] // cfg.n_sc
@@ -298,7 +298,7 @@ def _ack_claim_statistic(stats: np.ndarray, detector: _Noncoherent | _Coherent) 
     return np.where(scores[ACK] >= scores[NACK], energy, -np.inf)
 
 
-def calibrate_dtx_threshold(cfg: SimConfig) -> float:
+def calibrate_dtx_threshold(cfg: SimConfig, signals: _SchemeSignals | None = None) -> float:
     """Energy threshold whose noise-only ACK-declaration rate hits the
     DTX-to-ACK target :attr:`SimConfig.dtx_target`.
 
@@ -307,11 +307,11 @@ def calibrate_dtx_threshold(cfg: SimConfig) -> float:
     (the declaration rate is monotone in the threshold).  Raises
     :class:`CalibrationError` when k is 0 or not below the number of ACK
     claims, or when the achieved rate misses the target by more than 10 %
-    relative.
+    relative.  ``signals``, built from ``cfg`` if not given, are run_sim's.
     """
     target = cfg.dtx_target
     n = cfg.calibration_trials
-    signals = _build_signals(cfg)
+    signals = _build_signals(cfg) if signals is None else signals
     stats = np.empty(n)
     for trials in _batches(n):
         batch = _draw_statistics(cfg, signals, 0, _HYP_CALIBRATE, trials, 0.0, None)
@@ -347,8 +347,8 @@ def run_sim(cfg: SimConfig) -> SimReport:
     Deterministic for a fixed ``rng_seed`` independent of batching; every
     rate comes with a 95 % Wilson confidence half-width.
     """
-    signals = _build_signals(cfg)
-    threshold = calibrate_dtx_threshold(cfg)
+    signals = _build_signals(cfg)  # built and certified once per run
+    threshold = calibrate_dtx_threshold(cfg, signals)
     n = cfg.n_trials
     points = []
     for snr_idx, snr_db in enumerate(cfg.snr_grid_db):

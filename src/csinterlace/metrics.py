@@ -3,7 +3,9 @@ cross-correlation and CCDF curves.  The module reports; certifying a
 correlation budget is the set search's work (:mod:`csinterlace.setsearch`).
 
 Synthesis applies an unnormalized inverse DFT, i.e. the time samples are
-the frequency-domain polynomial evaluated on a dense unit-circle grid.
+the frequency-domain polynomial evaluated on a dense unit-circle grid.  It
+has one path, :func:`_waveforms`, a few rows of a stack of spectra per
+inverse FFT; :func:`synthesize` is its one-row case.
 The peak cross-correlation has one path, :func:`xcorr_matrix`: it
 evaluates the products of the unordered pairs i < j only, a few rows at a
 time on a grid F times coarser, sums directly on the full grid only where
@@ -15,6 +17,24 @@ from __future__ import annotations
 
 import numpy as np
 
+_SYNTH_ENTRIES = 1 << 14  # dense entries per synthesis batch, but one row at least
+
+
+def _waveforms(indices: np.ndarray, rows: np.ndarray, grid_size: int, n_idft: int):
+    """Yield :func:`synthesize` of each row of values on the ``indices`` of a ``grid_size``
+    grid, one inverse FFT per batch: 4 rows at 4096 points (more only add memory), 1 at 2**14."""
+    n_idft = int(n_idft)
+    if n_idft < grid_size:
+        raise ValueError("n_idft must cover the spectrum grid")
+    if n_idft & (n_idft - 1):
+        raise ValueError("n_idft must be a power of two")
+    step = max(1, _SYNTH_ENTRIES // n_idft)
+    for start in range(0, len(rows), step):
+        waves = np.zeros((min(step, len(rows) - start), n_idft), dtype=complex)
+        waves[:, indices] = rows[start:start + step]
+        waves = np.fft.ifft(waves, norm="forward")  # times n_idft, exact at a power of two
+        yield from waves
+
 
 def synthesize(spectrum, n_idft: int) -> np.ndarray:
     """Oversampled OFDM symbol for a :class:`~csinterlace.interlace.SparseSpectrum`.
@@ -24,14 +44,7 @@ def synthesize(spectrum, n_idft: int) -> np.ndarray:
     evaluated at exp(2j*pi*t/n_idft).  ``n_idft`` must be a power of two
     at least as large as the grid.  Returns the complex time samples.
     """
-    n_idft = int(n_idft)
-    if n_idft < spectrum.grid_size:
-        raise ValueError("n_idft must cover the spectrum grid")
-    if n_idft & (n_idft - 1):
-        raise ValueError("n_idft must be a power of two")
-    dense = np.zeros(n_idft, dtype=complex)
-    dense[spectrum.indices] = spectrum.values
-    return np.fft.ifft(dense) * n_idft
+    return next(_waveforms(spectrum.indices, spectrum.values[None], spectrum.grid_size, n_idft))
 
 
 def _samples(samples) -> np.ndarray:
@@ -106,12 +119,14 @@ def xcorr_matrix(members, n_idft: int = 4096) -> np.ndarray:
     slack = _bernstein_slack(n - 1, points) if factor > 1 else 0.0  # F = 1: none to refine
     inner = np.exp(2j * np.pi / n_idft * np.outer(np.arange(n), np.arange(1, factor)))
     group = _XCORR_CHUNK_ROWS * n_idft // n  # refined intervals summed at once
-    first, second = np.triu_indices(k, 1)
     per_chunk = max(1, factor * _XCORR_CHUNK_ROWS // blocks)
-    peaks = np.empty(first.size)
-    for start in range(0, first.size, per_chunk):
-        rows = slice(start, start + per_chunk)
-        products = (stack[first[rows]] * np.conj(stack[second[rows]])).reshape(-1, n)
+    row_starts = np.arange(k) * (2 * k - 1 - np.arange(k)) // 2  # pair index of each (i, i + 1)
+    rho = np.zeros((k, k))
+    for start in range(0, k * (k - 1) // 2, per_chunk):  # the pairs i < j in row order
+        pair = np.arange(start, min(start + per_chunk, k * (k - 1) // 2))
+        first = np.searchsorted(row_starts, pair, side="right") - 1
+        second = pair - row_starts[first] + first + 1
+        products = (stack[first] * np.conj(stack[second])).reshape(-1, n)
         moduli = np.abs(np.fft.ifft(products, points, norm="forward"))
         by_pair = moduli.max(axis=1).reshape(-1, blocks)
         # refine interval i (samples i, i + 1) if end**2 + r/(1-r) * row max**2 > pair max**2
@@ -122,10 +137,7 @@ def xcorr_matrix(members, n_idft: int = 4096) -> np.ndarray:
             at, phase = row[lo:lo + group], np.outer(interval[lo:lo + group], np.arange(n)) % points
             fine = np.einsum("rn,nf->rf", products[at] * np.exp(2j * np.pi / points * phase), inner)
             np.maximum.at(by_pair, np.divmod(at, blocks), np.abs(fine).max(axis=1))
-        peaks[rows] = by_pair.max(axis=1) / n
-    rho = np.zeros((k, k))
-    rho[first, second] = peaks
-    rho[second, first] = peaks
+        rho[first, second] = rho[second, first] = by_pair.max(axis=1) / n
     return rho
 
 

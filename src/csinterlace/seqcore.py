@@ -6,7 +6,8 @@ Quaternary sequences over {+1, -1, +1j, -1j} are kept in complex128 arrays.
 All their products and autocorrelation sums are small Gaussian integers,
 which complex128 represents exactly, so :func:`is_gcp` certifies such
 input by exact cancellation; float input (phase-rotated or modulated
-constructions) must cancel to within 1e-9.
+constructions) must cancel to within 1e-9, as must the block matrices of an
+interlace construction, folded at the block spacing (``_folded_apac_sums``).
 """
 
 from __future__ import annotations
@@ -62,14 +63,31 @@ def _apac(arr: np.ndarray) -> np.ndarray:
     return np.correlate(arr, arr, "full")[arr.size - 1:]
 
 
+def _smooth_size(n: int) -> int:
+    # The least 5-smooth integer >= n: it divides 30**k for k above its exponents.
+    return next(m for m in count(n) if pow(30, m.bit_length(), m) == 0)
+
+
 def _apac_sum_fft(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Summed linear autocorrelations of both members, lags 0 .. N-1, through
-    # one stacked FFT zero-padded past the 2N - 1 lags to the next 5-smooth
-    # length: the first that divides 30**k for k above its largest exponent.
+    # Summed autocorrelations, lags 0 .. N-1, by one stacked FFT at a 5-smooth length >= 2N - 1.
     n = a.size
-    size = next(m for m in count(2 * n - 1) if pow(30, m.bit_length(), m) == 0)
-    spectra = np.fft.fft(np.stack([a, b]), size)
+    spectra = np.fft.fft(np.stack([a, b]), _smooth_size(2 * n - 1))
     return np.fft.ifft(np.sum(np.abs(spectra) ** 2, axis=0))[:n]
+
+
+def _folded_apac_sums(pairs: np.ndarray, spacing: int) -> np.ndarray:
+    """Summed aperiodic autocorrelations, lags 1 .. N-1, of the pairs of sequences that
+    ``pairs`` (2, rows, blocks, width) holds by blocks, block q at q * spacing >= q * width:
+    entry (dq, dt) of a block matrix's 2-D autocorrelation, by one 2-D FFT at 5-smooth
+    sizes, falls on lag dq * spacing + dt, shared by two only if spacing < 2 * width - 1."""
+    rows, blocks, width = pairs.shape[1:]
+    sizes = [_smooth_size(2 * k - 1) for k in (blocks, width)]
+    corr = np.fft.ifft2(np.sum(np.abs(np.fft.fft2(pairs, sizes)) ** 2, axis=0))
+    dt = np.arange(1 - width, width)  # negative tone lags index from the end
+    at = np.arange(blocks)[:, None] * spacing + dt + width - 1  # lag + width - 1
+    sums = np.zeros((rows, at[-1, -1] + 1), dtype=complex)
+    np.add.at(sums, (slice(None), at), corr[:, :blocks, dt])
+    return sums[:, width:]
 
 
 def is_gcp(a, b) -> bool:
@@ -98,8 +116,8 @@ def is_gcp(a, b) -> bool:
 
 
 def _modulate(arr: np.ndarray, delta: float) -> np.ndarray:
-    # Times exp(2j*pi*n*delta/N): a cyclic time shift by delta, fractional or not.
-    n = arr.size
+    # Times exp(2j*pi*n*delta/N) along the last axis: a cyclic time shift by delta.
+    n = arr.shape[-1]
     return arr * np.exp(2j * np.pi * np.arange(n) * (float(delta) / n))
 
 

@@ -267,6 +267,49 @@ class TestMemoryBudget:
         assert "over the budget of 1000" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["eval-papr", "eval-cm"])
+    def test_sweep_refusal_boundary(self, runner, tmp_path, command):
+        # A batch of syntheses holds max(n_idft, _SYNTH_ENTRIES) dense entries,
+        # so the budget admits n_idft = 2**24 and refuses the next, as when
+        # every waveform was synthesized alone.  The odd block count fails
+        # the build before anything is synthesized.
+        for n_idft, code, message in ((1 << 24, 1, "even block count"),
+                                      ((1 << 24) + 1, 2, "over the budget")):
+            result = runner.invoke(main, [command, "--nrb", "9", "--n-idft", str(n_idft),
+                                          "--out", str(tmp_path / "out.csv")])
+            assert result.exit_code == code and message in result.output, result.output
+
+    def test_sweep_synthesizes_one_row_at_a_time_at_2_20(self, runner, tmp_path):
+        # At 2**20 points a synthesis batch is one row: eval-papr holds that
+        # row and the metrics' arrays of its waveform, about three complex
+        # rows, not the 16 rows of the coherent sweep at once.
+        n_idft = 1 << 20
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, ["eval-papr", "--scheme", "coherent", "--n-idft",
+                                          str(n_idft), "--out", str(tmp_path / "papr.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0, result.output
+        assert len((tmp_path / "papr.csv").read_text().splitlines()) == 1 + 16
+        assert peak < 4 * 16 * n_idft
+
+    def test_seq_file_budget_covers_the_xcorr_peak(self):
+        # eval-xcorr --seq-file is budgeted K**2 complex entries (16 K**2
+        # bytes).  At K = 400, xcorr_matrix walks the pairs i < j chunk by
+        # chunk beside the K x K floats, with no index or peak arrays of all
+        # the pairs; test_eval_xcorr_writes_row_by_row bounds the command.
+        k = 400
+        members = random_unimodular(np.random.default_rng(5), 2 * k).reshape(k, 2)
+        tracemalloc.start()
+        try:
+            xcorr_matrix(members, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8 * k * k
+
     def test_search_at_the_budget_runs(self, runner, tmp_path, monkeypatch):
         seed_file = tmp_path / "seeds.json"
         seed_file.write_text(json.dumps({"length": 2, "count": 1, "pairs": [["++", "+-"]]}))
@@ -327,8 +370,9 @@ class TestMetricSweeps:
 
     def test_eval_xcorr_writes_row_by_row(self, tmp_path):
         # K = 400: the rows and their CCDF are written from the K x K matrix
-        # (1.28 MB), not from a Python tuple per ordered pair (28 matrices).
-        # Length-1 members keep the matrix itself cheap to trace.
+        # (1.28 MB), not from a Python tuple per ordered pair (28 matrices),
+        # within the budget of K**2 complex entries.  Length-1 members keep
+        # the matrix itself cheap to trace.
         members = random_unimodular(np.random.default_rng(4), 400).reshape(400, 1)
         matrix = xcorr_matrix(members, 8)
         out, ccdf_out = tmp_path / "xc.csv", tmp_path / "xc_ccdf.csv"
@@ -338,7 +382,7 @@ class TestMetricSweeps:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 400 * 400 * 8
+        assert peak < 0.8 * 400 * 400 * 16
         lines = out.read_text().splitlines()
         assert lines[0] == "i,j,rho" and len(lines) == 1 + 400 * 399
         assert lines[400] == f"1,0,{matrix[1, 0]:.9g}" and lines[401] == f"1,2,{matrix[1, 2]:.9g}"

@@ -6,7 +6,8 @@ digests of small link-simulation reports.
 The link simulator forms its statistics with real +, - and × only and sums
 small axes in a fixed order, so its pinned digests do not depend on the
 SIMD kernels numpy selects: they are checked again in a subprocess under
-numpy's x86-64-v2 baseline kernels (no AVX2, FMA or AVX-512).
+numpy's x86-64-v2 baseline kernels (no AVX2, FMA or AVX-512).  So are the
+``build-interlace`` and ``eval-papr`` pins, but ``--shift 0.5``.
 """
 
 import json
@@ -132,3 +133,47 @@ def test_eval_papr_matches_pinned_digest(scheme, tmp_path):
                                        "--n-idft", "2048", "--out", str(out)])
     assert result.exit_code == 0, result.output
     assert sha256(out.read_bytes()) == EVAL_PAPR_DIGESTS[scheme]
+
+
+# The sweep and build pins in a subprocess under the same baseline kernels:
+# the stacked constructions and the batched inverse FFTs must not depend on
+# how SIMD lanes split their rows.  ``--shift 0.5`` is left out: its phasors
+# come from numpy's complex ``exp``, whose baseline kernel differs in the
+# last bit (ROADMAP item 17), so that pin fails under these kernels.
+_PINS_SCRIPT = """
+import hashlib, json, sys, tempfile
+from pathlib import Path
+from click.testing import CliRunner
+from numpy._core._multiarray_umath import __cpu_features__
+from csinterlace.cli import main
+builds, sweeps, kernels = json.loads(sys.argv[1])
+digests = {}
+for args in builds:
+    result = CliRunner().invoke(main, ["build-interlace", *args])
+    digests[" ".join(args)] = hashlib.sha256(result.stdout.encode()).hexdigest()
+with tempfile.TemporaryDirectory() as tmp:
+    for scheme in sweeps:
+        out = Path(tmp, scheme + ".csv")
+        CliRunner().invoke(main, ["eval-papr", "--scheme", scheme, "--nnull", "40",
+                                  "--n-idft", "2048", "--out", str(out)])
+        digests[scheme] = hashlib.sha256(out.read_bytes()).hexdigest()
+print(json.dumps({"digests": digests, "enabled": [f for f in kernels if __cpu_features__.get(f)]}))
+"""
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="the baseline kernels are named for x86-64")
+def test_sweep_and_build_pins_hold_under_baseline_kernels():
+    builds = {args: d for args, d in BUILD_INTERLACE_DIGESTS.items() if args != ("--shift", "0.5")}
+    paths = [str(Path(csinterlace.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=BASELINE_KERNELS,
+               PYTHONPATH=os.pathsep.join(paths))
+    result = subprocess.run([sys.executable, "-c", _PINS_SCRIPT,
+                             json.dumps([list(builds), list(EVAL_PAPR_DIGESTS),
+                                         BASELINE_KERNELS.split()])],
+                            env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    payload = json.loads(result.stdout)
+    assert payload["enabled"] == []  # the kernels were switched off
+    expected = {" ".join(args): digest for args, digest in builds.items()}
+    assert payload["digests"] == expected | EVAL_PAPR_DIGESTS

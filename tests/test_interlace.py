@@ -1,10 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from csinterlace import interlace
-from csinterlace.golay import GolayPair
+from csinterlace import cli, golay, interlace, linksim
+from csinterlace.golay import CertificationError, GolayPair
 from csinterlace.interlace import (
     SCHEMES,
     InterlaceConfig,
@@ -19,10 +21,18 @@ from csinterlace.interlace import (
     zadoff_chu_set,
     zc_sequence,
 )
+from csinterlace.linksim import SimConfig
 from csinterlace.metrics import papr_db, synthesize
 from csinterlace.seqcore import _modulate, is_gcp, parse_quaternary
+from helpers import sha256
 
 PAPR_BOUND = 10 * np.log10(2.0) + 1e-6
+
+
+def build(scheme, cfg, member, resource) -> SparseSpectrum:
+    """The spectrum of one resource of a scheme: the one-row stack."""
+    (values,) = SCHEMES[scheme].build(cfg, member, [resource])
+    return SparseSpectrum(cfg.support(), values, cfg.grid_size)
 
 
 class TestInterlaceConfig:
@@ -72,9 +82,9 @@ class TestRbValues:
 
 class TestNoncoherentBuilder:
     def test_lte_support_and_bound(self, lte_config, reference_pairs):
-        spectrum = SCHEMES["noncoherent"].build(lte_config, reference_pairs[0], 0)
+        assert SCHEMES["noncoherent"].build(lte_config, reference_pairs[0], [0]).shape == (1, 120)
+        spectrum = build("noncoherent", lte_config, reference_pairs[0], 0)
         assert rb_values(spectrum, lte_config).shape == (10, 12)
-        assert spectrum.indices.size == 120
         assert papr_db(synthesize(spectrum, 4096)) <= PAPR_BOUND
 
     def test_degenerate_concatenation(self):
@@ -85,23 +95,23 @@ class TestNoncoherentBuilder:
         assert np.allclose(pair.a, PILOT_PHASE * parse_quaternary("+++-"))
 
     def test_shift_modulates_blocks(self, lte_config, reference_pairs):
-        base = SCHEMES["noncoherent"].build(lte_config, reference_pairs[0], 0)
-        shifted = SCHEMES["noncoherent"].build(lte_config, reference_pairs[0], 6)
+        base = build("noncoherent", lte_config, reference_pairs[0], 0)
+        shifted = build("noncoherent", lte_config, reference_pairs[0], 6)
         assert np.array_equal(base.indices, shifted.indices)
         expected = np.tile(np.exp(2j * np.pi * np.arange(12) * 6 / 12), 10)
         assert np.allclose(shifted.values, base.values * expected)
         assert papr_db(synthesize(shifted, 4096)) <= PAPR_BOUND
 
     def test_fractional_shift_keeps_bound(self, lte_config, reference_pairs):
-        spectrum = SCHEMES["noncoherent"].build(lte_config, reference_pairs[1], 3.5)
+        spectrum = build("noncoherent", lte_config, reference_pairs[1], 3.5)
         assert papr_db(synthesize(spectrum, 4096)) <= PAPR_BOUND
 
     def test_certified_members_are_not_validated_again(
             self, as_sequence_calls, lte_config, noncoherent_spread, reference_pairs):
-        # Only the certificates of the shifted block pair and of the output
-        # validate sequences, two members each.
+        # The members are certified pairs, and the fold certifies the output
+        # from its block matrices: no sequence is validated.
         noncoherent_pair(lte_config, noncoherent_spread, reference_pairs[0], 0.5)
-        assert len(as_sequence_calls) == 4
+        assert len(as_sequence_calls) == 0
 
     def test_pair_mate_is_complementary(self, lte_config, noncoherent_spread, reference_pairs):
         pair = noncoherent_pair(lte_config, noncoherent_spread, reference_pairs[2], 5)
@@ -123,13 +133,13 @@ class TestNoncoherentBuilder:
 
 class TestAdjacentVariant:
     def test_same_support_as_standard(self, lte_config, reference_pairs):
-        standard = SCHEMES["noncoherent"].build(lte_config, reference_pairs[0], 0)
-        adjacent = SCHEMES["noncoherent-adjacent"].build(lte_config, reference_pairs[0], 0)
+        standard = build("noncoherent", lte_config, reference_pairs[0], 0)
+        adjacent = build("noncoherent-adjacent", lte_config, reference_pairs[0], 0)
         assert np.array_equal(standard.indices, adjacent.indices)
 
     def test_blocks_alternate(self, lte_config, reference_pairs):
         pair = reference_pairs[0]
-        spectrum = SCHEMES["noncoherent-adjacent"].build(lte_config, pair, 0)
+        spectrum = build("noncoherent-adjacent", lte_config, pair, 0)
         blocks = rb_values(spectrum, lte_config)
         # even blocks carry phase-rotated copies of the first member,
         # odd blocks of the second: modulus-1 ratios must be constant per block
@@ -140,7 +150,7 @@ class TestAdjacentVariant:
 
     def test_bound_over_all_pairs(self, lte_config, reference_pairs):
         for pair in reference_pairs:
-            spectrum = SCHEMES["noncoherent-adjacent"].build(lte_config, pair, 0)
+            spectrum = build("noncoherent-adjacent", lte_config, pair, 0)
             assert papr_db(synthesize(spectrum, 4096)) <= PAPR_BOUND
 
 
@@ -148,7 +158,7 @@ class TestCoherentBuilder:
     def test_lte_structure(self, lte_config, coherent_example):
         spread, half = coherent_example
         phases = (PILOT_PHASE, complex(QPSK_PHASES[2]))
-        spectrum = SCHEMES["coherent"].build(lte_config, (spread, half), phases)
+        spectrum = build("coherent", lte_config, (spread, half), phases)
         blocks = rb_values(spectrum, lte_config)  # raises off the interlace pattern
         for r in range(10):
             assert np.allclose(blocks[r][0::2], phases[0] * spread.a[r] * half.a)
@@ -158,7 +168,7 @@ class TestCoherentBuilder:
         spread, half = coherent_example
         for w1 in QPSK_PHASES:
             for w2 in QPSK_PHASES:
-                spectrum = SCHEMES["coherent"].build(lte_config, (spread, half), (w1, w2))
+                spectrum = build("coherent", lte_config, (spread, half), (w1, w2))
                 assert papr_db(synthesize(spectrum, 4096)) <= PAPR_BOUND
 
     def test_mate_complementary(self, lte_config, coherent_example):
@@ -181,9 +191,108 @@ class TestFlexibility:
     @pytest.mark.parametrize("n_null", [0, 1, 54, 108, 200])
     def test_any_null_count_keeps_bound(self, n_null, reference_pairs):
         cfg = InterlaceConfig(10, 12, n_null)
-        spectrum = SCHEMES["noncoherent"].build(cfg, reference_pairs[0], 0)
+        spectrum = build("noncoherent", cfg, reference_pairs[0], 0)
         assert rb_values(spectrum, cfg).shape == (10, 12)
         assert papr_db(synthesize(spectrum, 4096)) <= PAPR_BOUND
+
+
+class TestStackedBuilder:
+    """``Scheme.build`` places a member once per resource as one stack: the
+    bytes of the one-resource builds, each row certified once by the block
+    fold, and a mutant row refused by its resource."""
+
+    @pytest.mark.parametrize("n_null", [108, 0, 3, 11, 40])
+    @pytest.mark.parametrize("name", list(SCHEMES))
+    def test_stack_bytes_are_the_one_resource_builds(self, name, n_null):
+        cfg = InterlaceConfig(10, 12, n_null)
+        scheme = SCHEMES[name]
+        resources = [resource for _, resource in scheme.resources(cfg)]
+        if name.startswith("noncoherent"):
+            resources += [0.3, 0.5, 2.25, -1]
+        for member in scheme.members(cfg)[:4]:
+            stack = scheme.build(cfg, member, resources)
+            assert stack.shape == (len(resources), 120)
+            singles = b"".join(scheme.build(cfg, member, [r]).tobytes() for r in resources)
+            assert sha256(stack.tobytes()) == sha256(singles)
+
+    def test_each_construction_certified_once_by_the_fold(
+            self, monkeypatch, lte_config, reference_pairs, noncoherent_spread, coherent_example):
+        # The fixtures, certified when loaded, are loaded before counting.
+        folds, checks = [], []
+        fold, check = interlace._folded_apac_sums, golay.is_gcp
+
+        def counted_fold(blocks, spacing):
+            folds.append(blocks.shape[1])
+            return fold(blocks, spacing)
+
+        monkeypatch.setattr(interlace, "_folded_apac_sums", counted_fold)
+        monkeypatch.setattr(golay, "is_gcp", lambda a, b: checks.append(a.size) or check(a, b))
+        assert len(cli._metric_sweep(lte_config, SCHEMES, 2048)) == 796
+        linksim.run_sim(SimConfig(scheme="coherent", snr_grid_db=(0.0,), n_trials=10,
+                                  calibration_trials=2000))
+        assert folds == [12] * 60 + [16, 2]  # a stack per member, and the NACK/ACK pair once
+        assert checks == []  # no GolayPair is built, of the blocks or of the output
+
+    @pytest.mark.parametrize("n_null", [108, 0, 3])
+    @pytest.mark.parametrize("name", ["noncoherent", "noncoherent-adjacent", "coherent"])
+    def test_mutant_row_refused_by_its_resource(self, monkeypatch, name, n_null):
+        cfg = InterlaceConfig(10, 12, n_null)
+        scheme = SCHEMES[name]
+        resources = [resource for _, resource in scheme.resources(cfg)]
+        member, taps = scheme.members(cfg)[0], interlace._combine_taps
+        for row in (0, 5, len(resources) - 1):
+            def one_symbol_flipped(*args, row=row):
+                fg = taps(*args)
+                fg[0, row, cfg.support()[30]] *= -1
+                return fg
+
+            monkeypatch.setattr(interlace, "_combine_taps", one_symbol_flipped)
+            with pytest.raises(CertificationError, match=re.escape(f"{resources[row]!r}:")):
+                scheme.build(cfg, member, resources)
+
+    def test_public_pairs_refuse_a_mutant_member(self, lte_config, noncoherent_spread,
+                                                 reference_pairs, coherent_example):
+        # Unchecked pairs with one symbol of the first member turned.
+        pair = reference_pairs[0]
+        (mutant,) = golay._proven_pairs((pair.a * np.where(np.arange(12) == 3, -1, 1))[None],
+                                        pair.b[None].copy())
+        with pytest.raises(CertificationError, match="0.5"):
+            noncoherent_pair(lte_config, noncoherent_spread, mutant, 0.5)
+        spread, half = coherent_example
+        (mutant,) = golay._proven_pairs((half.a * np.where(np.arange(6) == 2, 1j, 1))[None],
+                                        half.b[None].copy())
+        with pytest.raises(CertificationError):
+            coherent_pair(lte_config, spread, mutant, (PILOT_PHASE, PILOT_PHASE))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_property_over_drawn_geometries(self, small_libraries, data):
+        # Any spreading and block pair, any null count and resources: the
+        # construction sits on the support with unit modulus, certifies
+        # (by the fold, and again by is_gcp) and keeps the 3 dB bound.
+        coherent = data.draw(st.booleans())
+        spread = data.draw(st.sampled_from(small_libraries[data.draw(st.integers(2 if coherent
+                                                                                 else 1, 6))]))
+        block = data.draw(st.sampled_from(small_libraries[data.draw(st.integers(2, 6))]))
+        n_null = data.draw(st.integers(0, 40))
+        phase = st.sampled_from(list(QPSK_PHASES))
+        if coherent:
+            cfg = InterlaceConfig(spread.length, 2 * block.length, n_null)
+            resources = data.draw(st.lists(st.tuples(phase, phase), min_size=1, max_size=4))
+            fg = interlace._coherent_rows(cfg, spread, block, resources)
+        else:
+            cfg = InterlaceConfig(2 * spread.length, block.length, n_null)
+            resources = data.draw(st.lists(st.floats(-block.length, block.length),
+                                           min_size=1, max_size=4))
+            fg = interlace._noncoherent_rows(cfg, spread, block, resources, data.draw(st.booleans()))
+        support = cfg.support()
+        assert not np.any(np.delete(fg, support, axis=2))
+        assert np.max(np.abs(np.abs(fg[:, :, support]) - 1.0)) <= 1e-12
+        n_idft = 1 << (4 * cfg.grid_size - 1).bit_length()
+        for f, g in zip(*fg):
+            assert is_gcp(f, g)
+            wave = synthesize(SparseSpectrum(support, f[support], cfg.grid_size), n_idft)
+            assert papr_db(wave) <= 10 * np.log10(2.0) + 1e-9
 
 
 class TestZadoffChu:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from csinterlace import interlace, linksim
-from csinterlace.interlace import SparseSpectrum
 from csinterlace.linksim import (
     ACK,
     CalibrationError,
@@ -207,9 +206,8 @@ class TestBuildSignals:
     def test_reference_tones_off_unit_modulus_refused(self, monkeypatch):
         coherent = interlace.SCHEMES["coherent"]
 
-        def build(cfg, member, phases):
-            spectrum = coherent.build(cfg, member, phases)
-            return SparseSpectrum(spectrum.indices, 1.5 * spectrum.values, spectrum.grid_size)
+        def build(cfg, member, resources):
+            return 1.5 * coherent.build(cfg, member, resources)
 
         monkeypatch.setitem(interlace.SCHEMES, "coherent", replace(coherent, build=build))
         with pytest.raises(ValueError, match="unit modulus"):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from csinterlace import seqcore
+from csinterlace import interlace, seqcore
 from csinterlace.golay import ConstructionParams, combine_gcps
 from csinterlace.interlace import QPSK_PHASES, InterlaceConfig, coherent_pair, noncoherent_pair
 from csinterlace.seqcore import (
@@ -209,6 +209,49 @@ class TestIsGcp:
             abs(apac(a, k) + apac(mate, k)) <= 1e-9 for k in range(1, n)
         )
         assert is_gcp(a, mate) == direct
+
+
+class TestFoldedCertificate:
+    """``seqcore._folded_apac_sums`` against direct sums: the block matrices
+    of float interlace constructions, folded at the block spacing, give the
+    autocorrelations of the whole sequences, also where block lags share a
+    sequence lag (fewer than n_sc - 1 nulls: 0, 3 and 10, not 11)."""
+
+    @staticmethod
+    def constructions(cfg, spread, rb_pair, example):
+        """(2, rows, grid) f and g of both non-coherent layouts and the coherent
+        scheme, at float shifts and phases, with a one-symbol mutant row each."""
+        stacks = [interlace._noncoherent_rows(cfg, spread, rb_pair, [0.3, 2.25, 7], adjacent)
+                  for adjacent in (False, True)]
+        stacks.append(interlace._coherent_rows(cfg, *example, [(QUATERNARY[0], QPSK_PHASES[2]),
+                                                               (np.exp(0.7j), QPSK_PHASES[1])]))
+        for fg in stacks:
+            fg = np.array(fg)
+            fg[0, -1, cfg.support()[17]] *= 1j  # the last row is no pair any more
+            yield fg
+
+    @pytest.mark.parametrize("n_null", [0, 3, 10, 11, 40, 108])
+    def test_matches_direct_sums(self, n_null, noncoherent_spread, reference_pairs,
+                                 coherent_example):
+        cfg = InterlaceConfig(10, 12, n_null)
+        for fg in self.constructions(cfg, noncoherent_spread, reference_pairs[4], coherent_example):
+            blocks = fg[:, :, cfg.support()].reshape(2, -1, 10, 12)
+            sums = seqcore._folded_apac_sums(blocks, cfg.rb_spacing)
+            direct = np.stack([_apac(f)[1:] + _apac(g)[1:] for f, g in zip(*fg)])
+            assert sums.shape == (fg.shape[1], cfg.grid_size - 1)
+            assert np.max(np.abs(sums - direct)) <= 1e-12
+            peaks = np.max(np.abs(sums), axis=1)
+            assert np.all(peaks[:-1] <= 1e-12) and peaks[-1] > 1.0
+            if n_null < cfg.n_sc - 1:  # shared lags: term by term at every lag
+                f, g = fg[:, -1]
+                oracle = [apac(f, k) + apac(g, k) for k in range(1, cfg.grid_size)]
+                assert np.max(np.abs(sums[-1] - oracle)) <= 1e-12
+
+    def test_one_block_is_the_plain_autocorrelation(self):
+        rng = np.random.default_rng(3)
+        pairs = np.stack([random_unimodular(rng, 30), random_unimodular(rng, 30)])
+        sums = seqcore._folded_apac_sums(pairs[:, None, None, :], 30)[0]
+        assert np.max(np.abs(sums - (_apac(pairs[0]) + _apac(pairs[1]))[1:])) <= 1e-12
 
 
 class TestCyclicModulate:
