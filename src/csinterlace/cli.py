@@ -7,9 +7,9 @@ digests of its input files, so equal manifests imply byte-identical
 outputs.  Numeric CSV fields are printed with 9 significant digits for
 stable diffs.
 
-Every option that sizes an array (``--n-idft``, ``search-sets --u``) is
-checked against :data:`_MEMORY_BUDGET` before anything is allocated; a
-value over it is a usage error that writes no file.
+Every option that sizes an array (``--n-idft``, ``search-sets --u``, the
+calibration's trials) is checked against :data:`_MEMORY_BUDGET` before
+anything is allocated; a value over it is a usage error that writes no file.
 
 ``build-interlace``, the ``eval-papr``/``eval-cm`` sweeps and ``reproduce
 papr|cm`` read their schemes from :data:`csinterlace.interlace.SCHEMES`:
@@ -52,6 +52,8 @@ from .setsearch import _REFINED_U, build_sets, verify_sets
 PAPR_BOUND_DB = 10 * np.log10(2.0)
 DEFAULT_N_IDFT = 4096
 _MEMORY_BUDGET = 1 << 26  # complex entries (1 GiB) the arrays sized by one option may hold
+_CALIBRATION_ENTRIES = 2  # per calibration trial: statistic, finite copy, sort (3 floats)
+_SIM_CALIBRATION = 20_000  # calibration trials of the sim figures, at least
 
 
 def _check_budget(entries: int, option: str) -> None:
@@ -403,6 +405,7 @@ def simulate_link(scheme, channel, snr_from, snr_to, snr_step, trials,
     """Monte-Carlo DTX/ACK/NACK detection rates over an SNR grid."""
     if _snr_point_count(snr_from, snr_to, snr_step) > _SNR_LIMIT:  # refused before allocating
         raise click.BadParameter(f"more than {_SNR_LIMIT} SNR points", param_hint="'--snr-step'")
+    _check_budget(_CALIBRATION_ENTRIES * calibration_trials, "--calibration-trials")
     grid = tuple(np.arange(snr_from, snr_to + snr_step / 2, snr_step).tolist())
     with _refuse_bad_input():
         cfg = SimConfig(
@@ -476,7 +479,7 @@ def _produce_sim(figure: str, out_dir: Path, trials: int, seed: int) -> list:
         for sch in (scheme, f"single-rb-{scheme}"):
             cfg = SimConfig(
                 scheme=sch, channel=channel, n_trials=trials, rng_seed=seed,
-                calibration_trials=max(20_000, trials),
+                calibration_trials=max(_SIM_CALIBRATION, trials),
             )
             report = run_sim(cfg)
             out = out_dir / f"{figure}_{channel}_{sch}.csv"
@@ -539,13 +542,15 @@ FIGURES = {
 @main.command("reproduce")
 @click.argument("figure", type=click.Choice(list(FIGURES)))
 @click.option("--out-dir", type=_OUT_DIR, default=Path("reproduction"))
-@click.option("--trials", default=2000, show_default=True, type=click.IntRange(min=1),
+@click.option("--trials", default=2000, show_default=True, type=click.IntRange(1, 2**40 - 1),
               help="Trials per SNR point for the sim pipelines.")
 @click.option("--seed", default=1, show_default=True, type=click.IntRange(0, 2**64 - 1),
               help="RNG seed of the sim pipelines.")
 @click.pass_context
 def reproduce(ctx, figure, out_dir, trials, seed):
     """Run one reporting pipeline; exit nonzero if its embedded checks fail."""
+    if figure.startswith("sim-"):
+        _check_budget(_CALIBRATION_ENTRIES * max(_SIM_CALIBRATION, trials), "--trials")
     out_dir.mkdir(parents=True, exist_ok=True)
     produce, checks = FIGURES[figure]
     data = produce(figure, out_dir, trials, seed)

@@ -23,7 +23,7 @@ ranks' base-4 digits.
 A pair-library file, the enumeration cache's file per length among them, is
 one JSON line ``{"length", "count", "pairs"}`` of symbol-string pairs; only
 :func:`write_library` writes it and only :func:`read_library` reads it.  Only
-``_proven_pairs`` skips :class:`GolayPair`'s check, for pairs proved otherwise.
+``_proven_pairs``, here alone, skips :class:`GolayPair`'s check, for proved pairs.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ import numpy as np
 from .seqcore import (
     QUATERNARY_SYMBOLS,
     QUATERNARY_VALUES,
+    _autocorrelations,
+    _noncomplementary,
     _unique_keys,
     as_sequence,
     format_quaternary,
@@ -177,21 +179,19 @@ def equivalence_orbit(pair: GolayPair) -> list[GolayPair]:
     """The eight complementarity-preserving variants of a pair.
 
     Composes three involutions: swapping the members, reversing both
-    sequences, and reverse-conjugating both sequences.  Each composition is
-    re-certified.  Variants may coincide as values for symmetric pairs; the
-    eight transform labels are always returned in a fixed order.
+    sequences, and reverse-conjugating both sequences, in a fixed order;
+    variants may coincide for symmetric pairs.  All eight are re-certified
+    as one stack, and a failing one raises :class:`CertificationError`.
     """
-    out = []
-    for swap in (False, True):
-        for rev in (False, True):
-            for conj_rev in (False, True):
-                a, b = (pair.b, pair.a) if swap else (pair.a, pair.b)
-                if rev:
-                    a, b = a[::-1], b[::-1]
-                if conj_rev:
-                    a, b = np.conj(a[::-1]), np.conj(b[::-1])
-                out.append(GolayPair(a, b))
-    return out
+    variants = []
+    for swapped in (np.stack([pair.a, pair.b]), np.stack([pair.b, pair.a])):
+        for ab in (swapped, swapped[:, ::-1]):
+            variants += [ab, np.conj(ab[:, ::-1])]
+    a, b = np.stack(variants, axis=1)
+    bad = _noncomplementary(a, b)
+    if bad.size:
+        raise CertificationError(f"orbit variant {bad[0]} is not complementary")
+    return _proven_pairs(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -230,16 +230,6 @@ def _symbols(ranks: np.ndarray, length: int) -> list[str]:
     the sequences :func:`_decode` gives."""
     rows = _SYMBOL_BYTES[_digits(ranks, length)]  # (ranks, length) ASCII codes
     return rows.view(f"S{length}").ravel().astype(str).tolist()
-
-
-def _autocorrelations(seqs: np.ndarray) -> np.ndarray:
-    """Aperiodic autocorrelations at lags 1..N-1 of each row; exact for
-    quaternary rows, whose products and sums are small Gaussian integers."""
-    length = seqs.shape[1]
-    out = np.empty((seqs.shape[0], length - 1), dtype=complex)
-    for k in range(1, length):
-        out[:, k - 1] = np.sum(np.conj(seqs[:, : length - k]) * seqs[:, k:], axis=1)
-    return out
 
 
 def _partial_spectra(phasors: np.ndarray, fixed: int) -> np.ndarray:
@@ -349,9 +339,9 @@ def _library_ranks(length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _proven_pairs(a: np.ndarray, b: np.ndarray, strings=None) -> list[GolayPair]:
     """Pairs over the rows of ``a`` and ``b``, whose complementarity the
-    caller has proved (key match, re-certification on load, or the block
-    fold of an interlace construction in :mod:`csinterlace.interlace`), so
-    they skip :class:`GolayPair`'s check: the only pairs built unchecked.
+    caller in this module has proved (the exact key match of the
+    enumeration, or a ``seqcore`` certificate of the loader or the orbit),
+    so they skip :class:`GolayPair`'s check: the only pairs built unchecked.
 
     ``strings``, if given, are the symbol strings the rows were parsed
     from; they seed :meth:`GolayPair.as_strings`, since formatting a parsed
@@ -453,7 +443,7 @@ def read_library(path: str | Path, length: int | None = None) -> list[GolayPair]
                 a[index], b[index] = parse_quaternary(x), parse_quaternary(y)
             except ValueError as exc:
                 raise ValueError(f"pair {index}: {exc}") from None
-        bad = np.flatnonzero(np.any(_autocorrelations(a) + _autocorrelations(b), axis=1))
+        bad = _noncomplementary(a, b)
         if bad.size:
             raise ValueError(f"pair {bad[0]} {strings[bad[0]]} is not complementary")
     except (OSError, ValueError) as exc:

@@ -8,7 +8,7 @@ that fixing one phase coefficient leaves built-in reference tones.  Both are
 instances of the generalized pair construction in :mod:`csinterlace.golay`,
 so every output waveform inherits the 3 dB peak-power bound.  A member is
 built for all its resources as one stack, each row certified once by the
-block fold of :mod:`csinterlace.seqcore`; the public pairs are one-row stacks.
+block fold of :mod:`csinterlace.seqcore`.
 
 :data:`SCHEMES` maps the name of each scheme (the two constructions, the
 adjacent variant, and the cycling and Zadoff-Chu baselines) to a
@@ -26,7 +26,7 @@ from typing import Any
 import numpy as np
 
 from .fixtures import load_coherent_example, load_noncoherent_spread, load_reference_pairs
-from .golay import CertificationError, ConstructionParams, GolayPair, _combine_taps, _proven_pairs
+from .golay import CertificationError, ConstructionParams, GolayPair, _combine_taps
 from .metrics import _waveforms, papr_db
 from .seqcore import _TOL, _folded_apac_sums, _modulate, as_sequence
 
@@ -165,33 +165,6 @@ def _coherent_rows(cfg: InterlaceConfig, spread: GolayPair, half_pair: GolayPair
     columns = np.array([astuple(ConstructionParams(*pair))[:2] for pair in phases]).T  # checked
     params = ConstructionParams(step1=cfg.rb_spacing, step2=2, offset=1)
     return _certified_rows(cfg, spread, half_pair.a, half_pair.b, tuple(columns), params, phases)
-
-
-def noncoherent_pair(cfg: InterlaceConfig, spread: GolayPair, rb_pair: GolayPair,
-                     delta: float = 0.0, adjacent: bool = False) -> GolayPair:
-    """Full construction output for the non-coherent interlace.
-
-    Half the blocks carry the first block sequence and the other half the
-    second, phase-rotated per the spreading pair elements; with
-    ``adjacent`` the two alternate on adjacent blocks.  The first member is
-    the transmitted spectrum's coefficient sequence; the second is its
-    complementary mate (useful for asserting the pair property).
-    ``delta`` cyclically modulates both block sequences, which preserves
-    complementarity, so every shift resource keeps the bound.
-    """
-    return _proven_pairs(*_noncoherent_rows(cfg, spread, rb_pair, [delta], adjacent))[0]
-
-
-def coherent_pair(cfg: InterlaceConfig, spread: GolayPair, half_pair: GolayPair,
-                  phases: tuple[complex, complex]) -> GolayPair:
-    """Construction output for the coherent interlace with built-in
-    reference tones.
-
-    Within block r, even local tones carry phase1 * spread.a[r] * half.a and
-    odd local tones carry phase2 * spread.b[r] * half.b; fixing phase1 makes
-    the even tones known pilots while phase2 carries one data symbol.
-    """
-    return _proven_pairs(*_coherent_rows(cfg, spread, half_pair, [phases]))[0]
 
 
 _ZC_LENGTH = 113  # odd prime of the Zadoff-Chu baseline

@@ -4,10 +4,11 @@ JSON, and private kernels on validated arrays (autocorrelation, modulation).
 
 Quaternary sequences over {+1, -1, +1j, -1j} are kept in complex128 arrays.
 All their products and autocorrelation sums are small Gaussian integers,
-which complex128 represents exactly, so :func:`is_gcp` certifies such
-input by exact cancellation; float input (phase-rotated or modulated
-constructions) must cancel to within 1e-9, as must the block matrices of an
-interlace construction, folded at the block spacing (``_folded_apac_sums``).
+which complex128 represents exactly.  Autocorrelations have two kernels,
+direct sums (``_autocorrelations``), exact on such input, and the block fold
+(``_folded_apac_sums``), and one router, ``_noncomplementary``, which picks
+one from the input for :func:`is_gcp` and the certificates of
+:mod:`csinterlace.golay`; an interlace construction folds its own blocks.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 from itertools import chain, count
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 QUATERNARY_SYMBOLS = "+-ij"
 QUATERNARY_VALUES = np.array([1.0, -1.0, 1.0j, -1.0j], dtype=complex)
@@ -58,21 +60,19 @@ def as_sequence(a) -> np.ndarray:
     return arr
 
 
-def _apac(arr: np.ndarray) -> np.ndarray:
-    # Aperiodic autocorrelation sum(conj(a[n]) * a[n + k]), lags 0 .. N-1.
-    return np.correlate(arr, arr, "full")[arr.size - 1:]
-
-
 def _smooth_size(n: int) -> int:
     # The least 5-smooth integer >= n: it divides 30**k for k above its exponents.
     return next(m for m in count(n) if pow(30, m.bit_length(), m) == 0)
 
 
-def _apac_sum_fft(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Summed autocorrelations, lags 0 .. N-1, by one stacked FFT at a 5-smooth length >= 2N - 1.
-    n = a.size
-    spectra = np.fft.fft(np.stack([a, b]), _smooth_size(2 * n - 1))
-    return np.fft.ifft(np.sum(np.abs(spectra) ** 2, axis=0))[:n]
+def _autocorrelations(seqs: np.ndarray) -> np.ndarray:
+    """Aperiodic autocorrelations sum(conj(x[n]) * x[n + k]), lags 1 .. N-1, of the
+    sequences along the last axis, by direct sums with no BLAS: exact sums when every
+    real and imaginary part is an integer, as for quaternary sequences."""
+    n = seqs.shape[-1]
+    padded = np.concatenate([seqs, np.zeros(seqs.shape[:-1] + (n - 1,))], axis=-1)
+    shifted = sliding_window_view(padded, n, axis=-1)[..., 1:, :]  # row k holds x[n + k]
+    return np.einsum("...n,...kn->...k", np.conj(seqs), shifted)
 
 
 def _folded_apac_sums(pairs: np.ndarray, spacing: int) -> np.ndarray:
@@ -90,29 +90,31 @@ def _folded_apac_sums(pairs: np.ndarray, spacing: int) -> np.ndarray:
     return sums[:, width:]
 
 
+def _noncomplementary(a_rows: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
+    # Indices of the rows whose pairs' autocorrelations do not cancel to within 1e-9, summed
+    # directly up to length 64 or when every part is an integer, else folded as one block.
+    pairs = np.stack([a_rows, b_rows])
+    n, parts = pairs.shape[-1], pairs.view(float)
+    if n <= 64 or np.array_equal(parts, np.rint(parts)):
+        sums = np.sum(_autocorrelations(pairs), axis=0)
+    else:
+        sums = _folded_apac_sums(pairs[:, :, None, :], n)
+    return np.flatnonzero(np.max(np.abs(sums), axis=1, initial=0.0) > _TOL)
+
+
 def is_gcp(a, b) -> bool:
     """True iff the autocorrelations of ``a`` and ``b`` cancel at every
     nonzero lag, i.e. the two sequences form a complementary pair.
 
-    The route comes from the input.  When every real and imaginary part of
-    both members is an integer (quaternary input, say), the sums are exact
-    integers, taken directly at any length, and the 1e-9 bound admits only
-    exact cancellation.  Float members are summed directly up to length 64
-    and by FFT above, and must cancel to within 1e-9.
+    The route comes from the input.  Integer parts (quaternary input, say)
+    give exact sums, taken directly at any length, which the 1e-9 bound
+    admits only when they cancel exactly; float members are summed directly
+    up to length 64, folded as one block above, and must cancel to 1e-9.
     """
-    arr_a = as_sequence(a)
-    arr_b = as_sequence(b)
+    arr_a, arr_b = as_sequence(a), as_sequence(b)
     if arr_a.size != arr_b.size:
         raise ValueError(f"length mismatch: {arr_a.size} vs {arr_b.size}")
-    n = arr_a.size
-    if n == 1:
-        return True
-    parts = (arr_a.real, arr_a.imag, arr_b.real, arr_b.imag)
-    if n <= 64 or all(np.array_equal(x, np.rint(x)) for x in parts):
-        sums = _apac(arr_a)[1:] + _apac(arr_b)[1:]
-    else:
-        sums = _apac_sum_fft(arr_a, arr_b)[1:]
-    return bool(np.max(np.abs(sums)) <= _TOL)
+    return _noncomplementary(arr_a[None], arr_b[None]).size == 0
 
 
 def _modulate(arr: np.ndarray, delta: float) -> np.ndarray:

@@ -10,6 +10,7 @@ import importlib
 import inspect
 from pathlib import Path
 
+import click
 import pytest
 
 import csinterlace
@@ -34,8 +35,8 @@ PUBLIC = {
     ],
     "interlace": [
         "InterlaceConfig", "PILOT_PHASE", "QPSK_PHASES", "SCHEMES", "Scheme",
-        "SparseSpectrum", "coherent_pair", "cycling_baseline", "noncoherent_pair",
-        "payload_phase", "rb_values", "zadoff_chu_set", "zc_sequence",
+        "SparseSpectrum", "cycling_baseline", "payload_phase", "rb_values", "zadoff_chu_set",
+        "zc_sequence",
     ],
     "metrics": ["ccdf", "cm_db", "papr_db", "synthesize", "xcorr_matrix"],
     "setsearch": ["AdmissionRecord", "SequenceSetPair", "VerifyReport", "build_sets",
@@ -155,3 +156,49 @@ def test_module_level_imports_are_acyclic():
     assert graph["linksim"] == {"interlace"} and graph["cli"] >= {"__init__", "setsearch"}
     assert graph["metrics"] == set()  # it reports; it builds nothing of the package
     graphlib.TopologicalSorter(graph).prepare()  # a cycle is a CycleError naming it
+
+
+# Called by no pipeline, only by the benchmark's ``library-cold`` queries;
+# it goes when a benchmark change drops them (ROADMAP item 22).
+UNREFERENCED = {("golay", "is_complementary_sequence")}
+
+
+def defined_names(node) -> list[str]:
+    """The names a top-level statement binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def referenced_names(node) -> set[str]:
+    """The names a statement reads, as a name, an attribute or an import."""
+    names = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            names.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            names.add(child.attr)
+        elif isinstance(child, ast.ImportFrom):
+            names |= {alias.name for alias in child.names}
+    return names
+
+
+def test_every_top_level_name_is_used_in_the_package():
+    # A name only its own definition and the tests read is code to delete;
+    # click commands are reached through their group.
+    statements = [(module, node) for module, tree in SOURCES.items() for node in tree.body]
+    readers = {}  # name -> the statements that read it
+    for index, (_, node) in enumerate(statements):
+        for name in referenced_names(node):
+            readers.setdefault(name, set()).add(index)
+    unused = []
+    for index, (module, node) in enumerate(statements):
+        for name in defined_names(node):
+            used = bool(readers.get(name, set()) - {index})
+            package = "csinterlace" + ("" if module == "__init__" else f".{module}")
+            value = getattr(importlib.import_module(package), name, None)
+            if not (used or name == "__all__" or isinstance(value, click.Command)
+                    or (module, name) in UNREFERENCED):
+                unused.append(f"{module}.{name}")
+    assert unused == []

@@ -1,11 +1,14 @@
 import dataclasses
 import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from csinterlace import cli, golay
 from csinterlace.cli import FIGURES, main
@@ -244,6 +247,9 @@ class TestMemoryBudget:
         # the defaults stay far inside it
         assert cli._search_entries(12, 128, 30) < cli._MEMORY_BUDGET // 100
         assert cli._idft_entries(cli.DEFAULT_N_IDFT, 10) < cli._MEMORY_BUDGET // 100
+        # simulate-link --calibration-trials 1099511627775, once an 8 TiB allocation
+        assert cli._CALIBRATION_ENTRIES * (2**40 - 1) > cli._MEMORY_BUDGET
+        assert cli._CALIBRATION_ENTRIES * 100_000 < cli._MEMORY_BUDGET // 100
 
     @pytest.mark.parametrize("args, option", [
         (["search-sets", "--u", "64"], "--u"),
@@ -266,6 +272,35 @@ class TestMemoryBudget:
         assert f"Invalid value for '{option}'" in result.output
         assert "over the budget of 1000" in result.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("args, option", [
+        (["simulate-link", "--calibration-trials", "501", "--out", "{out}"],
+         "--calibration-trials"),
+        (["reproduce", "sim-noncoherent", "--trials", "10", "--out-dir", "{out}"], "--trials"),
+        (["reproduce", "sim-coherent", "--trials", "501", "--out-dir", "{out}"], "--trials"),
+    ], ids=["simulate-link", "reproduce-floor", "reproduce"])
+    def test_calibration_over_budget_is_a_usage_error(self, runner, tmp_path, monkeypatch,
+                                                      args, option):
+        # The calibration holds three floats a trial, counted as two complex
+        # entries: 501 trials, or the sim figures' floor of 20 000, exceed a
+        # budget of 1000 entries.
+        monkeypatch.setattr(cli, "_MEMORY_BUDGET", 1000)
+        out = tmp_path / "out"
+        result = runner.invoke(main, [arg.format(out=out) for arg in args])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert f"Invalid value for '{option}'" in result.output
+        assert "over the budget of 1000" in result.output
+        assert not out.exists()
+
+    def test_calibration_at_the_budget_runs(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_MEMORY_BUDGET", cli._CALIBRATION_ENTRIES * 2000)
+        out = tmp_path / "sim.csv"
+        result = runner.invoke(main, ["simulate-link", "--scheme", "single-rb-noncoherent",
+                                      "--snr-from", "0", "--snr-to", "0", "--trials", "10",
+                                      "--calibration-trials", "2000", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert out.exists()
 
     @pytest.mark.parametrize("command", ["eval-papr", "eval-cm"])
     def test_sweep_refusal_boundary(self, runner, tmp_path, command):
@@ -586,6 +621,78 @@ def test_bad_library_is_refused(runner, tmp_path, reader, payload, message):
     assert not out.exists() and library.read_bytes() == before
 
 
+# The fuzz of the three readers of JSON input: drawn documents, nested
+# values, numbers at and past the float limits, booleans, unicode and
+# ragged lengths, each as a pair library or a sequence file.  A reader
+# exits 0, 1 or 2 with no traceback, and writes nothing unless it exits 0.
+FLOAT_LIMITS = [1.7976931348623157e308, -1.7976931348623157e308, 5e-324, -0.0, 2.0**53 + 1,
+                10**308 * 10, -(10**309), 2**63, float("inf"), float("nan")]
+JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                        st.sampled_from(FLOAT_LIMITS), st.text(max_size=4),
+                        st.text(alphabet="+-ij", min_size=1, max_size=4))
+JSON_VALUES = st.recursive(JSON_LEAVES, lambda inner: st.lists(inner, max_size=4)
+                           | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                           max_leaves=10)
+SYMBOLS = st.text(alphabet="+-ij", min_size=1, max_size=4)
+LIBRARIES = st.one_of(
+    JSON_VALUES,
+    st.fixed_dictionaries({"length": st.integers(1, 4) | JSON_LEAVES,
+                           "count": st.integers(0, 3) | JSON_LEAVES,
+                           "pairs": st.lists(st.lists(SYMBOLS, min_size=1, max_size=3)
+                                             | JSON_VALUES, max_size=3)}),
+    st.integers(1, 4).flatmap(lambda n: st.lists(st.sampled_from(golay.enumerate_gcps(n)).map(
+        lambda p: list(p.as_strings())), max_size=3).map(
+        lambda pairs: {"length": n, "count": len(pairs), "pairs": pairs})),
+)
+COORDINATES = st.lists(st.lists(JSON_LEAVES | st.floats(-1, 1), min_size=1, max_size=3)
+                       | JSON_LEAVES, min_size=1, max_size=4)
+SEQUENCE_FILES = st.one_of(
+    JSON_VALUES,
+    st.fixed_dictionaries({"sequences": st.lists(SYMBOLS | COORDINATES | JSON_VALUES,
+                                                 max_size=4)}),
+    st.fixed_dictionaries({"sequences": st.lists(SYMBOLS, max_size=4)}),
+)
+FUZZ = settings(derandomize=True, max_examples=100, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+def read_fuzzed(document, args):
+    """Write ``document`` as ``{dir}/gcps_len{n}.json``, run the command line
+    ``args`` on it, and check the exit, the traceback and what it wrote."""
+    n = document.get("length") if isinstance(document, dict) else None
+    n = n if type(n) is int and 1 <= n <= 4 else 4
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp, f"gcps_len{n}.json")
+        src.write_text(json.dumps(document))
+        before = {path: path.read_bytes() for path in Path(tmp).iterdir()}
+        out = Path(tmp, "out.json")
+        result = CliRunner().invoke(main, [arg.format(dir=tmp, src=src, n=n) for arg in args]
+                                    + ["--out", str(out)])
+        assert isinstance(result.exception, (SystemExit, type(None))), result.exception
+        assert result.exit_code in (0, 1, 2), result.output
+        if result.exit_code:
+            assert {path: path.read_bytes() for path in Path(tmp).iterdir()} == before
+        else:
+            assert out.exists()
+
+
+class TestReaderFuzz:
+    @FUZZ
+    @given(document=LIBRARIES, reader=st.sampled_from(list(LIBRARY_READERS)))
+    def test_library_readers(self, document, reader):
+        args = [arg.replace("{dir}/gcps_len{n}.json", "{src}") for arg in LIBRARY_READERS[reader]]
+        if reader.startswith("search-sets"):
+            args += ["--u", "4", "--k", "2"]
+        read_fuzzed(document, args)
+
+    @FUZZ
+    @given(document=SEQUENCE_FILES,
+           command=st.sampled_from([["import-sequences", "{src}"],
+                                    ["eval-xcorr", "--seq-file", "{src}", "--n-idft", "16"]]))
+    def test_sequence_readers(self, document, command):
+        read_fuzzed(document, command)
+
+
 class TestSimulateLink:
     def test_small_run(self, runner, tmp_path):
         out = tmp_path / "link.csv"
@@ -805,6 +912,20 @@ class TestReproduce:
         assert isinstance(result.exception, SystemExit)  # not a traceback
         assert "Invalid value for '--trials'" in result.output
         assert list(tmp_path.glob("*.csv")) == []
+
+    @pytest.mark.parametrize("trials, message", [
+        (2**40, "Invalid value for '--trials'"),  # past the simulator's range
+        (2**40 - 1, "over the budget"),  # in range, but its calibration is not
+    ], ids=["range", "budget"])
+    def test_trials_the_simulator_cannot_run_are_a_usage_error(self, runner, tmp_path, trials,
+                                                              message):
+        out_dir = tmp_path / "figures"
+        result = runner.invoke(main, ["reproduce", "sim-noncoherent", "--trials", str(trials),
+                                      "--out-dir", str(out_dir)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert message in result.output
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_rng_key_is_a_usage_error(self, runner, tmp_path, seed):

@@ -23,7 +23,6 @@ from csinterlace.interlace import SparseSpectrum
 from csinterlace.metrics import synthesize
 from csinterlace.seqcore import (
     QUATERNARY_VALUES,
-    _apac,
     format_quaternary,
     is_gcp,
     parse_quaternary,
@@ -277,7 +276,7 @@ class TestCombineGcps:
         # Gaussian-integer coefficients, so the check cancelled exactly.
         both = np.concatenate([out.a, out.b])
         assert np.array_equal(both, np.round(both))
-        assert not np.any(_apac(out.a)[1:] + _apac(out.b)[1:])
+        assert not any(apac(out.a, k) + apac(out.b, k) for k in range(1, out.length))
 
     def test_peak_power_bound(self, small_libraries):
         rng = np.random.default_rng(9)
@@ -320,6 +319,23 @@ class TestEquivalenceOrbit:
         member = equivalence_orbit(pair)[5]
         again = {p.as_strings() for p in equivalence_orbit(member)}
         assert orbit == again
+
+    def test_unchecked_non_complementary_pair_refused(self, reference_pairs):
+        # Built unchecked, as pairs proved elsewhere are, with its second member
+        # moved a lag: every variant fails, and the first one is named.
+        pair = reference_pairs[0]
+        (tampered,) = golay._proven_pairs(pair.a[None].copy(), np.roll(pair.b, 1)[None])
+        with pytest.raises(CertificationError, match="orbit variant 0 is not complementary"):
+            equivalence_orbit(tampered)
+
+    def test_stack_certified_in_one_pass(self, monkeypatch, reference_pairs):
+        calls = []
+        route = golay._noncomplementary
+        monkeypatch.setattr(golay, "_noncomplementary",
+                            lambda a, b: calls.append(a.shape) or route(a, b))
+        monkeypatch.setattr(golay, "is_gcp", lambda a, b: pytest.fail("a variant checked alone"))
+        assert len(equivalence_orbit(reference_pairs[3])) == 8
+        assert calls == [(8, 12)]
 
     def test_matches_explicit_definitions(self, reference_pairs, small_libraries):
         # Documented order: swap outermost, then reverse, then reverse-conjugate.

@@ -13,9 +13,7 @@ from csinterlace.interlace import (
     PILOT_PHASE,
     QPSK_PHASES,
     SparseSpectrum,
-    coherent_pair,
     cycling_baseline,
-    noncoherent_pair,
     payload_phase,
     rb_values,
     zadoff_chu_set,
@@ -91,8 +89,9 @@ class TestNoncoherentBuilder:
         cfg = InterlaceConfig(2, 2, 0)
         spread = GolayPair.from_strings("+", "+")
         rb_pair = GolayPair.from_strings("++", "+-")
-        pair = noncoherent_pair(cfg, spread, rb_pair, 0)
-        assert np.allclose(pair.a, PILOT_PHASE * parse_quaternary("+++-"))
+        f, g = interlace._noncoherent_rows(cfg, spread, rb_pair, [0], False)[:, 0]
+        assert np.allclose(f, PILOT_PHASE * parse_quaternary("+++-"))
+        assert is_gcp(f, g)
 
     def test_shift_modulates_blocks(self, lte_config, reference_pairs):
         base = build("noncoherent", lte_config, reference_pairs[0], 0)
@@ -110,25 +109,26 @@ class TestNoncoherentBuilder:
             self, as_sequence_calls, lte_config, noncoherent_spread, reference_pairs):
         # The members are certified pairs, and the fold certifies the output
         # from its block matrices: no sequence is validated.
-        noncoherent_pair(lte_config, noncoherent_spread, reference_pairs[0], 0.5)
+        SCHEMES["noncoherent"].build(lte_config, reference_pairs[0], [0.5])
         assert len(as_sequence_calls) == 0
 
     def test_pair_mate_is_complementary(self, lte_config, noncoherent_spread, reference_pairs):
-        pair = noncoherent_pair(lte_config, noncoherent_spread, reference_pairs[2], 5)
-        assert is_gcp(pair.a, pair.b)
+        f, g = interlace._noncoherent_rows(lte_config, noncoherent_spread, reference_pairs[2],
+                                           [5], False)[:, 0]
+        assert is_gcp(f, g)
 
     def test_odd_block_count_rejected(self, noncoherent_spread, reference_pairs):
         cfg = InterlaceConfig(5, 12, 108)
         with pytest.raises(ValueError):
-            noncoherent_pair(cfg, noncoherent_spread, reference_pairs[0], 0)
+            interlace._noncoherent_rows(cfg, noncoherent_spread, reference_pairs[0], [0], False)
 
     def test_length_mismatches_rejected(self, lte_config, reference_pairs):
         bad_spread = GolayPair.from_strings("++", "+-")
         with pytest.raises(ValueError):
-            noncoherent_pair(lte_config, bad_spread, reference_pairs[0], 0)
+            interlace._noncoherent_rows(lte_config, bad_spread, reference_pairs[0], [0], False)
         with pytest.raises(ValueError):
-            noncoherent_pair(lte_config, GolayPair.from_strings("+++ji", "+i-+j"),
-                             GolayPair.from_strings("++", "+-"), 0)
+            interlace._noncoherent_rows(lte_config, GolayPair.from_strings("+++ji", "+i-+j"),
+                                        GolayPair.from_strings("++", "+-"), [0], False)
 
 
 class TestAdjacentVariant:
@@ -173,8 +173,8 @@ class TestCoherentBuilder:
 
     def test_mate_complementary(self, lte_config, coherent_example):
         spread, half = coherent_example
-        pair = coherent_pair(lte_config, spread, half, (PILOT_PHASE, PILOT_PHASE))
-        assert is_gcp(pair.a, pair.b)
+        f, g = interlace._coherent_rows(lte_config, spread, half, [(PILOT_PHASE, PILOT_PHASE)])[:, 0]
+        assert is_gcp(f, g)
 
     def test_multiple_access_shifts(self, coherent_example):
         _, half = coherent_example
@@ -184,7 +184,7 @@ class TestCoherentBuilder:
     def test_odd_block_size_rejected(self, coherent_example):
         spread, half = coherent_example
         with pytest.raises(ValueError):
-            coherent_pair(InterlaceConfig(10, 13, 107), spread, half, (1.0, 1.0))
+            interlace._coherent_rows(InterlaceConfig(10, 13, 107), spread, half, [(1.0, 1.0)])
 
 
 class TestFlexibility:
@@ -250,19 +250,19 @@ class TestStackedBuilder:
             with pytest.raises(CertificationError, match=re.escape(f"{resources[row]!r}:")):
                 scheme.build(cfg, member, resources)
 
-    def test_public_pairs_refuse_a_mutant_member(self, lte_config, noncoherent_spread,
-                                                 reference_pairs, coherent_example):
+    def test_builds_refuse_a_mutant_member(self, lte_config, noncoherent_spread,
+                                           reference_pairs, coherent_example):
         # Unchecked pairs with one symbol of the first member turned.
         pair = reference_pairs[0]
         (mutant,) = golay._proven_pairs((pair.a * np.where(np.arange(12) == 3, -1, 1))[None],
                                         pair.b[None].copy())
         with pytest.raises(CertificationError, match="0.5"):
-            noncoherent_pair(lte_config, noncoherent_spread, mutant, 0.5)
+            SCHEMES["noncoherent"].build(lte_config, mutant, [0.5])
         spread, half = coherent_example
         (mutant,) = golay._proven_pairs((half.a * np.where(np.arange(6) == 2, 1j, 1))[None],
                                         half.b[None].copy())
         with pytest.raises(CertificationError):
-            coherent_pair(lte_config, spread, mutant, (PILOT_PHASE, PILOT_PHASE))
+            SCHEMES["coherent"].build(lte_config, (spread, mutant), [(PILOT_PHASE, PILOT_PHASE)])
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(data=st.data())

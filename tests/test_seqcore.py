@@ -5,9 +5,9 @@ from hypothesis.extra.numpy import arrays
 
 from csinterlace import interlace, seqcore
 from csinterlace.golay import ConstructionParams, combine_gcps
-from csinterlace.interlace import QPSK_PHASES, InterlaceConfig, coherent_pair, noncoherent_pair
+from csinterlace.interlace import QPSK_PHASES, InterlaceConfig
 from csinterlace.seqcore import (
-    _apac,
+    _autocorrelations,
     _modulate,
     format_quaternary,
     is_gcp,
@@ -57,7 +57,7 @@ class TestApac:
 
     @given(quaternary_strings)
     def test_exact_gaussian_integers_on_quaternary(self, text):
-        vec = _apac(parse_quaternary(text))
+        vec = _autocorrelations(parse_quaternary(text))
         assert np.array_equal(vec.real, np.round(vec.real))
         assert np.array_equal(vec.imag, np.round(vec.imag))
 
@@ -67,21 +67,23 @@ class TestApac:
 
 
 class TestApacVector:
-    """``seqcore._apac``, the autocorrelation vector behind :func:`is_gcp`."""
+    """``seqcore._autocorrelations``, the direct kernel behind :func:`is_gcp`,
+    the library loader and the orbits: lags 1 .. N-1 of every row of a stack."""
 
     @pytest.mark.parametrize("length", [1, 2, 12, 64, 65])
     def test_equals_explicit_loop_on_quaternary(self, length):
         rng = np.random.default_rng(length)
-        seq = QUATERNARY[rng.integers(4, size=length)]
-        expected = np.array([apac(seq, k) for k in range(length)])
-        assert np.array_equal(_apac(seq), expected)
+        stack = QUATERNARY[rng.integers(4, size=(2, 3, length))]
+        expected = [[[apac(seq, k) for k in range(1, length)] for seq in rows] for rows in stack]
+        assert np.array_equal(_autocorrelations(stack), np.array(expected).reshape(2, 3, -1))
+        assert np.array_equal(_autocorrelations(stack[0, 1]), expected[0][1])
 
     def test_matches_explicit_loop_on_unimodular(self):
         rng = np.random.default_rng(13)
         for length in (3, 12, 40, 100):
             seq = random_unimodular(rng, length)
-            expected = np.array([apac(seq, k) for k in range(length)])
-            assert np.max(np.abs(_apac(seq) - expected)) < 1e-12
+            expected = np.array([apac(seq, k) for k in range(1, length)])
+            assert np.max(np.abs(_autocorrelations(seq) - expected)) < 1e-12
 
     def test_float_is_gcp_decisions(self, reference_pairs):
         # A rotated reference pair goes through the float path of is_gcp;
@@ -122,15 +124,15 @@ class TestIsGcp:
 
     def test_route_follows_the_input(self, monkeypatch):
         # Gaussian-integer members take exact direct sums at any length;
-        # float members above length 64 take the FFT route.
+        # float members above length 64 take the fold of one block each.
         routes = []
 
-        def spy(a, b):
-            routes.append(a.size)
-            return real_fft(a, b)
+        def spy(pairs, spacing):
+            routes.append(pairs.shape[-1])
+            return real_fold(pairs, spacing)
 
-        real_fft = seqcore._apac_sum_fft
-        monkeypatch.setattr(seqcore, "_apac_sum_fft", spy)
+        real_fold = seqcore._folded_apac_sums
+        monkeypatch.setattr(seqcore, "_folded_apac_sums", spy)
         a, b = parse_quaternary("++"), parse_quaternary("+-")
         for _ in range(6):  # length 128 by concatenation
             a, b = np.concatenate([a, b]), np.concatenate([a, -b])
@@ -147,42 +149,50 @@ class TestIsGcp:
                     m //= prime
             return m == 1
 
-        sizes, fft = [], np.fft.fft
-        monkeypatch.setattr(np.fft, "fft",
-                            lambda x, n=None, **kw: sizes.append(n) or fft(x, n, **kw))
+        sizes, fft2 = [], np.fft.fft2
+        monkeypatch.setattr(np.fft, "fft2",
+                            lambda x, s=None, **kw: sizes.append(s) or fft2(x, s, **kw))
         lengths = range(1, 1300)
-        for n in lengths:
-            seqcore._apac_sum_fft(np.ones(n, dtype=complex), np.ones(n, dtype=complex))
-        assert sizes == [next(m for m in range(2 * n - 1, 4 * n) if smooth(m)) for n in lengths]
-        assert sizes[1092 - 1] == 2187
+        for n in lengths:  # one block of width n, as the router folds a float pair
+            seqcore._folded_apac_sums(np.ones((2, 1, 1, n), dtype=complex), n)
+        assert sizes == [[1, next(m for m in range(2 * n - 1, 4 * n) if smooth(m))]
+                         for n in lengths]
+        assert sizes[1092 - 1] == [1, 2187]
 
     def test_fft_route_matches_direct_sums_on_constructions(
             self, monkeypatch, small_libraries, reference_pairs, noncoherent_spread,
             coherent_example):
         # Float interlace constructions of lengths 65-300 over several
-        # geometries certify through the smooth-length FFT (at length 65,
-        # 2N - 2 = 128 is smooth but one lag short).  Its sums agree
-        # with the direct ones, also on a one-symbol mutant, which is refused.
-        pairs = [combine_gcps(noncoherent_spread, reference_pairs[2],
-                              ConstructionParams(phase1=np.exp(0.3j), step1=13, offset=1)),
-                 combine_gcps(small_libraries[6][3], reference_pairs[4],
-                              ConstructionParams(phase2=np.exp(-1.1j), step1=12, offset=20))]
+        # geometries certify through the fold of one block at the smooth FFT
+        # length (at length 65, 2N - 2 = 128 is smooth but one lag short).
+        # Its sums agree with the direct ones, also on a one-symbol mutant,
+        # which is refused.
+        pairs = [(p.a, p.b) for p in [
+            combine_gcps(noncoherent_spread, reference_pairs[2],
+                         ConstructionParams(phase1=np.exp(0.3j), step1=13, offset=1)),
+            combine_gcps(small_libraries[6][3], reference_pairs[4],
+                         ConstructionParams(phase2=np.exp(-1.1j), step1=12, offset=20))]]
         for n_null in (0, 2, 7, 20):
             cfg = InterlaceConfig(10, 12, n_null)
-            pairs += [noncoherent_pair(cfg, noncoherent_spread, reference_pairs[n_null], 0.5),
-                      noncoherent_pair(cfg, noncoherent_spread, reference_pairs[1], 2.25, True),
-                      coherent_pair(cfg, *coherent_example, (QPSK_PHASES[1], QPSK_PHASES[2]))]
+            stacks = [interlace._noncoherent_rows(cfg, noncoherent_spread,
+                                                  reference_pairs[n_null], [0.5], False),
+                      interlace._noncoherent_rows(cfg, noncoherent_spread, reference_pairs[1],
+                                                  [2.25], True),
+                      interlace._coherent_rows(cfg, *coherent_example,
+                                               [(QPSK_PHASES[1], QPSK_PHASES[2])])]
+            pairs += [(f, g) for fg in stacks for f, g in zip(*fg)]
         routes = []
-        real_fft = seqcore._apac_sum_fft
-        monkeypatch.setattr(seqcore, "_apac_sum_fft",
-                            lambda a, b: routes.append(a.size) or real_fft(a, b))
+        real_fold = seqcore._folded_apac_sums
+        monkeypatch.setattr(seqcore, "_folded_apac_sums",
+                            lambda p, spacing: routes.append(p.shape[-1]) or real_fold(p, spacing))
         lengths = []
-        for pair in pairs:
-            a, b = np.array(pair.a), np.array(pair.b)
+        for a, b in pairs:
+            a, b = np.array(a), np.array(b)
             for mutant in (False, True):
                 a[0] *= -1 if mutant else 1  # moves every lag, the last one too
-                direct = _apac(a) + _apac(b)
-                assert np.max(np.abs(real_fft(a, b) - direct)) <= 1e-12
+                first, second = _autocorrelations(np.stack([a, b]))
+                fold = real_fold(np.stack([a, b])[:, None, None, :], a.size)[0]
+                assert np.max(np.abs(fold - (first + second))) <= 1e-12
             assert not is_gcp(a, b)
             lengths.append(a.size)
         assert routes == lengths
@@ -190,7 +200,7 @@ class TestIsGcp:
 
     def test_validates_each_member_once(self, as_sequence_calls):
         a, b = parse_quaternary("++-+"), parse_quaternary("+++-")
-        for _ in range(5):  # lengths 8 .. 128; at 128 the float pair takes the FFT route
+        for _ in range(5):  # lengths 8 .. 128; at 128 the float pair takes the fold
             a, b = np.concatenate([a, b]), np.concatenate([a, -b])
             for pair in [(a, b), (a * np.exp(0.3j), b)]:
                 as_sequence_calls.clear()
@@ -237,7 +247,8 @@ class TestFoldedCertificate:
         for fg in self.constructions(cfg, noncoherent_spread, reference_pairs[4], coherent_example):
             blocks = fg[:, :, cfg.support()].reshape(2, -1, 10, 12)
             sums = seqcore._folded_apac_sums(blocks, cfg.rb_spacing)
-            direct = np.stack([_apac(f)[1:] + _apac(g)[1:] for f, g in zip(*fg)])
+            first, second = _autocorrelations(fg)
+            direct = first + second
             assert sums.shape == (fg.shape[1], cfg.grid_size - 1)
             assert np.max(np.abs(sums - direct)) <= 1e-12
             peaks = np.max(np.abs(sums), axis=1)
@@ -251,7 +262,7 @@ class TestFoldedCertificate:
         rng = np.random.default_rng(3)
         pairs = np.stack([random_unimodular(rng, 30), random_unimodular(rng, 30)])
         sums = seqcore._folded_apac_sums(pairs[:, None, None, :], 30)[0]
-        assert np.max(np.abs(sums - (_apac(pairs[0]) + _apac(pairs[1]))[1:])) <= 1e-12
+        assert np.max(np.abs(sums - np.sum(_autocorrelations(pairs), axis=0))) <= 1e-12
 
 
 class TestCyclicModulate:
