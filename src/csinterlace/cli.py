@@ -8,8 +8,10 @@ outputs.  Numeric CSV fields are printed with 9 significant digits for
 stable diffs.
 
 Every option that sizes an array (``--n-idft``, ``search-sets --u``, the
-calibration's trials) is checked against :data:`_MEMORY_BUDGET` before
-anything is allocated; a value over it is a usage error that writes no file.
+calibration's trials, a build's geometry) is checked against
+:data:`_MEMORY_BUDGET` before anything is allocated; a value over it is a
+usage error that writes no file.  A sweep refuses a grid wider than
+``--n-idft`` before it builds.
 
 ``build-interlace``, the ``eval-papr``/``eval-cm`` sweeps and ``reproduce
 papr|cm`` read their schemes from :data:`csinterlace.interlace.SCHEMES`:
@@ -44,8 +46,8 @@ from .golay import (
 from .interlace import PILOT_PHASE, SCHEMES, InterlaceConfig, payload_phase, rb_values
 from .linksim import _SNR_LIMIT, CHANNELS, CalibrationError, SimConfig, run_sim
 from .linksim import SCHEMES as SIM_SCHEMES
-from .metrics import _SYNTH_ENTRIES, _XCORR_CHUNK_ROWS, _waveforms, ccdf, cm_db, papr_db
-from .metrics import xcorr_matrix
+from .metrics import _SYNTH_ENTRIES, _XCORR_CHUNK_ROWS, _idft_points, _waveforms, ccdf, cm_db
+from .metrics import papr_db, xcorr_matrix
 from .seqcore import _unique_keys, sequence_from_json
 from .setsearch import _REFINED_U, build_sets, verify_sets
 
@@ -54,15 +56,21 @@ DEFAULT_N_IDFT = 4096
 _MEMORY_BUDGET = 1 << 26  # complex entries (1 GiB) the arrays sized by one option may hold
 _CALIBRATION_ENTRIES = 2  # per calibration trial: statistic, finite copy, sort (3 floats)
 _SIM_CALIBRATION = 20_000  # calibration trials of the sim figures, at least
+_GEOMETRY = ("--nrb", "--nsc", "--nnull")
 
 
-def _check_budget(entries: int, option: str) -> None:
-    """Refuse an ``option`` value whose arrays hold more than
+def _check_budget(entries: int, *options: str) -> None:
+    """Refuse values of the ``options`` whose arrays hold more than
     :data:`_MEMORY_BUDGET` complex entries at once."""
     if entries > _MEMORY_BUDGET:
         raise click.BadParameter(
             f"needs {entries} complex entries, over the budget of {_MEMORY_BUDGET}",
-            param_hint=f"'{option}'")
+            param_hint=options)
+
+
+def _build_entries(cfg: InterlaceConfig, rows: int) -> int:
+    """Complex entries of ``rows`` constructions, f and g each on ``_combine_taps``'s dense grid."""
+    return 2 * rows * cfg.grid_size
 
 
 def _idft_entries(n_idft: int, rows: int) -> int:
@@ -176,6 +184,7 @@ def build_interlace(scheme, nrb, nsc, nnull, seq_index, shift, bits, value, out)
     entry = SCHEMES[scheme]
     with _refuse_bad_input():
         cfg = InterlaceConfig(nrb, nsc, nnull)
+        _check_budget(_build_entries(cfg, 1), *_GEOMETRY)
         members = entry.members(cfg, DEFAULT_N_IDFT)
         if not 0 <= seq_index < len(members):
             raise click.BadParameter(f"{seq_index} is outside [0, {len(members)}) for {scheme}",
@@ -220,7 +229,11 @@ def _sweep_command(name: str, column: int, label: str, doc: str) -> None:
         schemes = SCHEMES if scheme == "all" else (scheme,)
         _check_budget(_idft_entries(max(n_idft, _SYNTH_ENTRIES), 1), "--n-idft")  # one batch
         with _refuse_bad_input():
-            rows = _metric_sweep(InterlaceConfig(nrb, nsc, nnull), schemes, n_idft)
+            cfg = InterlaceConfig(nrb, nsc, nnull)
+            _idft_points(n_idft, cfg.grid_size)
+            stack = max(len(SCHEMES[name].resources(cfg)) for name in schemes)
+            _check_budget(_build_entries(cfg, stack), *_GEOMETRY)
+            rows = _metric_sweep(cfg, schemes, n_idft)
         _write_csv(out, _SWEEP_HEADER, rows)
         _write_manifest(out, [out])
         worst = max(r[column] for r in rows)

@@ -8,33 +8,31 @@ and the 1 % DTX-to-ACK target are fixed.  Outcomes are the integer codes
 interlace of :data:`csinterlace.interlace.SCHEMES` with the scheme's one-bit
 resources; a ``single-rb-`` form sends the first block of that interlace.
 
-The detectors see the received grid only through two statistics per block
-and antenna, which the simulator draws in place of the grid (the
-sufficient-statistic reduction).  With gain g and unit-power tone noise,
-non-coherent: the correlations with the NACK and ACK transmissions,
-independent CN(amp·n_sc·g·[that one sent], n_sc) as the two are orthogonal
-with energy n_sc in every block; coherent, over the n_p = n_sc/2 pilot and
-data tones: the mean of received/reference, CN(amp·g, 1/n_p), and the sum
-of received·conj(reference), CN(n_p·amp·g·φ, n_p) for payload phase φ, as
-the reference tones have unit modulus.  ``_build_signals`` checks both.
-
-``scores(stats) -> (scores, energy)`` gives NACK and ACK scores (2, B) and
-an energy (B,).  The non-coherent detector adds the squared correlations
-per block (iid fading) or squares their sums over the blocks (flat), and
-its energy is the larger score; the coherent one estimates the channel by
-the pilot mean of each block (iid) or of the grid (flat), combines the data
-sums with maximum-ratio weights into one soft symbol z, scores z against
-the two payload phases, and its energy is |z|².  A decision is the better
-score (NACK on a tie), or DTX below an energy threshold set on noise-only
-trials, where a trial claims ACK when the ACK score is at least the NACK
-score, to fix the DTX-to-ACK rate.
+The simulator draws what the detectors decide on, not the grid.  The n_blk
+blocks fade in G groups of b = n_blk/G with one unit-power gain g per group
+and antenna (G = 1 when flat, n_blk under ``iid_per_rb``); the tone noise
+has unit power and the tones amplitude amp.  Non-coherent: a group's
+correlations with the NACK and ACK transmissions are independent
+CN(amp·b·n_sc·g·[that one sent], b·n_sc), the two being orthogonal with
+energy n_sc in every block, so their squares added over groups and
+antennas, the NACK and ACK scores, are v·Gamma(G·n_rx) with v =
+b·n_sc·(1 + amp²·b·n_sc) for the one sent and b·n_sc for the other; the
+energy is the larger score.  Coherent, over the b·n_p pilot and data tones
+of a group (n_p = n_sc/2): the mean of received/reference, CN(amp·g,
+1/(b·n_p)), and the sum of received·conj(reference), CN(b·n_p·amp·g·φ,
+b·n_p) for payload phase φ, the reference having unit modulus; the pilot
+means weight the data sums into one soft symbol z, scored against the two
+payload phases, of energy |z|².  ``_build_signals`` checks both laws.  A
+decision is the better score (NACK on a tie), or DTX below an energy
+threshold set on noise-only trials, where a trial claims ACK when the ACK
+score is at least the NACK score, to fix the DTX-to-ACK rate.
 
 Randomness is counter-based (Salmon et al., SC'11): each block of
 ``_KEY_BLOCK`` trials is drawn whole from a Philox stream keyed by
 (rng_seed, snr index, hypothesis, key-block index), so no trial depends on
-batching or on the trial count.  The statistics use real +, - and × only,
-correctly rounded in every SIMD kernel, and sum blocks and antennas in a
-fixed order, so reports do not depend on the CPU's kernels.
+batching or on the trial count.  The variates come from numpy's scalar
+samplers and the statistics use real +, - and × only, summed in a fixed
+order, so reports do not depend on the CPU's SIMD kernels.
 
 Energy normalization: ``equal_total`` gives every scheme the same total
 symbol energy as the reference interlace (single-block schemes then put ten
@@ -48,7 +46,7 @@ import csv
 import math
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
-from typing import ClassVar
+from typing import ClassVar, Iterator
 
 import numpy as np
 
@@ -143,49 +141,57 @@ class SimReport:
             writer.writerows([f"{v:.9g}" for v in astuple(p)] for p in self.points)
 
 
-def _ordered_sum(x: np.ndarray) -> np.ndarray:
-    """Sum over the first axis, one slice at a time in index order, so that
-    the bits do not depend on the reduction kernel numpy picks."""
-    total = x[0].copy()
-    for part in x[1:]:
-        total += part
-    return total
-
-
 @dataclass(frozen=True, eq=False)
 class _Noncoherent:
-    """Adds the squared NACK and ACK correlations of every block (iid
-    fading), or squares their sums over the blocks (flat)."""
+    """The NACK and ACK scores, squared correlations added over ``shape`` =
+    G·n_rx groups and antennas: v·Gamma(shape) with v = n·(1 + amp²·n) for
+    the transmission sent and v = ``n`` = b·n_sc otherwise."""
 
-    per_block: bool
+    shape: int
+    n: int
+
+    def draw(self, gen: np.random.Generator, amp: float, sent: int | None) -> np.ndarray:
+        power = np.full(2, float(self.n))
+        if sent is not None:
+            power[sent] += amp * amp * self.n * self.n
+        return gen.standard_gamma(self.shape, (2, _KEY_BLOCK)) * power[:, None]
 
     def scores(self, stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        re, im = stats  # (blocks, rx, 2, B): the NACK and ACK correlations
-        if not self.per_block:
-            re, im = _ordered_sum(re), _ordered_sum(im)
-        power = re * re + im * im
-        scores = _ordered_sum(power.reshape(-1, *power.shape[-2:]))
-        return scores, np.maximum(scores[NACK], scores[ACK])
+        return stats, np.maximum(stats[NACK], stats[ACK])
 
 
 @dataclass(frozen=True, eq=False)
 class _Coherent:
-    """Channel estimates from the pilot means, maximum-ratio combining of the
-    data sums into one soft symbol z, scored against the NACK and ACK
-    payload phases."""
+    """Pilot means as maximum-ratio weights of the data sums in one soft
+    symbol z, scored against the NACK and ACK payload phases."""
 
     phases: np.ndarray  # (2,) payload phases in NACK, ACK order
-    per_block: bool  # one estimate per block (iid fading) or one for the grid (flat)
+    shape: tuple[int, int]  # fading groups, antennas
+    # Statistic r of a group sending s: CN(amp * gain * mean[s, r], noise_std[r] ** 2).
+    mean: np.ndarray  # (2, 2) complex
+    noise_std: np.ndarray  # (2,)
+
+    def draw(self, gen: np.random.Generator, amp: float, sent: int | None) -> np.ndarray:
+        """(re/im, group, rx, row, trial): all the gains, then the noise, each re before im."""
+        if sent is not None:
+            gains = gen.standard_normal((2, *self.shape, 1, _KEY_BLOCK))
+            gains *= amp / np.sqrt(2.0)
+        stats = gen.standard_normal((2, *self.shape, 2, _KEY_BLOCK))
+        stats *= (self.noise_std / np.sqrt(2.0))[:, None]
+        if sent is not None:  # amp * gain * mean[sent], in real arithmetic
+            (g_re, g_im), mean = gains, self.mean[sent][:, None]
+            stats[0] += mean.real * g_re - mean.imag * g_im
+            stats[1] += mean.real * g_im + mean.imag * g_re
+        return stats
 
     def scores(self, stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # Pilot means (the channel estimates) and data sums, (blocks, rx, B) each.
+        # Pilot means (the channel estimates) and data sums, (groups, rx, B) each.
         (est_re, data_re), (est_im, data_im) = stats.transpose(0, 3, 1, 2, 4)
-        if not self.per_block:  # the mean over every pilot of the grid
-            est_re, est_im = _ordered_sum(est_re) / len(est_re), _ordered_sum(est_im) / len(est_im)
-        n_trials = stats.shape[-1]
-        # z = sum of conj(estimate) * data over blocks and antennas.
-        z_re = _ordered_sum((est_re * data_re + est_im * data_im).reshape(-1, n_trials))
-        z_im = _ordered_sum((est_re * data_im - est_im * data_re).reshape(-1, n_trials))
+        # z = sum of conj(estimate) * data over groups and antennas, added in index order by
+        # Python's sum, so that the bits do not depend on numpy's reduction kernels.
+        terms = np.stack([est_re * data_re + est_im * data_im, est_re * data_im - est_im * data_re],
+                         axis=2).reshape(-1, 2, stats.shape[-1])
+        z_re, z_im = sum(terms[1:], terms[0])
         # Re(z * conj(phase)) per phase, and |z|^2.
         scores = self.phases.real[:, None] * z_re + self.phases.imag[:, None] * z_im
         return scores, z_re * z_re + z_im * z_im
@@ -194,28 +200,22 @@ class _Coherent:
 @dataclass(frozen=True, eq=False)
 class _SchemeSignals:
     tx: np.ndarray  # (2, tones): NACK and ACK values on the occupied tones
-    n_blocks: int
     detector: _Noncoherent | _Coherent
-    # Statistic r of a trial sending s: CN(amp * gain * mean[s, r], noise_std[r] ** 2).
-    mean: np.ndarray  # (2, 2) complex
-    noise_std: np.ndarray  # (2,)
 
 
 def _build_signals(cfg: SimConfig) -> _SchemeSignals:
-    """The NACK and ACK transmissions of member 0 of the scheme, its
-    detector (the coherent one for a scheme with pilot tones) and the law
-    of the detector's statistics; ``ValueError`` if the scheme breaks what
-    that law rests on."""
+    """The NACK and ACK transmissions of member 0 of the scheme and its
+    detector (coherent for a scheme with pilot tones), with the law of its
+    statistics; ``ValueError`` if the scheme breaks what that law rests on."""
     scheme = interlace.SCHEMES[cfg.scheme.removeprefix("single-rb-")]
     geometry = InterlaceConfig(cfg.n_rb, cfg.n_sc, cfg.n_null)
-    member = scheme.members(geometry)[0]
-    per_block = cfg.channel != "flat"
-
     resources = [(PILOT_PHASE, bit) if scheme.pilot_tones else bit for bit in scheme.one_bit]
-    tx = scheme.build(geometry, member, resources)
+    tx = scheme.build(geometry, scheme.members(geometry)[0], resources)
     if cfg.scheme.startswith("single-rb-"):  # the first block of the interlace
         tx = tx[:, : cfg.n_sc]
     n_blocks = tx.shape[1] // cfg.n_sc
+    groups = 1 if cfg.channel == "flat" else n_blocks
+    pool = n_blocks // groups  # blocks that fade as one gain: b
 
     if not scheme.pilot_tones:
         templates = tx.reshape(2, n_blocks, cfg.n_sc)
@@ -223,17 +223,16 @@ def _build_signals(cfg: SimConfig) -> _SchemeSignals:
         if np.max(np.abs(gram - cfg.n_sc * np.eye(2))) > _ROUNDING * cfg.n_sc:
             raise ValueError(f"{cfg.scheme}: NACK and ACK are not orthogonal with energy "
                              f"{cfg.n_sc} in every block")
-        return _SchemeSignals(tx, n_blocks, _Noncoherent(per_block),
-                              cfg.n_sc * np.eye(2, dtype=complex), np.full(2, np.sqrt(cfg.n_sc)))
+        return _SchemeSignals(tx, _Noncoherent(groups * cfg.n_rx, pool * cfg.n_sc))
 
     if np.max(np.abs(np.abs(tx) - 1.0)) > _ROUNDING:
         raise ValueError(f"{cfg.scheme}: the reference tones are not of unit modulus")
     # Pilots on the even tones of each block, data on the odd ones.
     phases = np.array(scheme.one_bit)  # NACK, ACK
-    n_p = cfg.n_sc // 2
+    n_p = pool * (cfg.n_sc // 2)
     mean = np.stack([np.ones(2), n_p * phases], axis=1)  # pilot mean, data sum
     noise_std = np.array([1.0 / np.sqrt(n_p), np.sqrt(n_p)])
-    return _SchemeSignals(tx, n_blocks, _Coherent(phases, per_block), mean, noise_std)
+    return _SchemeSignals(tx, _Coherent(phases, (groups, cfg.n_rx), mean, noise_std))
 
 
 def _tone_amplitude(cfg: SimConfig, signals: _SchemeSignals, snr_db: float) -> float:
@@ -243,40 +242,25 @@ def _tone_amplitude(cfg: SimConfig, signals: _SchemeSignals, snr_db: float) -> f
     return float(np.sqrt(es))
 
 
-def _batches(n: int) -> list[range]:
+def _batches(n: int) -> Iterator[range]:
     step = -(-_CHUNK // _KEY_BLOCK) * _KEY_BLOCK  # _CHUNK trials in whole key blocks
-    return [range(start, min(start + step, n)) for start in range(0, n, step)]
+    return (range(start, min(start + step, n)) for start in range(0, n, step))
 
 
 def _draw_statistics(cfg: SimConfig, signals: _SchemeSignals, snr_idx: int, hyp: int,
                      trials: range, amp: float, sent: int | None) -> np.ndarray:
-    """Detector statistics (re/im, block, rx, row, trial) of a range of
-    trials; ``sent`` is NACK or ACK, or None for noise only.
-
-    A key block's stream gives the gains of all its trials (per block and
-    antenna, or per antenna on a flat channel), then the noise, real parts
-    before imaginary ones, each a standard normal scaled by 1/sqrt(2).
-    """
-    groups = 1 if cfg.channel == "flat" else signals.n_blocks
-    shape = (signals.n_blocks, cfg.n_rx, 2, _KEY_BLOCK)
-    noise_scale = (signals.noise_std / np.sqrt(2.0))[:, None]
-    mean_re, mean_im = signals.mean.real[:, :, None], signals.mean.imag[:, :, None]
-    key = np.array([cfg.rng_seed, 0], dtype=np.uint64)
-    stream = (snr_idx << 48) | (hyp << 40)
+    """The detector's statistics of a range of trials, trial last; ``sent``
+    is NACK or ACK, or None for noise only.  One Philox is re-keyed for
+    each key block: counter 0 and an empty buffer, as a new one."""
+    bit_generator = np.random.Philox(0)
+    gen, state = np.random.Generator(bit_generator), bit_generator.state
+    key = state["state"]["key"]
+    key[0], stream = cfg.rng_seed, (snr_idx << 48) | (hyp << 40)
     blocks = []
     for block in range(trials.start // _KEY_BLOCK, -(-trials.stop // _KEY_BLOCK)):
         key[1] = stream | block
-        gen = np.random.Generator(np.random.Philox(key=key))
-        if sent is not None:
-            gains = gen.standard_normal((2, groups, cfg.n_rx, 1, _KEY_BLOCK))
-            gains *= amp / np.sqrt(2.0)
-        stats = gen.standard_normal((2, *shape))
-        stats *= noise_scale
-        if sent is not None:  # amp * gain * mean[sent], in real arithmetic
-            g_re, g_im = gains
-            stats[0] += mean_re[sent] * g_re - mean_im[sent] * g_im
-            stats[1] += mean_re[sent] * g_im + mean_im[sent] * g_re
-        blocks.append(stats)
+        bit_generator.state = state
+        blocks.append(signals.detector.draw(gen, amp, sent))
     offset = trials.start % _KEY_BLOCK
     return np.concatenate(blocks, axis=-1)[..., offset : offset + len(trials)]
 
@@ -309,8 +293,7 @@ def calibrate_dtx_threshold(cfg: SimConfig, signals: _SchemeSignals | None = Non
     claims, or when the achieved rate misses the target by more than 10 %
     relative.  ``signals``, built from ``cfg`` if not given, are run_sim's.
     """
-    target = cfg.dtx_target
-    n = cfg.calibration_trials
+    target, n = cfg.dtx_target, cfg.calibration_trials
     signals = _build_signals(cfg) if signals is None else signals
     stats = np.empty(n)
     for trials in _batches(n):

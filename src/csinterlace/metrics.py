@@ -20,14 +20,18 @@ import numpy as np
 _SYNTH_ENTRIES = 1 << 14  # dense entries per synthesis batch, but one row at least
 
 
+def _idft_points(n_idft: int, grid_size: int) -> int:
+    """``n_idft`` as an int; ``ValueError`` unless it is a power of two covering the grid."""
+    n_idft = int(n_idft)
+    if n_idft < grid_size or n_idft & (n_idft - 1):
+        raise ValueError("n_idft must cover the spectrum grid and be a power of two")
+    return n_idft
+
+
 def _waveforms(indices: np.ndarray, rows: np.ndarray, grid_size: int, n_idft: int):
     """Yield :func:`synthesize` of each row of values on the ``indices`` of a ``grid_size``
     grid, one inverse FFT per batch: 4 rows at 4096 points (more only add memory), 1 at 2**14."""
-    n_idft = int(n_idft)
-    if n_idft < grid_size:
-        raise ValueError("n_idft must cover the spectrum grid")
-    if n_idft & (n_idft - 1):
-        raise ValueError("n_idft must be a power of two")
+    n_idft = _idft_points(n_idft, grid_size)
     step = max(1, _SYNTH_ENTRIES // n_idft)
     for start in range(0, len(rows), step):
         waves = np.zeros((min(step, len(rows) - start), n_idft), dtype=complex)

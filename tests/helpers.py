@@ -10,11 +10,14 @@ autocorrelations are summed term by term to vouch for ``seqcore``'s
 autocorrelation kernel, and the pair library is enumerated from the full
 table of all canonical autocorrelation keys, with no spectral
 filter, to vouch for the filtered enumeration.  The link simulator draws
-only its detectors' statistics; full received grids are built here trial
-by trial, with explicit loops over blocks, antennas and tones, and a scalar
-reference receiver scores them, to vouch for the detectors on the grids'
-projection onto the statistics; the same projection of the grid model
-gives the statistics' covariance, to vouch for the draws.
+only what its detectors decide on: the non-coherent scores and the coherent
+statistics pooled per fading group.  Full received grids are built here
+trial by trial, with explicit loops over blocks, antennas and tones, and a
+scalar reference receiver scores them, to vouch for the detectors on the
+grids' projection onto those statistics; the same projection of the grid
+model gives the statistics' covariance, to vouch for the draws, and the
+non-coherent error rates have closed forms, computed with ``math`` alone,
+to vouch for ``run_sim``.
 ``EXPECTED`` holds the output digests that ``perfbench/expected.json``
 records for the benchmark, and :func:`load_bench_checks` imports the
 benchmark's ``checks.py``.
@@ -23,6 +26,7 @@ benchmark's ``checks.py``.
 import hashlib
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -320,34 +324,45 @@ def reference_receiver(grids, tx, n_blocks, coherent, per_block):
     return scores, energy
 
 
-def project_statistics(grids, tx, n_blocks, phases=None):
+def pooled_statistics(grids, tx, groups, phases=None):
     """Received grids (trials, tones, rx) projected onto the link
-    simulator's detector statistics, in its layout (re/im, block, rx, row,
-    trial).  Non-coherent (no ``phases``): the correlations of each block
-    with ``tx[NACK]`` and ``tx[ACK]``.  Coherent: the mean of
-    received·conj(reference) over the even local tones of each block and
-    its sum over the odd ones, the reference being ``tx[NACK]`` with the
-    NACK payload phase taken off its data tones."""
+    simulator's statistics per fading group of equally many consecutive
+    blocks, complex (trials, group, rx, row).  Non-coherent (no
+    ``phases``): the correlations of each group with ``tx[NACK]`` and
+    ``tx[ACK]``.  Coherent: the mean of received·conj(reference) over the
+    even local tones of a group's blocks and its sum over the odd ones, the
+    reference being ``tx[NACK]`` with the NACK payload phase taken off its
+    data tones."""
     n_trials, _, n_rx = grids.shape
-    blocks = grids.reshape(n_trials, n_blocks, -1, n_rx)
+    blocks = grids.reshape(n_trials, groups, -1, n_rx)  # a group's tones in block order
     if phases is None:
-        rows = np.einsum("bksa,cks->kacb", blocks, np.conj(tx.reshape(2, n_blocks, -1)))
-    else:
-        reference = tx[NACK].copy()
-        reference[1::2] *= np.conj(phases[NACK])
-        derotated = blocks * np.conj(reference.reshape(n_blocks, -1))[None, :, :, None]
-        rows = np.stack([derotated[:, :, 0::2].mean(axis=2), derotated[:, :, 1::2].sum(axis=2)])
-        rows = rows.transpose(2, 3, 0, 1)
+        return np.einsum("bgsa,cgs->bgac", blocks, np.conj(tx.reshape(2, groups, -1)))
+    reference = tx[NACK].copy()
+    reference[1::2] *= np.conj(phases[NACK])
+    derotated = blocks * np.conj(reference.reshape(groups, -1))[None, :, :, None]
+    rows = [derotated[:, :, 0::2].mean(axis=2), derotated[:, :, 1::2].sum(axis=2)]
+    return np.stack(rows, axis=-1)
+
+
+def project_statistics(grids, tx, groups, phases=None):
+    """:func:`pooled_statistics` in the simulator's form: the NACK and ACK
+    scores (row, trial), the squared correlations added over the groups and
+    antennas, or the coherent statistics (re/im, group, rx, row, trial)."""
+    pooled = pooled_statistics(grids, tx, groups, phases)
+    if phases is None:
+        return (pooled.real ** 2 + pooled.imag ** 2).sum(axis=(1, 2)).T
+    rows = pooled.transpose(1, 2, 3, 0)
     return np.stack([rows.real, rows.imag])
 
 
-def statistics_covariance(tx, n_blocks, n_rx, phases, flat, amp, sent):
-    """E[s s^H] of one trial's complex statistics s, flattened from (block,
-    rx, row), under the grid model: unit-power white noise on every tone and
-    antenna, plus ``amp * gain * tx[sent]`` (unless ``sent`` is None) with
-    independent unit-power gains per block and antenna, or per antenna when
-    ``flat``.  The statistics are linear in the grid, so every independent
-    unit-power term adds the outer product of its projection."""
+def statistics_covariance(tx, n_blocks, n_rx, groups, phases, flat, amp, sent):
+    """E[s s^H] of one trial's complex :func:`pooled_statistics` s,
+    flattened from (group, rx, row), under the grid model: unit-power white
+    noise on every tone and antenna, plus ``amp * gain * tx[sent]`` (unless
+    ``sent`` is None) with independent unit-power gains per block and
+    antenna, or per antenna when ``flat``.  The statistics are linear in the
+    grid, so every independent unit-power term adds the outer product of its
+    projection."""
     n_tones = tx.shape[1]
     n_sc = n_tones // n_blocks
     terms = list(np.eye(n_tones * n_rx, dtype=complex).reshape(-1, n_tones, n_rx))
@@ -358,9 +373,101 @@ def statistics_covariance(tx, n_blocks, n_rx, phases, flat, amp, sent):
                 grid = np.zeros((n_tones, n_rx), dtype=complex)
                 grid[tones, ant] = amp * tx[sent, tones]
                 terms.append(grid)
-    stats = project_statistics(np.array(terms), tx, n_blocks, phases)
-    projected = (stats[0] + 1j * stats[1]).reshape(-1, len(terms))
+    projected = pooled_statistics(np.array(terms), tx, groups, phases)
+    projected = projected.reshape(len(terms), -1).T
     return projected @ projected.conj().T
+
+
+def score_cumulants(covariance, row):
+    """Mean, variance and fourth cumulant of the squared magnitudes of the
+    ``row`` statistics (every other entry of a (group, rx, row) flattening)
+    added up, for circular Gaussian statistics of this covariance: a sum of
+    independent exponentials whose means are the eigenvalues of the row's
+    covariance, of cumulants (m - 1)! * sum(eigenvalue ** m)."""
+    eig = np.linalg.eigvalsh(covariance[row::2, row::2])
+    return float(np.sum(eig)), float(np.sum(eig ** 2)), 6.0 * float(np.sum(eig ** 4))
+
+
+def two_sample_ks(x, y) -> tuple[float, float]:
+    """The two-sample Kolmogorov-Smirnov statistic of samples x and y, and
+    its asymptotic p-value, from Kolmogorov's series (Smirnov 1948)."""
+    x, y = np.sort(x), np.sort(y)
+    both = np.concatenate([x, y])
+    gap = (np.searchsorted(x, both, side="right") / x.size
+           - np.searchsorted(y, both, side="right") / y.size)
+    d = float(np.max(np.abs(gap)))
+    lam = d * math.sqrt(x.size * y.size / (x.size + y.size))
+    p = 2.0 * sum((-1) ** (k - 1) * math.exp(-2.0 * k * k * lam * lam) for k in range(1, 101))
+    return d, min(1.0, max(0.0, p))
+
+
+def _poisson(j: int, u: float) -> float:
+    """P(Poisson(u) = j)."""
+    return math.exp(j * math.log(u) - u - math.lgamma(j + 1)) if u > 0 else float(j == 0)
+
+
+def gamma_sf(shape: int, u: float) -> float:
+    """P(Gamma(shape) >= u) for integer shape: P(Poisson(u) < shape)."""
+    return sum(_poisson(j, u) for j in range(shape))
+
+
+def gamma_cdf(shape: int, u: float) -> float:
+    """P(Gamma(shape) < u) for integer shape: P(Poisson(u) >= shape), the
+    positive series summed to convergence instead of 1 - :func:`gamma_sf`."""
+    total, j = 0.0, shape
+    while True:
+        term = _poisson(j, u)
+        total += term
+        if j > u and term <= 1e-17 * total:
+            return total
+        j += 1
+
+
+def _race_weight(shape: int, k: int, x: float, y: float) -> float:
+    """C(L + k - 1, k) p^L q^k with p = y/(x + y) and q = x/(x + y): the
+    weight of the k-th term of the race between x·Gamma(L) and y·Gamma(L)."""
+    log_c = math.lgamma(shape + k) - math.lgamma(shape) - math.lgamma(k + 1)
+    return math.exp(log_c + shape * math.log(y / (x + y)) + k * math.log(x / (x + y)))
+
+
+def win_probability(x: float, y: float, t: float, shape: int) -> float:
+    """P(X >= t, X > Y) for independent X ~ x·Gamma(L) and Y ~ y·Gamma(L),
+    integer L: the integral over s >= t of f_X(s)·P(Y < s), whose Poisson
+    series gives sum over k >= L of C(L + k - 1, k) p^L q^k P(Gamma(L + k) >=
+    t/x + t/y).  Every term is positive, summed until the weights' geometric
+    tail is below 1e-17 of the sum."""
+    u = t / x + t / y
+    sf, total, k = gamma_sf(2 * shape, u), 0.0, shape
+    while True:
+        weight = _race_weight(shape, k, x, y)
+        total += weight * sf
+        ratio = x / (x + y) * (shape + k) / (k + 1)  # the next weight over this one
+        if ratio < 1.0 and weight * ratio / (1.0 - ratio) <= 1e-17 * total:
+            return total
+        sf += _poisson(shape + k, u)  # P(Gamma(L + k + 1) >= u)
+        k += 1
+
+
+def loss_probability(x: float, y: float, t: float, shape: int) -> float:
+    """1 - :func:`win_probability` as positive terms: P(X < t) plus
+    P(X >= t, Y >= X), the finite sum over k < L."""
+    u = t / x + t / y
+    return gamma_cdf(shape, t / x) + sum(_race_weight(shape, k, x, y) * gamma_sf(shape + k, u)
+                                         for k in range(shape))
+
+
+def noncoherent_rates(n: int, shape: int, es: float, threshold: float) -> tuple[float, ...]:
+    """The DTX-to-ACK, NACK-to-ACK and ACK-miss probabilities of the
+    non-coherent detector at a threshold, from the scores' law: the score of
+    the transmission sent is a·Gamma(L) and the other b·Gamma(L), with a =
+    n(1 + n·Es) and b = n, n the tones combined coherently (n_sc per block
+    with iid fading, the whole grid when flat) and L the independent terms
+    added (blocks times antennas, or antennas).  An ACK is declared when
+    the ACK score beats the NACK score and reaches the threshold, so
+    P(ACK | ACK) = 1 - miss and P(ACK | NACK) = win(b, a)."""
+    a, b = n * (1.0 + n * es), float(n)
+    return (win_probability(b, b, threshold, shape), win_probability(b, a, threshold, shape),
+            loss_probability(a, b, threshold, shape))
 
 
 # (scheme, channel) of the small link-simulation reports pinned by digest.

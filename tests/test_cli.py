@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from csinterlace import cli, golay
+from csinterlace import cli, golay, interlace
 from csinterlace.cli import FIGURES, main
 from csinterlace.fixtures import reference_set_params
 from csinterlace.interlace import SCHEMES, InterlaceConfig, rb_values
@@ -272,6 +272,59 @@ class TestMemoryBudget:
         assert f"Invalid value for '{option}'" in result.output
         assert "over the budget of 1000" in result.output
         assert not out.exists()
+
+    def test_geometry_entries_count_the_dense_grid(self, monkeypatch):
+        # build-interlace --nnull 100000000, once a 26.8 GiB allocation in _combine_taps
+        assert cli._build_entries(InterlaceConfig(10, 12, 10**8), 1) > cli._MEMORY_BUDGET
+        assert cli._build_entries(InterlaceConfig(10, 12, 108), 16) < cli._MEMORY_BUDGET // 100
+        placed, combine = [], interlace._combine_taps
+        monkeypatch.setattr(interlace, "_combine_taps",
+                            lambda *args: placed.append(combine(*args)) or placed[-1])
+        cfg = InterlaceConfig(10, 12, 40)
+        for name in ("noncoherent", "noncoherent-adjacent", "coherent"):
+            scheme = SCHEMES[name]
+            resources = [r for _, r in scheme.resources(cfg)]
+            scheme.build(cfg, scheme.members(cfg)[0], resources)
+            assert placed[-1].size == cli._build_entries(cfg, len(resources))
+
+    def test_geometry_over_the_real_budget_is_refused_before_building(self, runner):
+        result = runner.invoke(main, ["build-interlace", "--nnull", "100000000"])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert "Invalid value for '--nrb' / '--nsc' / '--nnull'" in result.output
+        assert "over the budget" in result.output
+
+    @pytest.mark.parametrize("args, budget", [
+        (["build-interlace", "--nnull", "100"], 1000),
+        (["eval-papr", "--nnull", "300"], 4 * (1 << 14)),
+        (["eval-cm", "--scheme", "coherent", "--nnull", "300"], 4 * (1 << 14)),
+    ], ids=["build-interlace", "eval-papr", "eval-cm"])
+    def test_geometry_over_budget_is_a_usage_error(self, runner, tmp_path, monkeypatch,
+                                                   args, budget):
+        # 2 x 1 x 1020 entries of one build, or 2 x 16 x 2820 of a coherent stack,
+        # over budgets that admit one 2**14-point synthesis batch.
+        monkeypatch.setattr(cli, "_MEMORY_BUDGET", budget)
+        out = tmp_path / "out"
+        result = runner.invoke(main, [*args, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert "Invalid value for '--nrb' / '--nsc' / '--nnull'" in result.output
+        assert f"over the budget of {budget}" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval-papr", "eval-cm"])
+    @pytest.mark.parametrize("nnull", ["1000", "400000"])
+    def test_grid_wider_than_the_transform_is_refused_before_building(
+            self, runner, tmp_path, monkeypatch, command, nnull):
+        # --nnull 400000 once built a 659 MiB stack before the n_idft check refused it.
+        built = []
+        for name, scheme in list(SCHEMES.items()):
+            monkeypatch.setitem(SCHEMES, name, dataclasses.replace(
+                scheme, build=lambda *args, build=scheme.build: built.append(args) or build(*args)))
+        out = tmp_path / "out.csv"
+        result = runner.invoke(main, [command, "--nnull", nnull, "--out", str(out)])
+        assert result.exit_code == 1 and "n_idft must cover the spectrum grid" in result.output
+        assert built == [] and not out.exists()
 
     @pytest.mark.parametrize("args, option", [
         (["simulate-link", "--calibration-trials", "501", "--out", "{out}"],

@@ -43,13 +43,13 @@ def test_enumerate_12_warm_cache_matches_recorded_digest(enumerate_12_dir, tmp_p
 # ``helpers.sim_report_digest`` of ``helpers.sim_gate_report``.  Only a
 # change that declares a new random stream may change these.
 SIM_DIGESTS = {
-    ("noncoherent", "flat"): "fb5789d24b6b787ba3e5e3210f3bb6809f64d8ceba08af35b20db6270ec13c59",
+    ("noncoherent", "flat"): "006e541068316f76e375959831a1ec9253552e1f9e4e88b743f1d54f66b6a4a5",
     ("noncoherent", "iid_per_rb"):
-        "6d85b5a62e64435cb4c2b4c756b8e49e845998bc4a77bd3b735a3ce2311790db",
-    ("coherent", "flat"): "d0439319305aecede99124bd3a7b426a9d354eab06366d664554d0f8c5bb31a2",
+        "c871fc6a8e2e383fb8df222d21a8f7e4f616cc79d81101c5e77158a834bb45f1",
+    ("coherent", "flat"): "0028c87235947c085aad53472ffb12c84b627da28ac7f71fc8e44d9f37b132e1",
     ("coherent", "iid_per_rb"): "6b2820e2072b1477cbd7b6976c08e6a1112736639aed114fb7142af240614d5d",
     ("single-rb-noncoherent", "iid_per_rb"):
-        "26e19990f4bf4218361c7d52027a00f490cb8a07fac318b94a58fac74ce0874f",
+        "863f5eb30ad25eeaac69a20ebf843bd3f797ff658aa79e5c0c5b9eeaf34d554a",
     ("single-rb-coherent", "iid_per_rb"):
         "18546ab1d23903dcb289058699f13315edd972fbebe09243a56f28d47b58bc75",
 }

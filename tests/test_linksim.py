@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,11 +15,18 @@ from csinterlace.linksim import (
     run_sim,
 )
 from helpers import (
+    gamma_cdf,
+    gamma_sf,
     load_bench_checks,
+    loss_probability,
+    noncoherent_rates,
     project_statistics,
     received_grids_oracle,
     reference_receiver,
+    score_cumulants,
     statistics_covariance,
+    two_sample_ks,
+    win_probability,
 )
 
 checks = load_bench_checks()
@@ -135,11 +143,24 @@ class TestCalibration:
         assert rate == pytest.approx(0.01, abs=0.005)
 
 
-def statistics_of(grids, signals):
+def blocks_of(signals):
+    """The blocks of twelve tones that the transmissions occupy."""
+    return signals.tx.shape[1] // SimConfig.n_sc
+
+
+def groups_of(channel, signals):
+    """The fading groups of a channel: one for the grid, or one per block."""
+    return 1 if channel == "flat" else blocks_of(signals)
+
+
+def phases_of(signals):
+    """The coherent detector's payload phases, or None for the non-coherent one."""
+    return signals.detector.phases if isinstance(signals.detector, linksim._Coherent) else None
+
+
+def statistics_of(grids, signals, channel="iid_per_rb"):
     """Received grids (trials, tones, rx) projected onto the detector's statistics."""
-    coherent = isinstance(signals.detector, linksim._Coherent)
-    return project_statistics(grids, signals.tx, signals.n_blocks,
-                              signals.detector.phases if coherent else None)
+    return project_statistics(grids, signals.tx, groups_of(channel, signals), phases_of(signals))
 
 
 def decide_one(received, signals, threshold) -> int:
@@ -237,9 +258,10 @@ class TestOneBitResources:
 
 class TestReceivedBatch:
     """Noisy received grids, built trial by trial, projected onto the
-    statistics and scored by the detectors, against the scalar reference
-    receiver on the same grids, to rounding: the receive chain checked
-    without the simulator's random stream."""
+    scores or the pooled statistics and scored and decided by the
+    detectors, against the scalar reference receiver on the same grids, to
+    rounding: the receive chain checked without the simulator's random
+    stream."""
 
     @pytest.mark.parametrize("channel", linksim.CHANNELS)
     @pytest.mark.parametrize("scheme", linksim.SCHEMES)
@@ -250,38 +272,76 @@ class TestReceivedBatch:
         cfg = SimConfig(scheme=scheme, channel=channel, rng_seed=2**64 - 7)
         signals = linksim._build_signals(cfg)
         amp = linksim._tone_amplitude(cfg, signals, 4.0)
-        grids = received_grids_oracle(cfg.rng_seed, channel, signals.tx, signals.n_blocks,
+        grids = received_grids_oracle(cfg.rng_seed, channel, signals.tx, blocks_of(signals),
                                       cfg.n_rx, 3, hyp, range(90, 110), amp, sent)
-        scores, energy = signals.detector.scores(statistics_of(grids, signals))
+        stats = statistics_of(grids, signals, channel)
+        scores, energy = signals.detector.scores(stats)
         want_scores, want_energy = reference_receiver(
-            grids, signals.tx, signals.n_blocks,
+            grids, signals.tx, blocks_of(signals),
             coherent=isinstance(signals.detector, linksim._Coherent), per_block=channel != "flat")
         atol = 1e-12 * np.max(want_energy)
         np.testing.assert_allclose(scores.T, want_scores, rtol=1e-12, atol=atol)
         np.testing.assert_allclose(energy, want_energy, rtol=1e-12, atol=atol)
+        # A threshold midway between two energies puts trials on both sides.
+        ranked = np.sort(want_energy)
+        threshold = (ranked[9] + ranked[10]) / 2.0
+        want = np.where(want_energy < threshold, DTX, np.argmax(want_scores, axis=1))
+        assert linksim._decide(stats, signals.detector, threshold).tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("sent", [None, ACK])
 def test_draws_of_any_range_slice_whole_key_blocks(sent):
-    cfg = SimConfig(scheme="coherent", channel="iid_per_rb", rng_seed=9)
+    for scheme in ("coherent", "noncoherent"):
+        cfg = SimConfig(scheme=scheme, channel="iid_per_rb", rng_seed=9)
+        signals = linksim._build_signals(cfg)
+        whole = linksim._draw_statistics(cfg, signals, 1, linksim._HYP_ACK, range(3000), 2.0, sent)
+        for trials in (range(90, 110), range(990, 2010), range(2999, 3000)):
+            part = linksim._draw_statistics(cfg, signals, 1, linksim._HYP_ACK, trials, 2.0, sent)
+            assert np.array_equal(part, whole[..., trials.start:trials.stop])
+
+
+@pytest.mark.parametrize("scheme", ["coherent", "noncoherent"])
+def test_each_key_block_is_drawn_from_a_new_philox_of_its_key(scheme):
+    # The re-keyed generator gives the bytes of Philox(key=(seed, stream | block)).
+    cfg = SimConfig(scheme=scheme, channel="flat", rng_seed=2**64 - 3)
     signals = linksim._build_signals(cfg)
-    whole = linksim._draw_statistics(cfg, signals, 1, linksim._HYP_ACK, range(3000), 2.0, sent)
-    for trials in (range(90, 110), range(990, 2010), range(2999, 3000)):
-        part = linksim._draw_statistics(cfg, signals, 1, linksim._HYP_ACK, trials, 2.0, sent)
-        assert np.array_equal(part, whole[..., trials.start:trials.stop])
+    drawn = linksim._draw_statistics(cfg, signals, 5, linksim._HYP_NACK, range(3000), 1.5, NACK)
+    for block in range(3):
+        key = np.array([cfg.rng_seed, (5 << 48) | (linksim._HYP_NACK << 40) | block], np.uint64)
+        gen = np.random.Generator(np.random.Philox(key=key))
+        want = signals.detector.draw(gen, 1.5, NACK)
+        assert np.array_equal(drawn[..., block * 1000:(block + 1) * 1000], want)
+
+
+def test_taking_the_first_batch_allocates_no_list_of_batches():
+    tracemalloc.start()
+    try:
+        batches = linksim._batches(2**40 - 1)
+        first = next(iter(batches))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == range(0, 4000)
+    assert peak < 4096  # a list of every batch would hold 2**28 ranges
+
+
+HYPOTHESES = [(linksim._HYP_DTX, None), (linksim._HYP_NACK, NACK), (linksim._HYP_ACK, ACK)]
+NONCOHERENT = ["noncoherent", "single-rb-noncoherent"]
+COHERENT = ["coherent", "single-rb-coherent"]
 
 
 class TestStatisticDraws:
-    """The drawn statistics against the grid model projected onto them.
-    They are jointly circular Gaussian with zero mean, so the covariance is
-    their whole law, and each sample moment over n trials has standard
-    deviation at most sqrt(2 C_ii C_jj / n)."""
+    """The drawn statistics against the grid model projected onto the pooled
+    statistics of each fading group.  The coherent ones are jointly circular
+    Gaussian with zero mean, so the covariance is their whole law, and each
+    sample moment over n trials has standard deviation at most
+    sqrt(2 C_ii C_jj / n).  A non-coherent score adds the squared moduli of
+    such statistics: a sum of exponentials whose means are the eigenvalues
+    of their covariance."""
 
     @pytest.mark.parametrize("channel", linksim.CHANNELS)
-    @pytest.mark.parametrize("scheme", linksim.SCHEMES)
-    @pytest.mark.parametrize("hyp, sent", [
-        (linksim._HYP_DTX, None), (linksim._HYP_NACK, NACK), (linksim._HYP_ACK, ACK),
-    ])
+    @pytest.mark.parametrize("scheme", COHERENT)
+    @pytest.mark.parametrize("hyp, sent", HYPOTHESES)
     def test_second_moments_match_projected_grid_model(self, scheme, channel, hyp, sent):
         cfg = SimConfig(scheme=scheme, channel=channel, rng_seed=5)
         signals = linksim._build_signals(cfg)
@@ -289,14 +349,92 @@ class TestStatisticDraws:
         n = 4000
         stats = linksim._draw_statistics(cfg, signals, 2, hyp, range(n), amp, sent)
         drawn = (stats[0] + 1j * stats[1]).reshape(-1, n)
-        coherent = isinstance(signals.detector, linksim._Coherent)
-        want = statistics_covariance(signals.tx, signals.n_blocks, cfg.n_rx,
-                                     signals.detector.phases if coherent else None,
+        want = statistics_covariance(signals.tx, blocks_of(signals), cfg.n_rx,
+                                     groups_of(channel, signals), signals.detector.phases,
                                      channel == "flat", amp, sent)
         power = np.diag(want).real
         bound = 6.0 * np.sqrt(2.0 * np.outer(power, power) / n)
         assert np.all(np.abs(drawn @ drawn.conj().T / n - want) <= bound)
         assert np.all(np.abs(drawn @ drawn.T / n) <= bound)  # circular: no pseudo-covariance
+
+    @pytest.mark.parametrize("channel", linksim.CHANNELS)
+    @pytest.mark.parametrize("scheme", NONCOHERENT)
+    @pytest.mark.parametrize("hyp, sent", HYPOTHESES)
+    def test_scores_match_projected_grid_model(self, scheme, channel, hyp, sent):
+        # Mean within 6 sqrt(k2 / n), and variance within 6 sqrt((k4 + 2 k2^2) / n),
+        # the standard deviation of a sample variance; the two scores uncorrelated.
+        cfg = SimConfig(scheme=scheme, channel=channel, rng_seed=5)
+        signals = linksim._build_signals(cfg)
+        amp = linksim._tone_amplitude(cfg, signals, 3.0)
+        n = 4000
+        scores = linksim._draw_statistics(cfg, signals, 2, hyp, range(n), amp, sent)
+        covariance = statistics_covariance(signals.tx, blocks_of(signals), cfg.n_rx,
+                                           groups_of(channel, signals), None,
+                                           channel == "flat", amp, sent)
+        cumulants = [score_cumulants(covariance, row) for row in (NACK, ACK)]
+        for row, (mean, k2, k4) in zip((NACK, ACK), cumulants):
+            assert abs(np.mean(scores[row]) - mean) <= 6.0 * np.sqrt(k2 / n)
+            assert abs(np.var(scores[row]) - k2) <= 6.0 * np.sqrt((k4 + 2.0 * k2 * k2) / n)
+        cross = np.mean((scores[NACK] - cumulants[NACK][0]) * (scores[ACK] - cumulants[ACK][0]))
+        assert abs(cross) <= 6.0 * np.sqrt(cumulants[NACK][1] * cumulants[ACK][1] / n)
+
+    @pytest.mark.parametrize("channel", linksim.CHANNELS)
+    @pytest.mark.parametrize("scheme", NONCOHERENT)
+    @pytest.mark.parametrize("hyp, sent", [HYPOTHESES[0], HYPOTHESES[2]])
+    def test_scores_match_reference_receiver_in_law(self, scheme, channel, hyp, sent):
+        # Two-sample Kolmogorov-Smirnov at a fixed level of 1e-6: the drawn
+        # scores against the scalar receiver's on grids built trial by trial.
+        cfg = SimConfig(scheme=scheme, channel=channel, rng_seed=19)
+        signals = linksim._build_signals(cfg)
+        amp = linksim._tone_amplitude(cfg, signals, 3.0)
+        drawn = linksim._draw_statistics(cfg, signals, 4, hyp, range(4000), amp, sent)
+        grids = received_grids_oracle(cfg.rng_seed, channel, signals.tx, blocks_of(signals),
+                                      cfg.n_rx, 4, hyp, range(400), amp, sent)
+        want, _ = reference_receiver(grids, signals.tx, blocks_of(signals), coherent=False,
+                                     per_block=channel != "flat")
+        for row in (NACK, ACK):
+            assert two_sample_ks(drawn[row], want[:, row])[1] > 1e-6
+
+
+class TestAnalyticOracle:
+    """``run_sim``'s non-coherent rates at their calibrated threshold against
+    the closed forms of ``helpers.noncoherent_rates``, each inside the Wilson
+    interval at z = 5 of its count."""
+
+    def test_race_probabilities_are_complementary(self):
+        for x, y, t, shape in ((12.0, 500.0, 40.0, 2), (500.0, 12.0, 700.0, 20),
+                               (3.0, 3.0, 9.0, 1)):
+            total = win_probability(x, y, t, shape) + loss_probability(x, y, t, shape)
+            assert total == pytest.approx(1.0, abs=1e-13)
+            total = gamma_cdf(shape, t / x) + gamma_sf(shape, t / x)
+            assert total == pytest.approx(1.0, abs=1e-13)
+
+    @pytest.mark.parametrize("shape, scale, t", [
+        (20, 12.0, 400.0), (2, 120.0, 700.0), (2, 12.0, 1.0),
+    ])
+    def test_null_matches_the_benchmark_copy(self, shape, scale, t):
+        got = win_probability(scale, scale, t, shape)
+        assert got == pytest.approx(checks.null_false_ack(t, shape, scale), rel=1e-9, abs=1e-15)
+
+    @pytest.mark.parametrize("scheme, channel", [
+        ("noncoherent", "flat"), ("noncoherent", "iid_per_rb"),
+        ("single-rb-noncoherent", "iid_per_rb"),
+    ])
+    def test_run_sim_rates_match_closed_forms(self, scheme, channel):
+        cfg = SimConfig(scheme=scheme, channel=channel, n_trials=20_000,
+                        calibration_trials=20_000, snr_grid_db=(-13.0, -10.0, -7.0), rng_seed=23)
+        report = run_sim(cfg)
+        blocks = 1 if scheme.startswith("single-rb-") else cfg.n_rb
+        # Tones combined coherently and independent terms added, per score.
+        flat = channel == "flat"
+        n, shape = (blocks * cfg.n_sc, cfg.n_rx) if flat else (cfg.n_sc, blocks * cfg.n_rx)
+        for point in report.points:
+            es = 10.0 ** (point.snr_db / 10.0) * cfg.n_rb / blocks  # equal total energy
+            want = noncoherent_rates(n, shape, es, report.threshold)
+            got = (point.dtx_to_ack, point.nack_to_ack, point.ack_miss)
+            for rate, p in zip(got, want):
+                lo, hi = checks.wilson_interval(round(rate * cfg.n_trials), cfg.n_trials, z=5.0)
+                assert lo <= p <= hi, (point.snr_db, got, want)
 
 
 class TestDtxNull:
