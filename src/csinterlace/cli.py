@@ -43,7 +43,7 @@ from .golay import (
     read_library,
     write_library,
 )
-from .interlace import PILOT_PHASE, SCHEMES, InterlaceConfig, payload_phase, rb_values
+from .interlace import PILOT_PHASE, SCHEMES, InterlaceConfig, payload_phase
 from .linksim import _SNR_LIMIT, CHANNELS, CalibrationError, SimConfig, run_sim
 from .linksim import SCHEMES as SIM_SCHEMES
 from .metrics import _SYNTH_ENTRIES, _XCORR_CHUNK_ROWS, _idft_points, _waveforms, ccdf, cm_db
@@ -56,7 +56,7 @@ DEFAULT_N_IDFT = 4096
 _MEMORY_BUDGET = 1 << 26  # complex entries (1 GiB) the arrays sized by one option may hold
 _CALIBRATION_ENTRIES = 2  # per calibration trial: statistic, finite copy, sort (3 floats)
 _SIM_CALIBRATION = 20_000  # calibration trials of the sim figures, at least
-_GEOMETRY = ("--nrb", "--nsc", "--nnull")
+_GEOMETRY = ("--nrb", "--nsc")  # a build holds its support alone
 
 
 def _check_budget(entries: int, *options: str) -> None:
@@ -69,8 +69,8 @@ def _check_budget(entries: int, *options: str) -> None:
 
 
 def _build_entries(cfg: InterlaceConfig, rows: int) -> int:
-    """Complex entries of ``rows`` constructions, f and g each on ``_combine_taps``'s dense grid."""
-    return 2 * rows * cfg.grid_size
+    """Complex entries of ``rows`` constructions, f and g each on the n_rb * n_sc support."""
+    return 2 * rows * cfg.n_rb * cfg.n_sc
 
 
 def _idft_entries(n_idft: int, rows: int) -> int:
@@ -270,14 +270,13 @@ def _read_sequences(path: Path) -> list[np.ndarray]:
     return sequences
 
 
-# ``eval-xcorr --set``: the first or second members of the reference pairs,
-# or the ZC set of ``SCHEMES["zc"]`` (ranked at the command's ``n_idft``)
-# as per-block slices, since the cross-correlation that matters for
-# interference is block by block and every ZC block differs.
+# ``eval-xcorr --set``: the first or second members of the reference pairs, or the ZC set of
+# ``SCHEMES["zc"]`` (ranked at the command's ``n_idft``) as per-block rows, since the
+# cross-correlation that matters for interference is block by block and every ZC block differs.
 _XCORR_SETS = {
     "reference-c": lambda cfg, n_idft: [p.a for p in load_reference_pairs()],
     "reference-d": lambda cfg, n_idft: [p.b for p in load_reference_pairs()],
-    "zc": lambda cfg, n_idft: [rb_values(s, cfg) for s in SCHEMES["zc"].members(cfg, n_idft)],
+    "zc": lambda cfg, n_idft: SCHEMES["zc"].members(cfg, n_idft).reshape(-1, cfg.n_rb, cfg.n_sc),
 }
 
 

@@ -10,6 +10,10 @@ so every output waveform inherits the 3 dB peak-power bound.  A member is
 built for all its resources as one stack, each row certified once by the
 block fold of :mod:`csinterlace.seqcore`.
 
+A construction is built on its support alone, as the same construction with no
+nulls (tone t of block q at q * n_sc + t); only the fold and synthesis see the
+block spacing, so a build's time and memory follow its support, not the grid.
+
 :data:`SCHEMES` maps the name of each scheme (the two constructions, the
 adjacent variant, and the cycling and Zadoff-Chu baselines) to a
 :class:`Scheme`, which the command line and the link simulator read
@@ -54,6 +58,8 @@ class InterlaceConfig:
             raise ValueError("n_sc must be >= 2")
         if self.n_null < 0:
             raise ValueError("n_null must be >= 0")
+        if self.grid_size > 2**63:  # the last tone index must fit in int64
+            raise ValueError(f"grid of {self.grid_size} tones exceeds 64-bit tone indices")
 
     @property
     def rb_spacing(self) -> int:
@@ -101,18 +107,6 @@ class SparseSpectrum:
         }
 
 
-def rb_values(spectrum: SparseSpectrum, cfg: InterlaceConfig) -> np.ndarray:
-    """Occupied values reshaped to one row per resource block.
-
-    Cross-correlation between schemes is compared block-by-block (a
-    neighbouring cell interferes on the same blocks), so metrics sweep the
-    rows of this matrix.
-    """
-    if spectrum.grid_size != cfg.grid_size or not np.array_equal(spectrum.indices, cfg.support()):
-        raise ValueError("spectrum does not occupy the configured interlace")
-    return spectrum.values.reshape(cfg.n_rb, cfg.n_sc)
-
-
 def payload_phase(bits: int, value: int) -> complex:
     """Data phase of a coherent 1- or 2-bit payload; the pilot coefficient
     stays :data:`PILOT_PHASE`.  One bit takes the antipodal phases
@@ -126,13 +120,11 @@ def payload_phase(bits: int, value: int) -> complex:
 
 def _certified_rows(cfg: InterlaceConfig, first: GolayPair, c, d, phases,
                     params: ConstructionParams, resources):
-    """The stacked f and g rows of :func:`combine_gcps` on the grid, one per resource, for
-    ``c``, ``d`` and ``phases`` given once or per row.  With no tap off the support, each
-    row is certified to :func:`is_gcp`'s 1e-9 by its block fold, or raises naming it."""
-    fg, support = _combine_taps(first, c, d, phases, params), cfg.support()
-    if fg.shape[2] != cfg.grid_size or np.count_nonzero(fg[:, :, support]) < np.count_nonzero(fg):
-        raise ValueError(f"construction of length {fg.shape[2]} spills off the interlace support")
-    sums = _folded_apac_sums(fg[:, :, support].reshape(2, -1, cfg.n_rb, cfg.n_sc), cfg.rb_spacing)
+    """The stacked f and g rows of :func:`combine_gcps` on ``cfg.support()``, one per resource,
+    for ``c``, ``d`` and ``phases`` given once or per row: the null-free construction, whose
+    blocks, folded at ``cfg.rb_spacing``, certify each row to 1e-9 or raise naming it."""
+    fg = _combine_taps(first, c, d, phases, params)
+    sums = _folded_apac_sums(fg.reshape(2, -1, cfg.n_rb, cfg.n_sc), cfg.rb_spacing)
     bad = np.flatnonzero(np.max(np.abs(sums), axis=1, initial=0.0) > _TOL)
     if bad.size:
         raise CertificationError(f"resource {resources[bad[0]]!r}: not complementary")
@@ -149,9 +141,8 @@ def _noncoherent_rows(cfg: InterlaceConfig, spread: GolayPair, rb_pair: GolayPai
         raise ValueError(f"block pair of length {rb_pair.length} needs as many tones per RB")
     members = np.stack([rb_pair.a, rb_pair.b])
     c, d = np.stack([_modulate(members, delta) for delta in deltas], axis=1)
-    spacing = cfg.rb_spacing
-    params = ConstructionParams(step1=(1 + adjacent) * spacing,
-                                offset=spacing if adjacent else spacing * cfg.n_rb // 2)
+    params = ConstructionParams(step1=(1 + adjacent) * cfg.n_sc,
+                                offset=cfg.n_sc if adjacent else cfg.n_sc * cfg.n_rb // 2)
     return _certified_rows(cfg, spread, c, d, (PILOT_PHASE, PILOT_PHASE), params, deltas)
 
 
@@ -163,7 +154,7 @@ def _coherent_rows(cfg: InterlaceConfig, spread: GolayPair, half_pair: GolayPair
     if half_pair.length != cfg.n_sc // 2:
         raise ValueError(f"half-block pair needs {2 * half_pair.length} tones per RB")
     columns = np.array([astuple(ConstructionParams(*pair))[:2] for pair in phases]).T  # checked
-    params = ConstructionParams(step1=cfg.rb_spacing, step2=2, offset=1)
+    params = ConstructionParams(step1=cfg.n_sc, step2=2, offset=1)
     return _certified_rows(cfg, spread, half_pair.a, half_pair.b, tuple(columns), params, phases)
 
 
@@ -180,30 +171,27 @@ def zc_sequence(root: int, total: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
-def zadoff_chu_set(cfg: InterlaceConfig, n_idft: int = 4096) -> tuple[SparseSpectrum, ...]:
-    """Baseline set: the 30 lowest-PAPR roots of the length-113 Zadoff-Chu
-    family, cyclically padded onto the interlace tones; ranked once per
-    ``(cfg, n_idft)`` and cached, so the spectra's arrays are read-only."""
+def zadoff_chu_set(cfg: InterlaceConfig, n_idft: int = 4096) -> np.ndarray:
+    """Baseline set: the 30 lowest-PAPR roots of the length-113 Zadoff-Chu family,
+    cyclically padded onto the interlace tones, as a (30, n_rb * n_sc) array of values
+    on ``cfg.support()``; ranked once per ``(cfg, n_idft)`` and cached, so read-only."""
     total = cfg.n_rb * cfg.n_sc
     if total != 120:
         raise ValueError("the length-113 baseline maps onto 120 occupied tones")
-    support = cfg.support()
     rows = np.stack([zc_sequence(root, total) for root in range(1, _ZC_LENGTH)])
-    paprs = [papr_db(wave) for wave in _waveforms(support, rows, cfg.grid_size, n_idft)]
+    paprs = [papr_db(wave) for wave in _waveforms(cfg.support(), rows, cfg.grid_size, n_idft)]
     kept = rows[np.argsort(paprs, kind="stable")[:_ZC_SET_SIZE]]  # ties in root order
-    support.setflags(write=False)
     kept.setflags(write=False)
-    return tuple(SparseSpectrum(support, values, cfg.grid_size) for values in kept)
+    return kept
 
 
-def cycling_baseline(cfg: InterlaceConfig, base) -> SparseSpectrum:
-    """Comparison scheme: block k carries the base sequence cyclically
-    shifted in time by k (progressive per-block modulation)."""
+def cycling_baseline(cfg: InterlaceConfig, base) -> np.ndarray:
+    """Comparison scheme on ``cfg.support()``: block k carries the base sequence
+    cyclically shifted in time by k (progressive per-block modulation)."""
     base = as_sequence(base)
     if base.size != cfg.n_sc:
         raise ValueError(f"base sequence of length {base.size} needs {base.size} tones per RB")
-    values = np.concatenate([_modulate(base, k) for k in range(cfg.n_rb)])
-    return SparseSpectrum(cfg.support(), values, cfg.grid_size)
+    return np.concatenate([_modulate(base, k) for k in range(cfg.n_rb)])
 
 
 @dataclass(frozen=True)
@@ -211,10 +199,10 @@ class Scheme:
     """One scheme of :data:`SCHEMES`.
 
     ``members(cfg, n_idft)``: the reference pairs, the coherent example as
-    one ``(spread, half-block pair)``, or the ZC spectra ranked by PAPR at
-    ``n_idft`` points.  ``build(cfg, member, resources)``: a member's values
-    on ``cfg.support()``, a row per cyclic shift, (pilot, data) phase pair
-    or, for a baseline, ``None``.  ``resources(cfg)`` lists a sweep's
+    one ``(spread, half-block pair)``, or the ZC set's rows ranked by PAPR
+    at ``n_idft`` points.  ``build(cfg, member, resources)``: a member's
+    values on ``cfg.support()``, a row per cyclic shift, (pilot, data) phase
+    pair or, for a baseline, ``None``.  ``resources(cfg)``: a sweep's
     ``(selector label, resource)`` pairs.  ``one_bit`` holds the NACK and
     ACK shifts of a one-bit payload or, with ``pilot_tones`` (pilots on the
     even local tones), its data phases; empty for a scheme with no payload.
@@ -222,7 +210,7 @@ class Scheme:
 
     members: Callable[..., Sequence]
     build: Callable[[InterlaceConfig, Any, Sequence], np.ndarray]
-    resources: Callable[[InterlaceConfig], list[tuple[str, Any]]]
+    resources: Callable[[InterlaceConfig], Sequence[tuple[str, Any]]]
     proposed: bool
     one_bit: tuple = ()
     pilot_tones: bool = False
@@ -232,8 +220,18 @@ def _reference_pairs(cfg: InterlaceConfig, n_idft: int = 4096):
     return load_reference_pairs()
 
 
-def _shifts(cfg: InterlaceConfig):
-    return [(f"shift={shift}", shift) for shift in range(cfg.n_sc)]
+@dataclass(frozen=True)
+class _Shifts(Sequence):
+    """A block's cyclic shifts as ``(label, shift)`` resources, sized before any is made."""
+
+    cfg: InterlaceConfig
+
+    def __len__(self):
+        return self.cfg.n_sc
+
+    def __getitem__(self, index: int):
+        shift = range(self.cfg.n_sc)[index]  # an IndexError past the end stops iteration
+        return f"shift={shift}", shift
 
 
 def _no_resource(cfg: InterlaceConfig):
@@ -241,25 +239,24 @@ def _no_resource(cfg: InterlaceConfig):
 
 
 def _noncoherent(cfg: InterlaceConfig, pair: GolayPair, shifts, adjacent: bool = False):
-    f = _noncoherent_rows(cfg, load_noncoherent_spread(), pair, shifts, adjacent)[0]
-    return f[:, cfg.support()]
+    return _noncoherent_rows(cfg, load_noncoherent_spread(), pair, shifts, adjacent)[0]
 
 
 SCHEMES: dict[str, Scheme] = {
     # One-bit shifts with maximal separation inside a block of twelve.
-    "noncoherent": Scheme(_reference_pairs, _noncoherent, _shifts, proposed=True, one_bit=(0, 6)),
+    "noncoherent": Scheme(_reference_pairs, _noncoherent, _Shifts, proposed=True, one_bit=(0, 6)),
     "noncoherent-adjacent": Scheme(_reference_pairs, partial(_noncoherent, adjacent=True),
-                                   _shifts, proposed=True),
+                                   _Shifts, proposed=True),
     "coherent": Scheme(
         lambda cfg, n_idft=4096: (load_coherent_example(),),
-        lambda cfg, example, phases: _coherent_rows(cfg, *example, phases)[0][:, cfg.support()],
+        lambda cfg, example, phases: _coherent_rows(cfg, *example, phases)[0],
         lambda cfg: [(f"phases={i}{j}", (w1, w2)) for i, w1 in enumerate(QPSK_PHASES)
                      for j, w2 in enumerate(QPSK_PHASES)],
         proposed=True, one_bit=_ONE_BIT_PHASES, pilot_tones=True,
     ),
     "cycling": Scheme(_reference_pairs,
-                      lambda cfg, pair, _: cycling_baseline(cfg, pair.a).values[None],
+                      lambda cfg, pair, _: cycling_baseline(cfg, pair.a)[None],
                       _no_resource, proposed=False),
-    "zc": Scheme(zadoff_chu_set, lambda cfg, spectrum, _: spectrum.values[None],
+    "zc": Scheme(zadoff_chu_set, lambda cfg, values, _: values[None],
                  _no_resource, proposed=False),
 }

@@ -76,18 +76,21 @@ def _autocorrelations(seqs: np.ndarray) -> np.ndarray:
 
 
 def _folded_apac_sums(pairs: np.ndarray, spacing: int) -> np.ndarray:
-    """Summed aperiodic autocorrelations, lags 1 .. N-1, of the pairs of sequences that
-    ``pairs`` (2, rows, blocks, width) holds by blocks, block q at q * spacing >= q * width:
-    entry (dq, dt) of a block matrix's 2-D autocorrelation, by one 2-D FFT at 5-smooth
-    sizes, falls on lag dq * spacing + dt, shared by two only if spacing < 2 * width - 1."""
+    """Summed aperiodic autocorrelations of the pairs of sequences that ``pairs`` (2, rows,
+    blocks, width) holds by blocks, block q at q * spacing >= q * width, at each positive lag
+    that occurs, in increasing order (all others are zero).  The blocks of an interlace are its
+    null-free construction's, and only the lags see the spacing: entry (dq, dt) of a block
+    matrix's 2-D autocorrelation, by one 2-D FFT at 5-smooth sizes, falls on lag dq * spacing
+    + dt, shared by two only if spacing < 2 * width - 1."""
     rows, blocks, width = pairs.shape[1:]
     sizes = [_smooth_size(2 * k - 1) for k in (blocks, width)]
     corr = np.fft.ifft2(np.sum(np.abs(np.fft.fft2(pairs, sizes)) ** 2, axis=0))
     dt = np.arange(1 - width, width)  # negative tone lags index from the end
-    at = np.arange(blocks)[:, None] * spacing + dt + width - 1  # lag + width - 1
-    sums = np.zeros((rows, at[-1, -1] + 1), dtype=complex)
-    np.add.at(sums, (slice(None), at), corr[:, :blocks, dt])
-    return sums[:, width:]
+    lags = np.arange(blocks)[:, None] * spacing + dt
+    occurring, at = np.unique(lags[lags > 0], return_inverse=True)
+    sums = np.zeros((rows, occurring.size), dtype=complex)
+    np.add.at(sums, (slice(None), at), corr[:, :blocks, dt][:, lags > 0])
+    return sums
 
 
 def _noncomplementary(a_rows: np.ndarray, b_rows: np.ndarray) -> np.ndarray:

@@ -5,7 +5,11 @@ polynomials are evaluated by direct summation so they can vouch for
 ``golay.combine_gcps``, and :func:`xcorr_oracle` sweeps every shift of a
 grid explicitly to vouch for the FFT cross-correlation peaks of
 ``metrics.xcorr_matrix`` and the set search's fractional-shift grid,
-spectra are synthesized by an O(N^2) loop to vouch for the FFT path,
+spectra are synthesized by an O(N^2) loop to vouch for the FFT path, the
+proposed interlaces are placed block by block and tone by tone from the
+paper's equations (:func:`noncoherent_model`, :func:`coherent_model`) to
+vouch for the builders, and :func:`on_grid` puts support values back on the
+dense grid for the checks that read whole sequences,
 autocorrelations are summed term by term to vouch for ``seqcore``'s
 autocorrelation kernel, and the pair library is enumerated from the full
 table of all canonical autocorrelation keys, with no spectral
@@ -23,6 +27,7 @@ records for the benchmark, and :func:`load_bench_checks` imports the
 benchmark's ``checks.py``.
 """
 
+import cmath
 import hashlib
 import importlib.util
 import json
@@ -81,6 +86,50 @@ def apac(seq, k: int) -> complex:
     for n in range(arr.size - k):
         total += np.conj(arr[n]) * arr[n + k]
     return complex(total)
+
+
+def on_grid(cfg, rows) -> np.ndarray:
+    """Rows of values on ``cfg.support()`` placed on the dense grid of
+    ``cfg.grid_size`` tones, zero on the nulls."""
+    rows = np.asarray(rows, dtype=complex)
+    dense = np.zeros(rows.shape[:-1] + (cfg.grid_size,), dtype=complex)
+    dense[..., cfg.support()] = rows
+    return dense
+
+
+# The phase coefficient of both non-coherent branches, exp(j pi / 4).
+_NONCOHERENT_PHASE = cmath.exp(1j * math.pi / 4)
+
+
+def noncoherent_model(cfg, spread, pair, shift, adjacent: bool) -> np.ndarray:
+    """The dense first sequence of the non-coherent interlace.  Block k and, in
+    the standard layout, block k + n_rb / 2 (block 2k and 2k + 1 if ``adjacent``)
+    carry spread.a[k] * c and spread.b[k] * d, times the phase, where (c, d) is
+    ``pair`` cyclically shifted by ``shift``: tone t times exp(2j pi t shift / n_sc)."""
+    dense = np.zeros(cfg.grid_size, dtype=complex)
+    half = cfg.n_rb // 2
+    for block in range(cfg.n_rb):
+        k, second = divmod(block, 2) if adjacent else (block % half, block // half)
+        weight = _NONCOHERENT_PHASE * complex(spread.b[k] if second else spread.a[k])
+        members = (pair.b if second else pair.a).tolist()
+        for tone in range(cfg.n_sc):
+            turn = cmath.exp(2j * math.pi * tone * shift / cfg.n_sc)
+            dense[block * cfg.rb_spacing + tone] = weight * members[tone] * turn
+    return dense
+
+
+def coherent_model(cfg, spread, half, phases) -> np.ndarray:
+    """The dense first sequence of the coherent interlace: tone 2t of block r
+    carries w1 * spread.a[r] * half.a[t], the pilot, and tone 2t + 1 carries
+    w2 * spread.b[r] * half.b[t], the data, for ``phases`` (w1, w2)."""
+    dense = np.zeros(cfg.grid_size, dtype=complex)
+    w1, w2 = phases
+    for block in range(cfg.n_rb):
+        for t in range(cfg.n_sc // 2):
+            at = block * cfg.rb_spacing + 2 * t
+            dense[at] = w1 * complex(spread.a[block]) * complex(half.a[t])
+            dense[at + 1] = w2 * complex(spread.b[block]) * complex(half.b[t])
+    return dense
 
 
 def dft_synthesis_oracle(indices, values, n_idft: int) -> np.ndarray:

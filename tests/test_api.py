@@ -35,8 +35,7 @@ PUBLIC = {
     ],
     "interlace": [
         "InterlaceConfig", "PILOT_PHASE", "QPSK_PHASES", "SCHEMES", "Scheme",
-        "SparseSpectrum", "cycling_baseline", "payload_phase", "rb_values", "zadoff_chu_set",
-        "zc_sequence",
+        "SparseSpectrum", "cycling_baseline", "payload_phase", "zadoff_chu_set", "zc_sequence",
     ],
     "metrics": ["ccdf", "cm_db", "papr_db", "synthesize", "xcorr_matrix"],
     "setsearch": ["AdmissionRecord", "SequenceSetPair", "VerifyReport", "build_sets",

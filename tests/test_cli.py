@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from csinterlace import cli, golay, interlace
 from csinterlace.cli import FIGURES, main
 from csinterlace.fixtures import reference_set_params
-from csinterlace.interlace import SCHEMES, InterlaceConfig, rb_values
+from csinterlace.interlace import SCHEMES, InterlaceConfig
 from csinterlace.linksim import PointStats, SimConfig, SimReport
 from csinterlace.metrics import xcorr_matrix
 from csinterlace.setsearch import _REFINED_U, _shift_grid
@@ -56,6 +56,21 @@ class TestBuildInterlace:
         payload = json.loads(result.output)
         values = [complex(re, im) for _, (re, im) in payload["entries"]]
         assert np.allclose(np.abs(values), 1.0)
+
+    def test_build_holds_the_support_at_any_null_count(self, runner):
+        result = runner.invoke(main, ["build-interlace", "--nnull", "100000000"])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        assert payload["grid_size"] == 900000120 and len(payload["entries"]) == 120
+        indices = [index for index, _ in payload["entries"]]
+        assert indices == InterlaceConfig(10, 12, 10**8).support().tolist()
+
+    def test_grid_past_64_bit_tone_indices_is_refused(self, runner):
+        # Its tone indices would wrap negative in the JSON.
+        result = runner.invoke(main, ["build-interlace", "--nnull", str(2**62)])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert "exceeds 64-bit tone indices" in result.output
 
     @pytest.mark.parametrize("args", [
         ["--seq-index", "30"], ["--seq-index", "45"], ["--seq-index", "-1"],
@@ -137,8 +152,11 @@ def test_out_of_range_parameter_is_a_usage_error(runner, tmp_path, args, option)
 # The boundary probe: every numeric option of every command, tried at each
 # of PROBE_VALUES on a small base invocation.  PROBE_ACCEPTS lists the
 # values each option takes; every other one must be refused, by click
-# (exit 2) or by the library's checks (exit 1).
-PROBE_VALUES = ("nan", "inf", "-inf", "0", "-1")
+# (exit 2) or by the library's checks (exit 1).  A geometry is refused once
+# its last tone index leaves int64, and a build holds its support alone, so
+# build-interlace takes --nnull 2**31 and refuses 2**62.
+_2_31, _2_62 = str(2**31), str(2**62)
+PROBE_VALUES = ("nan", "inf", "-inf", "0", "-1", _2_31, _2_62)
 PROBE_BASES = {
     "build-interlace": (["build-interlace"],
                         ["--nrb", "--nsc", "--nnull", "--seq-index", "--shift", "--bits", "--value"]),
@@ -155,20 +173,27 @@ PROBE_BASES = {
     "reproduce": (["reproduce", "xcorr"], ["--trials", "--seed"]),
 }
 PROBE_ACCEPTS = {
-    ("build-interlace", "--nnull"): ("0",),
+    ("build-interlace", "--nnull"): ("0", _2_31),
     ("build-interlace", "--seq-index"): ("0",),
-    ("build-interlace", "--shift"): ("0", "-1"),
-    ("build-interlace", "--value"): ("0",),
+    ("build-interlace", "--shift"): ("0", "-1"),  # a huge shift's phases fail the certificate
+    ("build-interlace", "--value"): ("0", _2_31, _2_62),  # read only by coherent
     ("eval-papr", "--nnull"): ("0",),
     ("eval-cm", "--nnull"): ("0",),
-    ("eval-xcorr", "--nnull"): ("0",),  # read only by the zc set
+    ("eval-xcorr", "--nsc"): (_2_31,),  # read only by the zc set
+    ("eval-xcorr", "--nnull"): ("0", _2_31),
+    ("search-sets", "--k"): (_2_31, _2_62),  # a target the seeds cannot fill
     ("simulate-link", "--snr-from"): ("0", "-1"),
     ("simulate-link", "--snr-to"): ("0",),
-    ("simulate-link", "--seed"): ("0",),
-    ("reproduce", "--seed"): ("0",),
+    ("simulate-link", "--snr-step"): (_2_31, _2_62),  # one SNR point
+    ("simulate-link", "--seed"): ("0", _2_31, _2_62),
+    ("reproduce", "--trials"): (_2_31,),  # read only by the sim figures
+    ("reproduce", "--seed"): ("0", _2_31, _2_62),
 }
+# simulate-link --trials 2**31 is in range and the simulation runs in time
+# linear in its trials, for many minutes, so the large values skip that option.
 PROBES = [(command, option, value) for command, (_, options) in PROBE_BASES.items()
-          for option in options for value in PROBE_VALUES]
+          for option in options for value in PROBE_VALUES
+          if (command, option) != ("simulate-link", "--trials") or value not in (_2_31, _2_62)]
 
 
 def test_probe_covers_every_numeric_option():
@@ -273,9 +298,11 @@ class TestMemoryBudget:
         assert "over the budget of 1000" in result.output
         assert not out.exists()
 
-    def test_geometry_entries_count_the_dense_grid(self, monkeypatch):
-        # build-interlace --nnull 100000000, once a 26.8 GiB allocation in _combine_taps
-        assert cli._build_entries(InterlaceConfig(10, 12, 10**8), 1) > cli._MEMORY_BUDGET
+    def test_geometry_entries_count_the_support(self, monkeypatch):
+        # A build holds its n_rb * n_sc support values and no null: build-interlace
+        # --nnull 100000000, once a 26.8 GiB allocation in _combine_taps, holds 240.
+        assert cli._build_entries(InterlaceConfig(10, 12, 10**8), 1) == 2 * 120
+        assert cli._build_entries(InterlaceConfig(10, 10**7, 0), 1) > cli._MEMORY_BUDGET
         assert cli._build_entries(InterlaceConfig(10, 12, 108), 16) < cli._MEMORY_BUDGET // 100
         placed, combine = [], interlace._combine_taps
         monkeypatch.setattr(interlace, "_combine_taps",
@@ -288,27 +315,28 @@ class TestMemoryBudget:
             assert placed[-1].size == cli._build_entries(cfg, len(resources))
 
     def test_geometry_over_the_real_budget_is_refused_before_building(self, runner):
-        result = runner.invoke(main, ["build-interlace", "--nnull", "100000000"])
+        result = runner.invoke(main, ["build-interlace", "--nsc", "100000000"])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)  # not a traceback
-        assert "Invalid value for '--nrb' / '--nsc' / '--nnull'" in result.output
+        assert "Invalid value for '--nrb' / '--nsc':" in result.output
         assert "over the budget" in result.output
 
     @pytest.mark.parametrize("args, budget", [
-        (["build-interlace", "--nnull", "100"], 1000),
-        (["eval-papr", "--nnull", "300"], 4 * (1 << 14)),
-        (["eval-cm", "--scheme", "coherent", "--nnull", "300"], 4 * (1 << 14)),
+        (["build-interlace", "--nsc", "100"], 1000),
+        (["eval-papr", "--nsc", "60"], 4 * (1 << 14)),
+        (["eval-cm", "--scheme", "coherent", "--nsc", "210"], 4 * (1 << 14)),
     ], ids=["build-interlace", "eval-papr", "eval-cm"])
     def test_geometry_over_budget_is_a_usage_error(self, runner, tmp_path, monkeypatch,
                                                    args, budget):
-        # 2 x 1 x 1020 entries of one build, or 2 x 16 x 2820 of a coherent stack,
-        # over budgets that admit one 2**14-point synthesis batch.
+        # 2 x 1 x 1000 entries of one build, 2 x 60 x 600 of a stack of 60 shifts or
+        # 2 x 16 x 2100 of a coherent stack, over budgets that admit one 2**14-point
+        # synthesis batch, on grids the transform covers.
         monkeypatch.setattr(cli, "_MEMORY_BUDGET", budget)
         out = tmp_path / "out"
         result = runner.invoke(main, [*args, "--out", str(out)])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)  # not a traceback
-        assert "Invalid value for '--nrb' / '--nsc' / '--nnull'" in result.output
+        assert "Invalid value for '--nrb' / '--nsc':" in result.output
         assert f"over the budget of {budget}" in result.output
         assert not out.exists()
 
@@ -325,6 +353,20 @@ class TestMemoryBudget:
         result = runner.invoke(main, [command, "--nnull", nnull, "--out", str(out)])
         assert result.exit_code == 1 and "n_idft must cover the spectrum grid" in result.output
         assert built == [] and not out.exists()
+
+    def test_oversized_sweep_is_refused_before_listing_its_resources(self, runner, tmp_path):
+        # The 2**23 shifts of a 2**23-tone block make a stack far over the budget,
+        # sized from their count: listing them first once reached 1.38 GB.
+        args = ["eval-papr", "--nrb", "2", "--nsc", str(1 << 23), "--nnull", "0",
+                "--n-idft", str(1 << 24), "--out", str(tmp_path / "out.csv")]
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 2 and "over the budget" in result.output, result.output
+        assert peak < 16 * 2**20
 
     @pytest.mark.parametrize("args, option", [
         (["simulate-link", "--calibration-trials", "501", "--out", "{out}"],
@@ -452,7 +494,7 @@ class TestMetricSweeps:
         rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
         rho = {(int(i), int(j)): float(value) for i, j, value in rows}
         for n_idft, same in ((2048, True), (4096, False)):
-            members = [rb_values(s, cfg) for s in SCHEMES["zc"].members(cfg, n_idft)]
+            members = SCHEMES["zc"].members(cfg, n_idft).reshape(30, 10, 12)
             expected = xcorr_matrix(members, 2048)
             assert all(abs(value - expected[key]) < 1e-8 for key, value in rho.items()) is same
 

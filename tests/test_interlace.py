@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,22 +16,25 @@ from csinterlace.interlace import (
     SparseSpectrum,
     cycling_baseline,
     payload_phase,
-    rb_values,
     zadoff_chu_set,
     zc_sequence,
 )
 from csinterlace.linksim import SimConfig
 from csinterlace.metrics import papr_db, synthesize
 from csinterlace.seqcore import _modulate, is_gcp, parse_quaternary
-from helpers import sha256
+from helpers import coherent_model, noncoherent_model, on_grid, sha256
 
 PAPR_BOUND = 10 * np.log10(2.0) + 1e-6
+
+
+def on_support(cfg, values) -> SparseSpectrum:
+    return SparseSpectrum(cfg.support(), values, cfg.grid_size)
 
 
 def build(scheme, cfg, member, resource) -> SparseSpectrum:
     """The spectrum of one resource of a scheme: the one-row stack."""
     (values,) = SCHEMES[scheme].build(cfg, member, [resource])
-    return SparseSpectrum(cfg.support(), values, cfg.grid_size)
+    return on_support(cfg, values)
 
 
 class TestInterlaceConfig:
@@ -49,6 +53,14 @@ class TestInterlaceConfig:
         with pytest.raises(ValueError):
             InterlaceConfig(**kwargs)
 
+    def test_last_tone_index_fits_in_int64(self):
+        # 2**63 tones end at index 2**63 - 1; one more tone would wrap.
+        cfg = InterlaceConfig(2, 2, 2**63 - 4)
+        assert cfg.support().tolist() == [0, 1, 2**63 - 2, 2**63 - 1]
+        for geometry in ((2, 2, 2**63 - 3), (10, 12, 2**62), (2**62, 4, 0), (2, 2**63, 0)):
+            with pytest.raises(ValueError, match="64-bit tone indices"):
+                InterlaceConfig(*geometry)
+
 
 class TestSparseSpectrum:
     def test_validation(self):
@@ -63,26 +75,11 @@ class TestSparseSpectrum:
         assert payload == {"grid_size": 4, "entries": [[0, [1.0, 1.0]], [2, [-2.0, 0.0]]]}
 
 
-class TestRbValues:
-    def test_one_row_per_block(self, lte_config):
-        values = np.arange(120, dtype=complex)
-        spectrum = SparseSpectrum(lte_config.support(), values, lte_config.grid_size)
-        assert np.array_equal(rb_values(spectrum, lte_config), values.reshape(10, 12))
-
-    @pytest.mark.parametrize("indices, grid_size", [
-        (InterlaceConfig(10, 12, 108).support(), 1093), (np.arange(120), 1092),
-    ], ids=["other grid", "other tones"])
-    def test_other_pattern_rejected(self, lte_config, indices, grid_size):
-        spectrum = SparseSpectrum(indices, np.ones(120), grid_size)
-        with pytest.raises(ValueError, match="does not occupy"):
-            rb_values(spectrum, lte_config)
-
-
 class TestNoncoherentBuilder:
     def test_lte_support_and_bound(self, lte_config, reference_pairs):
         assert SCHEMES["noncoherent"].build(lte_config, reference_pairs[0], [0]).shape == (1, 120)
         spectrum = build("noncoherent", lte_config, reference_pairs[0], 0)
-        assert rb_values(spectrum, lte_config).shape == (10, 12)
+        assert np.array_equal(spectrum.indices, lte_config.support())
         assert papr_db(synthesize(spectrum, 4096)) <= PAPR_BOUND
 
     def test_degenerate_concatenation(self):
@@ -140,7 +137,7 @@ class TestAdjacentVariant:
     def test_blocks_alternate(self, lte_config, reference_pairs):
         pair = reference_pairs[0]
         spectrum = build("noncoherent-adjacent", lte_config, pair, 0)
-        blocks = rb_values(spectrum, lte_config)
+        blocks = spectrum.values.reshape(10, 12)
         # even blocks carry phase-rotated copies of the first member,
         # odd blocks of the second: modulus-1 ratios must be constant per block
         for r in range(10):
@@ -159,7 +156,7 @@ class TestCoherentBuilder:
         spread, half = coherent_example
         phases = (PILOT_PHASE, complex(QPSK_PHASES[2]))
         spectrum = build("coherent", lte_config, (spread, half), phases)
-        blocks = rb_values(spectrum, lte_config)  # raises off the interlace pattern
+        blocks = spectrum.values.reshape(10, 12)
         for r in range(10):
             assert np.allclose(blocks[r][0::2], phases[0] * spread.a[r] * half.a)
             assert np.allclose(blocks[r][1::2], phases[1] * spread.b[r] * half.b)
@@ -192,8 +189,30 @@ class TestFlexibility:
     def test_any_null_count_keeps_bound(self, n_null, reference_pairs):
         cfg = InterlaceConfig(10, 12, n_null)
         spectrum = build("noncoherent", cfg, reference_pairs[0], 0)
-        assert rb_values(spectrum, cfg).shape == (10, 12)
+        assert spectrum.values.shape == (120,) and spectrum.indices[-1] == cfg.grid_size - 1
         assert papr_db(synthesize(spectrum, 4096)) <= PAPR_BOUND
+
+
+class TestReferenceModel:
+    """Every build of the proposed schemes, each member at each sweep resource,
+    against the block-by-block models of :mod:`helpers`, at null counts below,
+    at and above n_sc - 1."""
+
+    @pytest.mark.parametrize("n_null", [0, 3, 11, 108])
+    @pytest.mark.parametrize("name", ["noncoherent", "noncoherent-adjacent", "coherent"])
+    def test_builds_match_the_model(self, name, n_null, noncoherent_spread):
+        cfg = InterlaceConfig(10, 12, n_null)
+        scheme = SCHEMES[name]
+        resources = [resource for _, resource in scheme.resources(cfg)]
+        for member in scheme.members(cfg):
+            if name == "coherent":
+                model = [coherent_model(cfg, *member, phases) for phases in resources]
+            else:
+                model = [noncoherent_model(cfg, noncoherent_spread, member, shift,
+                                           adjacent=name.endswith("adjacent"))
+                         for shift in resources]
+            stack = scheme.build(cfg, member, resources)
+            assert np.max(np.abs(stack - np.array(model)[:, cfg.support()])) <= 1e-12
 
 
 class TestStackedBuilder:
@@ -214,6 +233,22 @@ class TestStackedBuilder:
             assert stack.shape == (len(resources), 120)
             singles = b"".join(scheme.build(cfg, member, [r]).tobytes() for r in resources)
             assert sha256(stack.tobytes()) == sha256(singles)
+
+    @pytest.mark.parametrize("name", ["noncoherent", "noncoherent-adjacent", "coherent"])
+    def test_build_memory_follows_the_support(self, name):
+        # A member's build over all its resources peaks alike at 108 nulls
+        # and at a million: no array the size of the grid is made.
+        scheme, peaks = SCHEMES[name], []
+        for n_null in (108, 108, 10**6):  # the first build reads the fixtures
+            cfg = InterlaceConfig(10, 12, n_null)
+            member, resources = scheme.members(cfg)[0], [r for _, r in scheme.resources(cfg)]
+            tracemalloc.start()
+            try:
+                scheme.build(cfg, member, resources)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[2] - peaks[1]) <= 0.1 * peaks[1]
 
     def test_each_construction_certified_once_by_the_fold(
             self, monkeypatch, lte_config, reference_pairs, noncoherent_spread, coherent_example):
@@ -243,7 +278,7 @@ class TestStackedBuilder:
         for row in (0, 5, len(resources) - 1):
             def one_symbol_flipped(*args, row=row):
                 fg = taps(*args)
-                fg[0, row, cfg.support()[30]] *= -1
+                fg[0, row, 30] *= -1
                 return fg
 
             monkeypatch.setattr(interlace, "_combine_taps", one_symbol_flipped)
@@ -285,14 +320,12 @@ class TestStackedBuilder:
             resources = data.draw(st.lists(st.floats(-block.length, block.length),
                                            min_size=1, max_size=4))
             fg = interlace._noncoherent_rows(cfg, spread, block, resources, data.draw(st.booleans()))
-        support = cfg.support()
-        assert not np.any(np.delete(fg, support, axis=2))
-        assert np.max(np.abs(np.abs(fg[:, :, support]) - 1.0)) <= 1e-12
+        assert fg.shape == (2, len(resources), cfg.n_rb * cfg.n_sc)
+        assert np.max(np.abs(np.abs(fg) - 1.0)) <= 1e-12
         n_idft = 1 << (4 * cfg.grid_size - 1).bit_length()
-        for f, g in zip(*fg):
+        for (f, g), values in zip(zip(*on_grid(cfg, fg)), fg[0]):
             assert is_gcp(f, g)
-            wave = synthesize(SparseSpectrum(support, f[support], cfg.grid_size), n_idft)
-            assert papr_db(wave) <= 10 * np.log10(2.0) + 1e-9
+            assert papr_db(synthesize(on_support(cfg, values), n_idft)) <= 10 * np.log10(2.0) + 1e-9
 
 
 class TestZadoffChu:
@@ -312,9 +345,9 @@ class TestZadoffChu:
             zc_sequence(113, 120)
 
     def test_best_set_papr_band(self, lte_config):
-        spectra = zadoff_chu_set(lte_config)
-        assert len(spectra) == 30
-        worst = max(papr_db(synthesize(s, 4096)) for s in spectra)
+        rows = zadoff_chu_set(lte_config)
+        assert rows.shape == (30, 120)
+        worst = max(papr_db(synthesize(on_support(lte_config, row), 4096)) for row in rows)
         assert 5.7 <= worst <= 6.3
 
     def test_geometry_mismatch(self):
@@ -326,29 +359,26 @@ class TestZadoffChu:
         ranked = []
         monkeypatch.setattr(interlace, "papr_db", lambda wave: ranked.append(1) or 0.0)
         try:
-            spectra = zadoff_chu_set(lte_config, 2048)
-            assert zadoff_chu_set(InterlaceConfig(10, 12, 108), 2048) is spectra
+            rows = zadoff_chu_set(lte_config, 2048)
+            assert zadoff_chu_set(InterlaceConfig(10, 12, 108), 2048) is rows
         finally:
             zadoff_chu_set.cache_clear()  # the stub's ranking goes with it
         assert len(ranked) == 112
 
-    def test_cached_spectra_are_read_only(self, lte_config):
-        spectrum = zadoff_chu_set(lte_config)[0]
-        for array in (spectrum.indices, spectrum.values):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0
+    def test_cached_set_is_read_only(self, lte_config):
+        with pytest.raises(ValueError, match="read-only"):
+            zadoff_chu_set(lte_config)[0, 0] = 0
 
 
 class TestCyclingBaseline:
     def test_first_block_unmodified(self, lte_config, reference_pairs):
         base = reference_pairs[0].a
-        blocks = rb_values(cycling_baseline(lte_config, base), lte_config)
+        blocks = cycling_baseline(lte_config, base).reshape(10, 12)
         assert np.array_equal(blocks[0], base)
         assert np.allclose(blocks[3], _modulate(base, 3))
 
-    def test_support_matches_interlace(self, lte_config, reference_pairs):
-        spectrum = cycling_baseline(lte_config, reference_pairs[0].a)
-        assert rb_values(spectrum, lte_config).shape == (10, 12)
+    def test_one_value_per_support_tone(self, lte_config, reference_pairs):
+        assert cycling_baseline(lte_config, reference_pairs[0].a).shape == (120,)
 
     def test_validates_the_base_once(self, as_sequence_calls, lte_config, reference_pairs):
         cycling_baseline(lte_config, reference_pairs[0].a)
@@ -356,7 +386,7 @@ class TestCyclingBaseline:
 
     def test_no_papr_guarantee(self, lte_config, reference_pairs):
         worst = max(
-            papr_db(synthesize(cycling_baseline(lte_config, p.a), 4096))
+            papr_db(synthesize(on_support(lte_config, cycling_baseline(lte_config, p.a)), 4096))
             for p in reference_pairs
         )
         assert worst > 10 * np.log10(2.0)

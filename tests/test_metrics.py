@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csinterlace.interlace import SparseSpectrum, rb_values, zadoff_chu_set
+from csinterlace.interlace import SparseSpectrum, zadoff_chu_set
 from csinterlace.metrics import ccdf, cm_db, papr_db, synthesize, xcorr_matrix
 from csinterlace.setsearch import _grid_peak
 
@@ -129,7 +129,7 @@ class TestPeakXcorr:
 
     def test_zc_set_reaches_high_correlation(self, lte_config):
         # Block by block: the worst of the ten blocks of every pair.
-        blocks = [rb_values(s, lte_config) for s in zadoff_chu_set(lte_config)]
+        blocks = zadoff_chu_set(lte_config).reshape(30, 10, 12)
         assert 0.92 <= xcorr_matrix(blocks).max() <= 0.98
 
     def test_length_mismatch(self):
@@ -217,7 +217,7 @@ class TestXcorrMatrix:
     def test_reproduced_sets_print_as_the_plain_transform(self, lte_config, reference_pairs):
         # The reproduce xcorr CSVs print each entry with 9 significant digits.
         for members in ([p.a for p in reference_pairs], [p.b for p in reference_pairs],
-                        [rb_values(s, lte_config) for s in zadoff_chu_set(lte_config, 4096)]):
+                        zadoff_chu_set(lte_config, 4096).reshape(30, 10, 12)):
             first, second = np.triu_indices(len(members), 1)
             rho = xcorr_matrix(members, 4096)[first, second]
             assert [f"{v:.9g}" for v in rho] == [f"{v:.9g}" for v in plain_xcorr(members, 4096)]

@@ -15,7 +15,7 @@ from csinterlace.seqcore import (
     sequence_from_json,
 )
 
-from helpers import apac, random_unimodular
+from helpers import apac, on_grid, random_unimodular
 
 QUATERNARY = np.array([1.0, -1.0, 1.0j, -1.0j])
 PLUS_PLUS = parse_quaternary("++")
@@ -180,7 +180,7 @@ class TestIsGcp:
                                                   [2.25], True),
                       interlace._coherent_rows(cfg, *coherent_example,
                                                [(QPSK_PHASES[1], QPSK_PHASES[2])])]
-            pairs += [(f, g) for fg in stacks for f, g in zip(*fg)]
+            pairs += [(f, g) for fg in stacks for f, g in zip(*on_grid(cfg, fg))]
         routes = []
         real_fold = seqcore._folded_apac_sums
         monkeypatch.setattr(seqcore, "_folded_apac_sums",
@@ -224,12 +224,14 @@ class TestIsGcp:
 class TestFoldedCertificate:
     """``seqcore._folded_apac_sums`` against direct sums: the block matrices
     of float interlace constructions, folded at the block spacing, give the
-    autocorrelations of the whole sequences, also where block lags share a
-    sequence lag (fewer than n_sc - 1 nulls: 0, 3 and 10, not 11)."""
+    autocorrelations of the whole sequences on the dense grid at the lags that
+    occur, in increasing order, and those are zero at every other lag; also
+    where block lags share a sequence lag (fewer than n_sc - 1 nulls: 0, 3 and
+    10, not 11)."""
 
     @staticmethod
     def constructions(cfg, spread, rb_pair, example):
-        """(2, rows, grid) f and g of both non-coherent layouts and the coherent
+        """(2, rows, n_rb * n_sc) f and g of both non-coherent layouts and the coherent
         scheme, at float shifts and phases, with a one-symbol mutant row each."""
         stacks = [interlace._noncoherent_rows(cfg, spread, rb_pair, [0.3, 2.25, 7], adjacent)
                   for adjacent in (False, True)]
@@ -237,26 +239,31 @@ class TestFoldedCertificate:
                                                                (np.exp(0.7j), QPSK_PHASES[1])]))
         for fg in stacks:
             fg = np.array(fg)
-            fg[0, -1, cfg.support()[17]] *= 1j  # the last row is no pair any more
+            fg[0, -1, 17] *= 1j  # the last row is no pair any more
             yield fg
 
     @pytest.mark.parametrize("n_null", [0, 3, 10, 11, 40, 108])
     def test_matches_direct_sums(self, n_null, noncoherent_spread, reference_pairs,
                                  coherent_example):
         cfg = InterlaceConfig(10, 12, n_null)
+        lags = np.array(sorted({q * cfg.rb_spacing + dt for q in range(10)
+                                for dt in range(-11, 12) if q * cfg.rb_spacing + dt > 0}))
+        others = np.setdiff1d(np.arange(1, cfg.grid_size), lags)
         for fg in self.constructions(cfg, noncoherent_spread, reference_pairs[4], coherent_example):
-            blocks = fg[:, :, cfg.support()].reshape(2, -1, 10, 12)
-            sums = seqcore._folded_apac_sums(blocks, cfg.rb_spacing)
-            first, second = _autocorrelations(fg)
+            sums = seqcore._folded_apac_sums(fg.reshape(2, -1, 10, 12), cfg.rb_spacing)
+            dense = on_grid(cfg, fg)
+            first, second = _autocorrelations(dense)
             direct = first + second
-            assert sums.shape == (fg.shape[1], cfg.grid_size - 1)
-            assert np.max(np.abs(sums - direct)) <= 1e-12
+            assert sums.shape == (fg.shape[1], len(lags))
+            assert np.max(np.abs(sums - direct[:, lags - 1])) <= 1e-12
+            assert np.max(np.abs(direct[:, others - 1]), initial=0.0) <= 1e-12
             peaks = np.max(np.abs(sums), axis=1)
             assert np.all(peaks[:-1] <= 1e-12) and peaks[-1] > 1.0
             if n_null < cfg.n_sc - 1:  # shared lags: term by term at every lag
-                f, g = fg[:, -1]
+                f, g = dense[:, -1]
                 oracle = [apac(f, k) + apac(g, k) for k in range(1, cfg.grid_size)]
-                assert np.max(np.abs(sums[-1] - oracle)) <= 1e-12
+                assert np.max(np.abs(direct[-1] - oracle)) <= 1e-12
+                assert np.max(np.abs(sums[-1] - np.take(oracle, lags - 1))) <= 1e-12
 
     def test_one_block_is_the_plain_autocorrelation(self):
         rng = np.random.default_rng(3)
