@@ -7,12 +7,12 @@ coherent builder interleaves two half-block sequences inside every block so
 that fixing one phase coefficient leaves built-in reference tones.  Both are
 instances of the generalized pair construction in :mod:`csinterlace.golay`,
 so every output waveform inherits the 3 dB peak-power bound.  A member is
-built for all its resources as one stack, each row certified once by the
-block fold of :mod:`csinterlace.seqcore`.
+built for all its resources as one stack, each row certified once, for every
+null count, through the router of :mod:`csinterlace.seqcore`.
 
 A construction is built on its support alone, as the same construction with no
-nulls (tone t of block q at q * n_sc + t); only the fold and synthesis see the
-block spacing, so a build's time and memory follow its support, not the grid.
+nulls (tone t of block q at q * n_sc + t); only synthesis sees the block
+spacing, so a build's time and memory follow its support, not the grid.
 
 :data:`SCHEMES` maps the name of each scheme (the two constructions, the
 adjacent variant, and the cycling and Zadoff-Chu baselines) to a
@@ -32,7 +32,7 @@ import numpy as np
 from .fixtures import load_coherent_example, load_noncoherent_spread, load_reference_pairs
 from .golay import CertificationError, ConstructionParams, GolayPair, _combine_taps
 from .metrics import _waveforms, papr_db
-from .seqcore import _TOL, _folded_apac_sums, _modulate, as_sequence
+from .seqcore import _modulate, _noncomplementary, as_sequence
 
 # Unit phasors usable as data coefficients in the coherent scheme.
 QPSK_PHASES = np.exp(1j * np.pi * np.array([1, 3, -1, -3]) / 4)
@@ -121,11 +121,15 @@ def payload_phase(bits: int, value: int) -> complex:
 def _certified_rows(cfg: InterlaceConfig, first: GolayPair, c, d, phases,
                     params: ConstructionParams, resources):
     """The stacked f and g rows of :func:`combine_gcps` on ``cfg.support()``, one per resource,
-    for ``c``, ``d`` and ``phases`` given once or per row: the null-free construction, whose
-    blocks, folded at ``cfg.rb_spacing``, certify each row to 1e-9 or raise naming it."""
+    for ``c``, ``d`` and ``phases`` given once or per row: the null-free construction, each row
+    certified for every null count or raising naming it.  Laid out with n_sc - 1 nulls between
+    blocks, entry (dq, dt) of the blocks' 2-D autocorrelation falls on a lag of its own, so the
+    rows cancel there iff their blocks form a Golay array pair (Jedwab and Parker, Des. Codes
+    Cryptogr. 44, 2007), which stays complementary at any spacing >= n_sc (Fiedler, Jedwab
+    and Parker, JCTA 2008)."""
     fg = _combine_taps(first, c, d, phases, params)
-    sums = _folded_apac_sums(fg.reshape(2, -1, cfg.n_rb, cfg.n_sc), cfg.rb_spacing)
-    bad = np.flatnonzero(np.max(np.abs(sums), axis=1, initial=0.0) > _TOL)
+    spaced = np.pad(fg.reshape(2, -1, cfg.n_rb, cfg.n_sc), [(0, 0)] * 3 + [(0, cfg.n_sc - 1)])
+    bad = _noncomplementary(*spaced.reshape(2, fg.shape[1], -1)[..., : 1 - cfg.n_sc])
     if bad.size:
         raise CertificationError(f"resource {resources[bad[0]]!r}: not complementary")
     return fg

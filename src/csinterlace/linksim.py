@@ -86,11 +86,11 @@ class SimConfig:
     rng_seed: int = 1
     calibration_trials: int = 100_000
     energy_norm: str = "equal_total"
-    # The geometry of the shipped fixtures (ten blocks of twelve tones
-    # spaced 120 apart) and the paper's receive antennas and DTX-to-ACK target.
+    # The blocks of the shipped fixtures (ten of twelve tones; the statistics
+    # never see the nulls between them) and the paper's receive antennas and
+    # DTX-to-ACK target.
     n_rb: ClassVar[int] = 10
     n_sc: ClassVar[int] = 12
-    n_null: ClassVar[int] = 108
     n_rx: ClassVar[int] = 2
     dtx_target: ClassVar[float] = 0.01
 
@@ -208,7 +208,7 @@ def _build_signals(cfg: SimConfig) -> _SchemeSignals:
     detector (coherent for a scheme with pilot tones), with the law of its
     statistics; ``ValueError`` if the scheme breaks what that law rests on."""
     scheme = interlace.SCHEMES[cfg.scheme.removeprefix("single-rb-")]
-    geometry = InterlaceConfig(cfg.n_rb, cfg.n_sc, cfg.n_null)
+    geometry = InterlaceConfig(cfg.n_rb, cfg.n_sc)
     resources = [(PILOT_PHASE, bit) if scheme.pilot_tones else bit for bit in scheme.one_bit]
     tx = scheme.build(geometry, scheme.members(geometry)[0], resources)
     if cfg.scheme.startswith("single-rb-"):  # the first block of the interlace

@@ -5,14 +5,15 @@ JSON, and private kernels on validated arrays (autocorrelation, modulation).
 Quaternary sequences over {+1, -1, +1j, -1j} are kept in complex128 arrays.
 All their products and autocorrelation sums are small Gaussian integers,
 which complex128 represents exactly.  Autocorrelations have two kernels,
-direct sums (``_autocorrelations``), exact on such input, and the block fold
-(``_folded_apac_sums``), and one router, ``_noncomplementary``, which picks
-one from the input for :func:`is_gcp` and the certificates of
-:mod:`csinterlace.golay`; an interlace construction folds its own blocks.
+direct sums (``_autocorrelations``), exact on such input, and an FFT
+(``_fft_apac_sums``), and one router, ``_noncomplementary``, which picks one
+from the input and which every certificate calls: :func:`is_gcp`, those of
+:mod:`csinterlace.golay` and the interlace constructions'.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import chain, count
 
 import numpy as np
@@ -75,33 +76,24 @@ def _autocorrelations(seqs: np.ndarray) -> np.ndarray:
     return np.einsum("...n,...kn->...k", np.conj(seqs), shifted)
 
 
-def _folded_apac_sums(pairs: np.ndarray, spacing: int) -> np.ndarray:
-    """Summed aperiodic autocorrelations of the pairs of sequences that ``pairs`` (2, rows,
-    blocks, width) holds by blocks, block q at q * spacing >= q * width, at each positive lag
-    that occurs, in increasing order (all others are zero).  The blocks of an interlace are its
-    null-free construction's, and only the lags see the spacing: entry (dq, dt) of a block
-    matrix's 2-D autocorrelation, by one 2-D FFT at 5-smooth sizes, falls on lag dq * spacing
-    + dt, shared by two only if spacing < 2 * width - 1."""
-    rows, blocks, width = pairs.shape[1:]
-    sizes = [_smooth_size(2 * k - 1) for k in (blocks, width)]
-    corr = np.fft.ifft2(np.sum(np.abs(np.fft.fft2(pairs, sizes)) ** 2, axis=0))
-    dt = np.arange(1 - width, width)  # negative tone lags index from the end
-    lags = np.arange(blocks)[:, None] * spacing + dt
-    occurring, at = np.unique(lags[lags > 0], return_inverse=True)
-    sums = np.zeros((rows, occurring.size), dtype=complex)
-    np.add.at(sums, (slice(None), at), corr[:, :blocks, dt][:, lags > 0])
-    return sums
+def _fft_apac_sums(pairs: np.ndarray) -> np.ndarray:
+    """Summed aperiodic autocorrelations of the pairs of sequences in ``pairs`` (2, rows, N)
+    at lags 1 .. N-1: one inverse FFT of the two members' summed power spectra, at the least
+    5-smooth length that holds every lag of both signs (2N - 1)."""
+    n = pairs.shape[-1]
+    power = np.sum(np.abs(np.fft.fft(pairs, _smooth_size(2 * n - 1))) ** 2, axis=0)
+    return np.fft.ifft(power)[:, 1:n]
 
 
 def _noncomplementary(a_rows: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
     # Indices of the rows whose pairs' autocorrelations do not cancel to within 1e-9, summed
-    # directly up to length 64 or when every part is an integer, else folded as one block.
+    # directly up to length 64 or when every part is an integer, else by FFT.
     pairs = np.stack([a_rows, b_rows])
     n, parts = pairs.shape[-1], pairs.view(float)
     if n <= 64 or np.array_equal(parts, np.rint(parts)):
         sums = np.sum(_autocorrelations(pairs), axis=0)
     else:
-        sums = _folded_apac_sums(pairs[:, :, None, :], n)
+        sums = _fft_apac_sums(pairs)
     return np.flatnonzero(np.max(np.abs(sums), axis=1, initial=0.0) > _TOL)
 
 
@@ -112,7 +104,7 @@ def is_gcp(a, b) -> bool:
     The route comes from the input.  Integer parts (quaternary input, say)
     give exact sums, taken directly at any length, which the 1e-9 bound
     admits only when they cancel exactly; float members are summed directly
-    up to length 64, folded as one block above, and must cancel to 1e-9.
+    up to length 64, by FFT above, and must cancel to 1e-9.
     """
     arr_a, arr_b = as_sequence(a), as_sequence(b)
     if arr_a.size != arr_b.size:
@@ -121,9 +113,10 @@ def is_gcp(a, b) -> bool:
 
 
 def _modulate(arr: np.ndarray, delta: float) -> np.ndarray:
-    # Times exp(2j*pi*n*delta/N) along the last axis: a cyclic time shift by delta.
+    # Times exp(2j*pi*n*delta/N) along the last axis: a cyclic time shift by delta, taken
+    # mod N first (exactly, and the identity when |delta| < N) so that no phase loses bits.
     n = arr.shape[-1]
-    return arr * np.exp(2j * np.pi * np.arange(n) * (float(delta) / n))
+    return arr * np.exp(2j * np.pi * np.arange(n) * (math.fmod(float(delta), n) / n))
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

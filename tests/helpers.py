@@ -132,12 +132,35 @@ def coherent_model(cfg, spread, half, phases) -> np.ndarray:
     return dense
 
 
+def cycling_model(cfg, base) -> np.ndarray:
+    """The dense cycling baseline: tone t of block k carries
+    base[t] * exp(2j pi k t / n_sc), the base cyclically shifted in time by k."""
+    dense = np.zeros(cfg.grid_size, dtype=complex)
+    for block in range(cfg.n_rb):
+        for tone in range(cfg.n_sc):
+            turn = cmath.exp(2j * math.pi * (block * tone % cfg.n_sc) / cfg.n_sc)
+            dense[block * cfg.rb_spacing + tone] = complex(base[tone]) * turn
+    return dense
+
+
+ZC_LENGTH = 113  # the baseline's odd prime
+
+
+def zc_model(root: int, total: int) -> list[complex]:
+    """Zadoff-Chu root ``root`` of length 113, exp(-j pi root n (n + 1) / 113),
+    cyclically extended to ``total`` values by n = m mod 113."""
+    return [cmath.exp(-1j * math.pi * root * (n * (n + 1) % (2 * ZC_LENGTH)) / ZC_LENGTH)
+            for n in (m % ZC_LENGTH for m in range(total))]
+
+
 def dft_synthesis_oracle(indices, values, n_idft: int) -> np.ndarray:
-    """Unnormalized inverse DFT by direct evaluation on the unit circle."""
+    """Unnormalized inverse DFT by direct evaluation on the unit circle, of
+    one row of values on ``indices`` or of each row of a stack."""
     t = np.arange(n_idft)
-    out = np.zeros(n_idft, dtype=complex)
-    for idx, val in zip(indices, values):
-        out += val * np.exp(2j * np.pi * idx * t / n_idft)
+    values = np.asarray(values, dtype=complex)
+    out = np.zeros(values.shape[:-1] + (n_idft,), dtype=complex)
+    for idx, val in zip(indices, np.moveaxis(values, -1, 0)):
+        out += val[..., None] * np.exp(2j * np.pi * idx * t / n_idft)
     return out
 
 

@@ -65,6 +65,14 @@ class TestBuildInterlace:
         indices = [index for index, _ in payload["entries"]]
         assert indices == InterlaceConfig(10, 12, 10**8).support().tolist()
 
+    @pytest.mark.parametrize("shift, reduced", [(2**31, 8), (2**62, 4), (13, 1)])
+    def test_shift_is_taken_mod_the_block(self, runner, shift, reduced):
+        # Reduced before its phasors are formed, so a huge shift keeps their bits.
+        results = [runner.invoke(main, ["build-interlace", "--shift", str(s)])
+                   for s in (shift, reduced)]
+        assert [r.exit_code for r in results] == [0, 0], results[0].output
+        assert results[0].stdout_bytes == results[1].stdout_bytes
+
     def test_grid_past_64_bit_tone_indices_is_refused(self, runner):
         # Its tone indices would wrap negative in the JSON.
         result = runner.invoke(main, ["build-interlace", "--nnull", str(2**62)])
@@ -175,7 +183,7 @@ PROBE_BASES = {
 PROBE_ACCEPTS = {
     ("build-interlace", "--nnull"): ("0", _2_31),
     ("build-interlace", "--seq-index"): ("0",),
-    ("build-interlace", "--shift"): ("0", "-1"),  # a huge shift's phases fail the certificate
+    ("build-interlace", "--shift"): ("0", "-1", _2_31, _2_62),
     ("build-interlace", "--value"): ("0", _2_31, _2_62),  # read only by coherent
     ("eval-papr", "--nnull"): ("0",),
     ("eval-cm", "--nnull"): ("0",),

@@ -22,7 +22,16 @@ from csinterlace.interlace import (
 from csinterlace.linksim import SimConfig
 from csinterlace.metrics import papr_db, synthesize
 from csinterlace.seqcore import _modulate, is_gcp, parse_quaternary
-from helpers import coherent_model, noncoherent_model, on_grid, sha256
+from helpers import (
+    ZC_LENGTH,
+    coherent_model,
+    cycling_model,
+    dft_synthesis_oracle,
+    noncoherent_model,
+    on_grid,
+    sha256,
+    zc_model,
+)
 
 PAPR_BOUND = 10 * np.log10(2.0) + 1e-6
 
@@ -104,8 +113,8 @@ class TestNoncoherentBuilder:
 
     def test_certified_members_are_not_validated_again(
             self, as_sequence_calls, lte_config, noncoherent_spread, reference_pairs):
-        # The members are certified pairs, and the fold certifies the output
-        # from its block matrices: no sequence is validated.
+        # The members are certified pairs, and the router certifies the
+        # output's rows as they are: no sequence is validated.
         SCHEMES["noncoherent"].build(lte_config, reference_pairs[0], [0.5])
         assert len(as_sequence_calls) == 0
 
@@ -214,11 +223,32 @@ class TestReferenceModel:
             stack = scheme.build(cfg, member, resources)
             assert np.max(np.abs(stack - np.array(model)[:, cfg.support()])) <= 1e-12
 
+    @pytest.mark.parametrize("geometry", [(10, 12, 108), (20, 12, 3)], ids=str)
+    def test_cycling_matches_the_model(self, geometry, reference_pairs):
+        # At 20 blocks, blocks 12-19 shift by a full period and more.
+        cfg = InterlaceConfig(*geometry)
+        for pair in reference_pairs:
+            (row,) = SCHEMES["cycling"].build(cfg, pair, [None])
+            assert np.max(np.abs(on_grid(cfg, row) - cycling_model(cfg, pair.a))) <= 1e-12
+
+    def test_zc_rows_are_the_lowest_papr_roots(self, lte_config):
+        # The build's phase arguments reach 4e4 rad unreduced, so its
+        # values round at about 1e-11; the model reduces them exactly.
+        formula = np.array([zc_model(root, 120) for root in range(1, ZC_LENGTH)])
+        samples = np.abs(dft_synthesis_oracle(lte_config.support(), formula, 4096)) ** 2
+        papr = 10 * np.log10(samples.max(axis=1) / samples.mean(axis=1))
+        members = SCHEMES["zc"].members(lte_config)
+        kept = [int(np.argmin(np.max(np.abs(formula - row), axis=1))) for row in members]
+        rows = np.concatenate([SCHEMES["zc"].build(lte_config, row, [None]) for row in members])
+        assert np.max(np.abs(rows - formula[kept])) <= 1e-10
+        others = np.setdiff1d(np.arange(ZC_LENGTH - 1), kept)
+        assert len(set(kept)) == 30 and np.max(papr[kept]) <= np.min(papr[others]) + 1e-9
+
 
 class TestStackedBuilder:
     """``Scheme.build`` places a member once per resource as one stack: the
-    bytes of the one-resource builds, each row certified once by the block
-    fold, and a mutant row refused by its resource."""
+    bytes of the one-resource builds at any null count, each row certified
+    once for every null count, and a mutant row refused by its resource."""
 
     @pytest.mark.parametrize("n_null", [108, 0, 3, 11, 40])
     @pytest.mark.parametrize("name", list(SCHEMES))
@@ -250,22 +280,50 @@ class TestStackedBuilder:
                 tracemalloc.stop()
         assert abs(peaks[2] - peaks[1]) <= 0.1 * peaks[1]
 
+    @pytest.mark.parametrize("name", ["noncoherent", "noncoherent-adjacent", "coherent"])
+    def test_stack_bytes_are_the_same_at_every_null_count(self, name):
+        scheme = SCHEMES[name]
+        for member in scheme.members(InterlaceConfig(10, 12)):
+            stacks = {scheme.build(cfg, member, [r for _, r in scheme.resources(cfg)]).tobytes()
+                      for cfg in (InterlaceConfig(10, 12, n) for n in (0, 3, 108, 10**6))}
+            assert len(stacks) == 1
+
+    def test_certificate_holds_at_every_spacing(self, monkeypatch, library_12_pairs):
+        # Each length-12 library pair, split into two blocks of six, is
+        # complementary with its blocks touching; only 768 of the 1,152 are
+        # at spacings 7, 10, 11 and 17.  The certificate accepts those alone,
+        # even at n_null = 0.
+        fg = np.array([[parse_quaternary(a), parse_quaternary(b)]
+                       for a, b in library_12_pairs]).transpose(1, 0, 2)
+        complementary = [[is_gcp(f, g) for f, g in zip(*on_grid(InterlaceConfig(2, 6, n), fg))]
+                         for n in (0, 1, 4, 5, 11)]
+        assert fg.shape == (2, 1152, 12) and all(complementary[0])
+        kept = np.array(complementary[1])
+        assert kept.sum() == 768 and all(c == complementary[1] for c in complementary[2:])
+        cfg = InterlaceConfig(2, 6, 0)
+        monkeypatch.setattr(interlace, "_combine_taps", lambda *args: fg[:, kept])
+        interlace._certified_rows(cfg, None, None, None, None, None, [])
+        for index in np.flatnonzero(~kept).tolist():
+            monkeypatch.setattr(interlace, "_combine_taps", lambda *args: fg[:, index:index + 1])
+            with pytest.raises(CertificationError, match=f"resource {index}:"):
+                interlace._certified_rows(cfg, None, None, None, None, None, [index])
+
     def test_each_construction_certified_once_by_the_fold(
             self, monkeypatch, lte_config, reference_pairs, noncoherent_spread, coherent_example):
         # The fixtures, certified when loaded, are loaded before counting.
-        folds, checks = [], []
-        fold, check = interlace._folded_apac_sums, golay.is_gcp
+        certified, checks = [], []
+        route, check = interlace._noncomplementary, golay.is_gcp
 
-        def counted_fold(blocks, spacing):
-            folds.append(blocks.shape[1])
-            return fold(blocks, spacing)
+        def counted_route(a_rows, b_rows):
+            certified.append(len(a_rows))
+            return route(a_rows, b_rows)
 
-        monkeypatch.setattr(interlace, "_folded_apac_sums", counted_fold)
+        monkeypatch.setattr(interlace, "_noncomplementary", counted_route)
         monkeypatch.setattr(golay, "is_gcp", lambda a, b: checks.append(a.size) or check(a, b))
         assert len(cli._metric_sweep(lte_config, SCHEMES, 2048)) == 796
         linksim.run_sim(SimConfig(scheme="coherent", snr_grid_db=(0.0,), n_trials=10,
                                   calibration_trials=2000))
-        assert folds == [12] * 60 + [16, 2]  # a stack per member, and the NACK/ACK pair once
+        assert certified == [12] * 60 + [16, 2]  # a stack per member, and the NACK/ACK pair once
         assert checks == []  # no GolayPair is built, of the blocks or of the output
 
     @pytest.mark.parametrize("n_null", [108, 0, 3])
@@ -304,7 +362,8 @@ class TestStackedBuilder:
     def test_property_over_drawn_geometries(self, small_libraries, data):
         # Any spreading and block pair, any null count and resources: the
         # construction sits on the support with unit modulus, certifies
-        # (by the fold, and again by is_gcp) and keeps the 3 dB bound.
+        # (once for every null count, and again by is_gcp at this one) and
+        # keeps the 3 dB bound.
         coherent = data.draw(st.booleans())
         spread = data.draw(st.sampled_from(small_libraries[data.draw(st.integers(2 if coherent
                                                                                  else 1, 6))]))

@@ -56,7 +56,8 @@ class TestSimConfig:
             SimConfig(**{field: value})
 
     def test_geometry_is_fixed(self):
-        assert (SimConfig.n_rb, SimConfig.n_sc, SimConfig.n_null) == (10, 12, 108)
+        assert (SimConfig.n_rb, SimConfig.n_sc) == (10, 12)
+        assert not hasattr(SimConfig, "n_null")  # the statistics never see the nulls
         with pytest.raises(TypeError, match="n_rb"):
             SimConfig(n_rb=8)
 

@@ -124,15 +124,15 @@ class TestIsGcp:
 
     def test_route_follows_the_input(self, monkeypatch):
         # Gaussian-integer members take exact direct sums at any length;
-        # float members above length 64 take the fold of one block each.
+        # float members above length 64 take the FFT.
         routes = []
 
-        def spy(pairs, spacing):
+        def spy(pairs):
             routes.append(pairs.shape[-1])
-            return real_fold(pairs, spacing)
+            return real_fft(pairs)
 
-        real_fold = seqcore._folded_apac_sums
-        monkeypatch.setattr(seqcore, "_folded_apac_sums", spy)
+        real_fft = seqcore._fft_apac_sums
+        monkeypatch.setattr(seqcore, "_fft_apac_sums", spy)
         a, b = parse_quaternary("++"), parse_quaternary("+-")
         for _ in range(6):  # length 128 by concatenation
             a, b = np.concatenate([a, b]), np.concatenate([a, -b])
@@ -149,22 +149,31 @@ class TestIsGcp:
                     m //= prime
             return m == 1
 
-        sizes, fft2 = [], np.fft.fft2
-        monkeypatch.setattr(np.fft, "fft2",
-                            lambda x, s=None, **kw: sizes.append(s) or fft2(x, s, **kw))
+        sizes, fft = [], np.fft.fft
+        monkeypatch.setattr(np.fft, "fft",
+                            lambda x, n=None, **kw: sizes.append(n) or fft(x, n, **kw))
         lengths = range(1, 1300)
-        for n in lengths:  # one block of width n, as the router folds a float pair
-            seqcore._folded_apac_sums(np.ones((2, 1, 1, n), dtype=complex), n)
-        assert sizes == [[1, next(m for m in range(2 * n - 1, 4 * n) if smooth(m))]
-                         for n in lengths]
-        assert sizes[1092 - 1] == [1, 2187]
+        for n in lengths:
+            seqcore._fft_apac_sums(np.ones((2, 1, n), dtype=complex))
+        assert sizes == [next(m for m in range(2 * n - 1, 4 * n) if smooth(m)) for n in lengths]
+        assert sizes[1092 - 1] == 2187
+
+    def test_fft_kernel_matches_direct_sums(self):
+        # Random unimodular pairs, no pair among them, at every length 1-300.
+        rng = np.random.default_rng(3)
+        for n in range(1, 301):
+            pairs = random_unimodular(rng, 2 * 3 * n).reshape(2, 3, n)
+            sums = seqcore._fft_apac_sums(pairs)
+            assert sums.shape == (3, n - 1)
+            assert np.max(np.abs(sums - np.sum(_autocorrelations(pairs), axis=0)),
+                          initial=0.0) <= 1e-12
 
     def test_fft_route_matches_direct_sums_on_constructions(
             self, monkeypatch, small_libraries, reference_pairs, noncoherent_spread,
             coherent_example):
         # Float interlace constructions of lengths 65-300 over several
-        # geometries certify through the fold of one block at the smooth FFT
-        # length (at length 65, 2N - 2 = 128 is smooth but one lag short).
+        # geometries certify through the FFT at the smooth length (at length
+        # 65, 2N - 2 = 128 is smooth but one lag short).
         # Its sums agree with the direct ones, also on a one-symbol mutant,
         # which is refused.
         pairs = [(p.a, p.b) for p in [
@@ -182,17 +191,17 @@ class TestIsGcp:
                                                [(QPSK_PHASES[1], QPSK_PHASES[2])])]
             pairs += [(f, g) for fg in stacks for f, g in zip(*on_grid(cfg, fg))]
         routes = []
-        real_fold = seqcore._folded_apac_sums
-        monkeypatch.setattr(seqcore, "_folded_apac_sums",
-                            lambda p, spacing: routes.append(p.shape[-1]) or real_fold(p, spacing))
+        real_fft = seqcore._fft_apac_sums
+        monkeypatch.setattr(seqcore, "_fft_apac_sums",
+                            lambda p: routes.append(p.shape[-1]) or real_fft(p))
         lengths = []
         for a, b in pairs:
             a, b = np.array(a), np.array(b)
             for mutant in (False, True):
                 a[0] *= -1 if mutant else 1  # moves every lag, the last one too
                 first, second = _autocorrelations(np.stack([a, b]))
-                fold = real_fold(np.stack([a, b])[:, None, None, :], a.size)[0]
-                assert np.max(np.abs(fold - (first + second))) <= 1e-12
+                sums = real_fft(np.stack([a, b])[:, None])[0]
+                assert np.max(np.abs(sums - (first + second))) <= 1e-12
             assert not is_gcp(a, b)
             lengths.append(a.size)
         assert routes == lengths
@@ -200,7 +209,7 @@ class TestIsGcp:
 
     def test_validates_each_member_once(self, as_sequence_calls):
         a, b = parse_quaternary("++-+"), parse_quaternary("+++-")
-        for _ in range(5):  # lengths 8 .. 128; at 128 the float pair takes the fold
+        for _ in range(5):  # lengths 8 .. 128; at 128 the float pair takes the FFT
             a, b = np.concatenate([a, b]), np.concatenate([a, -b])
             for pair in [(a, b), (a * np.exp(0.3j), b)]:
                 as_sequence_calls.clear()
@@ -222,12 +231,12 @@ class TestIsGcp:
 
 
 class TestFoldedCertificate:
-    """``seqcore._folded_apac_sums`` against direct sums: the block matrices
-    of float interlace constructions, folded at the block spacing, give the
-    autocorrelations of the whole sequences on the dense grid at the lags that
-    occur, in increasing order, and those are zero at every other lag; also
-    where block lags share a sequence lag (fewer than n_sc - 1 nulls: 0, 3 and
-    10, not 11)."""
+    """What ``interlace._certified_rows`` certifies: the rows of float interlace
+    constructions laid out with n_sc - 1 nulls between blocks, where every block
+    lag (dq, dt) has a sequence lag of its own.  Their FFT sums are the direct
+    ones, and the constructions that cancel there are complementary on the grid
+    at null counts below, at and above n_sc - 1 (0, 3 and 10, 11, 40 and 108),
+    while a one-symbol mutant is refused at each."""
 
     @staticmethod
     def constructions(cfg, spread, rb_pair, example):
@@ -246,30 +255,19 @@ class TestFoldedCertificate:
     def test_matches_direct_sums(self, n_null, noncoherent_spread, reference_pairs,
                                  coherent_example):
         cfg = InterlaceConfig(10, 12, n_null)
-        lags = np.array(sorted({q * cfg.rb_spacing + dt for q in range(10)
-                                for dt in range(-11, 12) if q * cfg.rb_spacing + dt > 0}))
-        others = np.setdiff1d(np.arange(1, cfg.grid_size), lags)
+        spaced_cfg = InterlaceConfig(10, 12, 11)
         for fg in self.constructions(cfg, noncoherent_spread, reference_pairs[4], coherent_example):
-            sums = seqcore._folded_apac_sums(fg.reshape(2, -1, 10, 12), cfg.rb_spacing)
-            dense = on_grid(cfg, fg)
-            first, second = _autocorrelations(dense)
-            direct = first + second
-            assert sums.shape == (fg.shape[1], len(lags))
-            assert np.max(np.abs(sums - direct[:, lags - 1])) <= 1e-12
-            assert np.max(np.abs(direct[:, others - 1]), initial=0.0) <= 1e-12
+            spaced = on_grid(spaced_cfg, fg)
+            sums = seqcore._fft_apac_sums(spaced)
+            first, second = _autocorrelations(spaced)
+            assert np.max(np.abs(sums - (first + second))) <= 1e-12
+            f, g = spaced[:, -1]  # the mutant, term by term at every lag
+            oracle = [apac(f, k) + apac(g, k) for k in range(1, spaced_cfg.grid_size)]
+            assert np.max(np.abs(sums[-1] - oracle)) <= 1e-12
             peaks = np.max(np.abs(sums), axis=1)
             assert np.all(peaks[:-1] <= 1e-12) and peaks[-1] > 1.0
-            if n_null < cfg.n_sc - 1:  # shared lags: term by term at every lag
-                f, g = dense[:, -1]
-                oracle = [apac(f, k) + apac(g, k) for k in range(1, cfg.grid_size)]
-                assert np.max(np.abs(direct[-1] - oracle)) <= 1e-12
-                assert np.max(np.abs(sums[-1] - np.take(oracle, lags - 1))) <= 1e-12
-
-    def test_one_block_is_the_plain_autocorrelation(self):
-        rng = np.random.default_rng(3)
-        pairs = np.stack([random_unimodular(rng, 30), random_unimodular(rng, 30)])
-        sums = seqcore._folded_apac_sums(pairs[:, None, None, :], 30)[0]
-        assert np.max(np.abs(sums - np.sum(_autocorrelations(pairs), axis=0))) <= 1e-12
+            dense = on_grid(cfg, fg)
+            assert [is_gcp(f, g) for f, g in zip(*dense)] == [True] * (fg.shape[1] - 1) + [False]
 
 
 class TestCyclicModulate:
@@ -281,7 +279,7 @@ class TestCyclicModulate:
 
     def test_full_period_identity(self):
         x = random_unimodular(np.random.default_rng(1), 12)
-        assert np.allclose(_modulate(x, 12), x, atol=1e-12)
+        assert np.array_equal(_modulate(x, 12), x)
 
     def test_integer_shifts_orthogonal(self):
         x = random_unimodular(np.random.default_rng(2), 12)
