@@ -48,7 +48,7 @@ from .linksim import _SNR_LIMIT, CHANNELS, CalibrationError, SimConfig, run_sim
 from .linksim import SCHEMES as SIM_SCHEMES
 from .metrics import _SYNTH_ENTRIES, _XCORR_CHUNK_ROWS, _idft_points, _waveforms, ccdf, cm_db
 from .metrics import papr_db, xcorr_matrix
-from .seqcore import _unique_keys, sequence_from_json
+from .seqcore import _decode_json, sequence_from_json
 from .setsearch import _REFINED_U, build_sets, verify_sets
 
 PAPR_BOUND_DB = 10 * np.log10(2.0)
@@ -117,10 +117,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with path.open("w") as handle:
+        handle.write(",".join(header) + "\n")
+        handle.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
 def _write_manifest(anchor: Path, outputs, inputs=()) -> None:
@@ -250,10 +250,8 @@ def _read_sequences(path: Path) -> list[np.ndarray]:
     a list of [re, im] pairs, all finite and of one length.  Anything else
     is a click error naming the file and, for an entry, its index."""
     try:
-        payload = json.loads(path.read_text(), object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
-        raise click.ClickException(f"{path}: malformed JSON at line {exc.lineno}: {exc.msg}")
-    except ValueError as exc:  # a duplicate key
+        payload = _decode_json(path.read_text())
+    except ValueError as exc:  # malformed JSON or a duplicate key
         raise click.ClickException(f"{path}: {exc}")
     if not isinstance(payload, dict) or not isinstance(payload.get("sequences"), list):
         raise click.ClickException(f"{path}: expected an object with a 'sequences' list")
@@ -297,10 +295,8 @@ def _write_xcorr(members, n_idft: int, out: Path, ccdf_out: Path | None) -> floa
     rho.  2-D members are compared per block, the worst block kept; only the
     pairs i < j are computed, and row (j, i) repeats (i, j)."""
     rho = xcorr_matrix(members, n_idft)
-    with out.open("w") as handle:  # formatted as _write_csv formats
-        handle.write("i,j,rho\n")
-        for i, row in enumerate(rho):
-            handle.writelines([f"{i},{j},{v:.9g}\n" for j, v in enumerate(row.tolist()) if j != i])
+    _write_csv(out, ["i", "j", "rho"], ((i, j, v) for i, row in enumerate(rho)
+                                        for j, v in enumerate(row.tolist()) if j != i))
     if ccdf_out is not None:
         off_diagonal = rho.reshape(-1)[:-1].reshape(len(rho) - 1, -1)[:, 1:]  # a view
         thresholds, exceed_prob = ccdf(off_diagonal, np.linspace(0, 1, 101))
@@ -449,14 +445,9 @@ def import_sequences(path, out):
         if np.max(np.abs(np.abs(seq) - 1.0)) > 1e-9:
             raise click.ClickException(f"{path}: sequence {index} is not unimodular")
     length = sequences[0].size
-    normalized = {
-        "length": length,
-        "count": len(sequences),
-        "sequences": [
-            [[float(v.real), float(v.imag)] for v in seq] for seq in sequences
-        ],
-    }
-    out.write_text(json.dumps(normalized) + "\n")
+    pairs = np.stack(sequences).view(float).reshape(len(sequences), length, 2).tolist()
+    payload = {"length": length, "count": len(sequences), "sequences": pairs}
+    out.write_text(json.dumps(payload) + "\n")
     _write_manifest(out, [out], [path])
     click.echo(f"wrote {len(sequences)} sequences of length {length} to {out}")
 

@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 from importlib import resources
 
 from .golay import GolayPair
+from .seqcore import _decode_json
 
 
 def _read_data(name: str) -> dict:
-    return json.loads(resources.files("csinterlace.data").joinpath(name).read_text())
+    return _decode_json(resources.files("csinterlace.data").joinpath(name).read_text())
 
 
 @lru_cache(maxsize=None)

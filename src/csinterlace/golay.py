@@ -17,8 +17,8 @@ the next block starts, so its memory is bounded by the block size and the
 per-point head and tail tables, not by the number of sequences.  The few
 thousand survivors are then matched by their exact integer autocorrelation
 vectors against the negated vectors: that match, not the filter, is the
-complementarity proof.  The symbol strings of the pairs come from their
-ranks' base-4 digits.
+complementarity proof.  The symbol strings of the pairs are their ranks'
+base-4 digits formatted by the symbol codec of :mod:`csinterlace.seqcore`.
 
 A pair-library file, the enumeration cache's file per length among them, is
 one JSON line ``{"length", "count", "pairs"}`` of symbol-string pairs; only
@@ -37,11 +37,12 @@ from pathlib import Path
 import numpy as np
 
 from .seqcore import (
-    QUATERNARY_SYMBOLS,
     QUATERNARY_VALUES,
     _autocorrelations,
+    _decode_json,
+    _format_symbols,
     _noncomplementary,
-    _unique_keys,
+    _parse_symbols,
     as_sequence,
     format_quaternary,
     is_gcp,
@@ -210,26 +211,13 @@ def _check_capacity(length: int) -> int:
     return length
 
 
-_SYMBOL_BYTES = np.frombuffer(QUATERNARY_SYMBOLS.encode(), dtype=np.uint8)
 _CODE_POWER = np.array([0, 2, 1, 3])  # QUATERNARY_VALUES[c] = 1j ** _CODE_POWER[c], and back
 
 
 def _digits(ranks: np.ndarray, length: int) -> np.ndarray:
-    """Symbol codes of base-4 ranks, first symbol most significant; a
+    """Symbol codes of base-4 ranks, on a new last axis, first symbol most significant; a
     canonical rank (below 4**(length - 1)) has first code 0, value +1."""
-    return (ranks[:, None] // 4 ** np.arange(length - 1, -1, -1)) % 4
-
-
-def _decode(ranks: np.ndarray, length: int) -> np.ndarray:
-    """Sequence values of base-4 ranks."""
-    return QUATERNARY_VALUES[_digits(ranks, length)]
-
-
-def _symbols(ranks: np.ndarray, length: int) -> list[str]:
-    """Symbol strings of base-4 ranks, as :func:`format_quaternary` writes
-    the sequences :func:`_decode` gives."""
-    rows = _SYMBOL_BYTES[_digits(ranks, length)]  # (ranks, length) ASCII codes
-    return rows.view(f"S{length}").ravel().astype(str).tolist()
+    return (ranks[..., None] // 4 ** np.arange(length - 1, -1, -1)) % 4
 
 
 def _partial_spectra(phasors: np.ndarray, fixed: int) -> np.ndarray:
@@ -320,16 +308,18 @@ def _library_ranks(length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     lexicographic order, and the sorted ranks of all their members.
 
     Survivors i and j pair iff their exact integer autocorrelation keys
-    satisfy key(i) = -key(j); that match is the complementarity proof.
+    satisfy key(i) = -key(j); that match is the complementarity proof.  Only
+    at N = 1 (empty keys) is i = j: the lag N - 1 term is never 0.
     """
     survivors = _psd_survivors(length)
-    keys = _autocorrelations(_decode(survivors, length)).view(float).astype(np.int8)
+    seqs = QUATERNARY_VALUES[_digits(survivors, length)]
+    keys = _autocorrelations(seqs).view(float).astype(np.int8)
     ranks = survivors.tolist()
     by_key: dict[bytes, list[int]] = {}
     for rank, key in zip(ranks, keys):
         by_key.setdefault(key.tobytes(), []).append(rank)
     pairs = [(i, j) for i, key in zip(ranks, keys)
-             for j in by_key.get((-key).tobytes(), ()) if i < j]
+             for j in by_key.get((-key).tobytes(), ()) if i <= j]
     first, second = np.array(pairs, dtype=np.int64).reshape(-1, 2).T.copy()
     members = np.union1d(first, second)
     for arr in (first, second, members):
@@ -343,9 +333,9 @@ def _proven_pairs(a: np.ndarray, b: np.ndarray, strings=None) -> list[GolayPair]
     enumeration, or a ``seqcore`` certificate of the loader or the orbit),
     so they skip :class:`GolayPair`'s check: the only pairs built unchecked.
 
-    ``strings``, if given, are the symbol strings the rows were parsed
-    from; they seed :meth:`GolayPair.as_strings`, since formatting a parsed
-    string gives the string back.
+    ``strings``, if given, are the rows' symbol strings, parsed into them or
+    formatted from their codes by the symbol codec; they seed
+    :meth:`GolayPair.as_strings`, which would format the same strings.
     """
     a.setflags(write=False)
     b.setflags(write=False)
@@ -368,11 +358,8 @@ def enumerate_gcps(length: int) -> list[GolayPair]:
     Lengths above 12 raise (4**length sequences; capacity limit).
     """
     length = _check_capacity(length)
-    if length == 1:
-        return [GolayPair([1.0], [1.0])]
-    first, second, _ = _library_ranks(length)
-    strings = list(zip(_symbols(first, length), _symbols(second, length)))
-    return _proven_pairs(_decode(first, length), _decode(second, length), strings)
+    codes = _digits(np.stack(_library_ranks(length)[:2]), length)  # (2, pairs, length)
+    return _proven_pairs(*QUATERNARY_VALUES[codes], zip(*map(_format_symbols, codes)))
 
 
 def is_complementary_sequence(a) -> bool:
@@ -388,8 +375,6 @@ def is_complementary_sequence(a) -> bool:
     table = arr[:, None] == QUATERNARY_VALUES
     if not table.any(axis=1).all():
         raise ValueError("complementarity search is defined for quaternary sequences")
-    if arr.size == 1:
-        return True
     powers = _CODE_POWER[table.argmax(axis=1)]
     codes = _CODE_POWER[(powers[1:] - powers[0]) % 4]  # of arr * conj(arr[0])
     rank = int(codes @ 4 ** np.arange(arr.size - 2, -1, -1))
@@ -422,10 +407,7 @@ def read_library(path: str | Path, length: int | None = None) -> list[GolayPair]
     with ``length`` if given), all re-certified in one exact pass; any
     failure is a ValueError naming the file and the index of a faulty pair."""
     try:
-        try:
-            payload = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed JSON at line {exc.lineno}: {exc.msg}") from None
+        payload = _decode_json(Path(path).read_text())
         if not isinstance(payload, dict) or not isinstance(payload.get("pairs"), list):
             raise ValueError("expected an object with a 'pairs' list")
         n, count, strings = payload.get("length"), payload.get("count"), payload["pairs"]
@@ -437,12 +419,7 @@ def read_library(path: str | Path, length: int | None = None) -> list[GolayPair]
             if not (isinstance(entry, list) and len(entry) == 2
                     and all(isinstance(text, str) and len(text) == n for text in entry)):
                 raise ValueError(f"pair {index}: expected two symbol strings of length {n}")
-        a, b = np.empty((count, n), dtype=complex), np.empty((count, n), dtype=complex)
-        for index, (x, y) in enumerate(strings):
-            try:
-                a[index], b[index] = parse_quaternary(x), parse_quaternary(y)
-            except ValueError as exc:
-                raise ValueError(f"pair {index}: {exc}") from None
+        a, b = _parse_symbols(strings, n, "pair {}: ").reshape(count, 2, n).swapaxes(0, 1)
         bad = _noncomplementary(a, b)
         if bad.size:
             raise ValueError(f"pair {bad[0]} {strings[bad[0]]} is not complementary")

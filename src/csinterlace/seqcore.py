@@ -2,6 +2,11 @@
 input (:func:`as_sequence`), the complementarity test, sequences read from
 JSON, and private kernels on validated arrays (autocorrelation, modulation).
 
+Only this module knows the outside formats of a sequence: the symbol codec
+(code k is ``QUATERNARY_SYMBOLS[k]``, value ``QUATERNARY_VALUES[k]``) works on stacks,
+one row for :func:`parse_quaternary` and :func:`format_quaternary`, and
+``_decode_json`` is the package's one JSON decode.
+
 Quaternary sequences over {+1, -1, +1j, -1j} are kept in complex128 arrays.
 All their products and autocorrelation sums are small Gaussian integers,
 which complex128 represents exactly.  Autocorrelations have two kernels,
@@ -13,6 +18,7 @@ from the input and which every certificate calls: :func:`is_gcp`, those of
 
 from __future__ import annotations
 
+import json
 import math
 from itertools import chain, count
 
@@ -21,10 +27,29 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 QUATERNARY_SYMBOLS = "+-ij"
 QUATERNARY_VALUES = np.array([1.0, -1.0, 1.0j, -1.0j], dtype=complex)
-
-_SYMBOL_TO_VALUE = dict(zip(QUATERNARY_SYMBOLS, QUATERNARY_VALUES))
+# The symbol table both ways: code k <-> code point of QUATERNARY_SYMBOLS[k]; -1 for no code.
+_SYMBOL_POINTS = np.array([ord(symbol) for symbol in QUATERNARY_SYMBOLS], dtype=np.uint32)
+_POINT_CODES = np.array([QUATERNARY_SYMBOLS.find(chr(point)) for point in range(128)])
 
 _TOL = 1e-9  # far above the rounding of float autocorrelation sums
+
+
+def _parse_symbols(texts, n: int, where: str = "") -> np.ndarray:
+    """Values (..., n) of the nested list ``texts`` of length-n strings, read as code points
+    (a trailing NUL stays one).  The first other character, in row order, is a ValueError
+    naming it after ``where`` formatted with its index on the first axis."""
+    points = np.array(texts, dtype=f"U{n}")[..., None].view(np.uint32)
+    codes = _POINT_CODES[np.minimum(points, 127)]  # DEL (127) and above have no code
+    bad = np.flatnonzero(codes < 0)
+    if bad.size:
+        at = np.unravel_index(bad[0], points.shape)
+        raise ValueError(f"{where.format(at[0])}invalid quaternary symbol {chr(points[at])!r}")
+    return QUATERNARY_VALUES[codes]
+
+
+def _format_symbols(codes: np.ndarray) -> list[str]:
+    """Symbol strings of the rows of a C-ordered (rows, n) array of symbol codes."""
+    return _SYMBOL_POINTS[codes].view(f"U{codes.shape[-1]}").ravel().tolist()
 
 
 def parse_quaternary(text: str) -> np.ndarray:
@@ -33,10 +58,7 @@ def parse_quaternary(text: str) -> np.ndarray:
         raise TypeError(f"expected a symbol string, got {type(text).__name__}")
     if not text:
         raise ValueError("empty sequence string")
-    try:
-        return np.array([_SYMBOL_TO_VALUE[ch] for ch in text], dtype=complex)
-    except KeyError as exc:
-        raise ValueError(f"invalid quaternary symbol {exc.args[0]!r}") from None
+    return _parse_symbols([text], len(text))[0]
 
 
 def format_quaternary(seq) -> str:
@@ -46,7 +68,7 @@ def format_quaternary(seq) -> str:
     missing = np.flatnonzero(~matches.any(axis=1))
     if missing.size:
         raise ValueError(f"element {seq[missing[0]]} is not a quaternary symbol")
-    return "".join(QUATERNARY_SYMBOLS[k] for k in np.argmax(matches, axis=1))
+    return _format_symbols(np.argmax(matches, axis=1)[None])[0]
 
 
 def as_sequence(a) -> np.ndarray:
@@ -127,6 +149,14 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
             raise ValueError(f"duplicate key {key!r}")
         obj[key] = value
     return obj
+
+
+def _decode_json(text: str):
+    """The JSON document in ``text``: a ValueError for a duplicate key or malformed text."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed JSON at line {exc.lineno}: {exc.msg}") from None
 
 
 def sequence_from_json(data) -> np.ndarray:

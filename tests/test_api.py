@@ -201,3 +201,12 @@ def test_every_top_level_name_is_used_in_the_package():
                     or (module, name) in UNREFERENCED):
                 unused.append(f"{module}.{name}")
     assert unused == []
+
+
+def test_only_seqcore_reads_sequence_formats():
+    # The outside formats of a sequence have one boundary: the symbol alphabet and the
+    # JSON decode (``json.loads`` and its duplicate-key hook) are read in seqcore alone.
+    formats = {"QUATERNARY_SYMBOLS", "loads", "_unique_keys"}
+    readers = {name: sorted(referenced_names(tree) & formats) for name, tree in SOURCES.items()}
+    assert {name: names for name, names in readers.items() if names} == {
+        "seqcore": sorted(formats)}

@@ -689,6 +689,9 @@ BAD_LIBRARIES = [
      "pair 0: expected two symbol strings of length 2"),
     ("bad-symbol", {**_GOOD_4, "pairs": [["+++x", "++-+"]]},
      "pair 0: invalid quaternary symbol 'x'"),
+    # Parsed in one call, the strings still name their pair; a trailing NUL is refused by name.
+    ("bad-second-member", {**_GOOD_4, "count": 4, "pairs": [["+++-", "++-+"]] * 3
+                           + [["+++-", "++-\x00"]]}, "pair 3: invalid quaternary symbol '\\x00'"),
     # A dict parses like its keys, "+-", but would not write back as a string.
     ("non-string", {"length": 2, "count": 1, "pairs": [[{"+": 0, "-": 0}, "++"]]},
      "pair 0: expected two symbol strings of length 2"),

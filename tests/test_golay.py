@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from csinterlace import golay
+from csinterlace import golay, seqcore
 from csinterlace.golay import (
     CertificationError,
     ConstructionParams,
@@ -422,7 +422,7 @@ class TestSpectralFilter:
     @pytest.mark.parametrize("length", range(3, 11))
     def test_survivors_are_closed_under_quarter_turns(self, length):
         survivors = golay._psd_survivors(length)
-        seqs = golay._decode(survivors, length)
+        seqs = QUATERNARY_VALUES[golay._digits(survivors, length)]
         for k in range(1, 4):
             turn = np.array([1, 1j, -1, -1j])[k * np.arange(length) % 4]  # j**(k*n)
             turned = [canonical_rank(seq) for seq in seqs * turn]
@@ -463,8 +463,9 @@ class TestSpectralFilter:
     def test_symbol_strings_from_ranks(self, length):
         rng = np.random.default_rng(length)
         ranks = np.concatenate([[0, 4 ** length - 1], rng.integers(0, 4 ** length, 200)])
-        want = [format_quaternary(seq) for seq in golay._decode(ranks, length)]
-        assert golay._symbols(ranks, length) == want
+        codes = golay._digits(ranks, length)
+        want = [format_quaternary(seq) for seq in QUATERNARY_VALUES[codes]]
+        assert seqcore._format_symbols(codes) == want
 
 
 class _FullDisk:

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from csinterlace import interlace, seqcore
 from csinterlace.golay import ConstructionParams, combine_gcps
 from csinterlace.interlace import QPSK_PHASES, InterlaceConfig
 from csinterlace.seqcore import (
+    QUATERNARY_SYMBOLS,
     _autocorrelations,
+    _format_symbols,
     _modulate,
+    _parse_symbols,
     format_quaternary,
     is_gcp,
     parse_quaternary,
@@ -28,6 +31,13 @@ complex_sequences = arrays(
 )
 
 quaternary_strings = st.text(alphabet="+-ij", min_size=1, max_size=12)
+# Lists of equal-length symbol strings, as a pair library's or a stack's rows.
+symbol_stacks = st.integers(1, 12).flatmap(lambda n: st.lists(
+    st.text(alphabet="+-ij", min_size=n, max_size=n), min_size=1, max_size=8))
+# Characters off the alphabet: drawn ones, and NUL (which numpy strips from the end of
+# a string it converts back) and non-ASCII ones, sampled often.
+foreign_characters = (st.sampled_from(["\x00", "x", "é", "\u2212", "\U0001d7d9"])
+                      | st.characters(exclude_characters=QUATERNARY_SYMBOLS))
 
 
 class TestApac:
@@ -306,6 +316,30 @@ class TestSerialization:
     @given(quaternary_strings)
     def test_symbol_roundtrip(self, text):
         assert format_quaternary(parse_quaternary(text)) == text
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(symbol_stacks, st.data())
+    def test_stacked_codec_is_the_one_row_codec_per_row(self, texts, data):
+        n = len(texts[0])
+        values = _parse_symbols(texts, n)
+        assert np.array_equal(values, np.stack([parse_quaternary(text) for text in texts]))
+        codes = [[QUATERNARY_SYMBOLS.index(symbol) for symbol in text] for text in texts]
+        assert _format_symbols(np.array(codes)) == texts
+        # Replace one or more drawn characters; the error names the first in row order.
+        spots = data.draw(st.lists(st.tuples(st.integers(0, len(texts) - 1),
+                                             st.integers(0, n - 1), foreign_characters),
+                                   min_size=1, max_size=3))
+        rows = [list(text) for text in texts]
+        for row, column, character in spots:
+            rows[row][column] = character
+        row, column = min((row, column) for row, column, _ in spots)
+        character = rows[row][column]
+        with pytest.raises(ValueError) as info:
+            _parse_symbols(["".join(chars) for chars in rows], n, "row {}: ")
+        assert str(info.value) == f"row {row}: invalid quaternary symbol {character!r}"
+        with pytest.raises(ValueError) as info:
+            parse_quaternary("".join(rows[row]))
+        assert str(info.value) == f"invalid quaternary symbol {character!r}"
 
     def test_bad_symbol(self):
         with pytest.raises(ValueError):
